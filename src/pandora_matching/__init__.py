@@ -1,28 +1,25 @@
 """Exact toolkit for two-sided matching with Pandora-box inspection costs."""
 
 from .algorithms import (
-    BundledDescendingRunner,
+    DescendingRunner,
     EnumerationBoundError,
-    OrientedDescendingRunner,
     RunTrace,
     UnsupportedModelError,
     VertexBasedDescendingRunner,
     best_of_two,
-    bundled_descending,
     edge_based_orientation,
     expected_welfare,
-    oriented_descending,
     randomized_matching,
-    vertex_based_descending,
 )
-from .boxes import IndexedBox, PandoraBox, bundle, capped_value, weitzman_index
-from .distributions import DiscreteDistribution, convolve, expectation, surplus
+from .boxes import IndexedBox, PandoraBox, bundle, weitzman_index
+from .distributions import DiscreteDistribution
 from .instance import (
     EdgeSpec,
     MatchingInstance,
     Orientation,
     canonical_orientation,
     edge_to_basket,
+    random_orientation,
     validate,
 )
 from .nested import (
@@ -32,7 +29,7 @@ from .nested import (
     amortized_contribution,
     annotate,
     check_non_exposure,
-    descending_select,
+    descending_run,
     gamma_sequence,
     kappa_sequence,
 )

@@ -22,11 +22,10 @@ from .instance import (
     MatchingInstance,
     Orientation,
     all_orientations,
-    bundled_basket,
     canonical_orientation,
-    oriented_basket,
+    random_orientation,
 )
-from .nested import descending_run
+from .nested import check_non_exposure, descending_run
 from .rng import SplitMix64
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -126,20 +125,26 @@ def _edge_conflicts(inst: MatchingInstance):
     return conflicts
 
 
-class OrientedDescendingRunner:
-    """Descending procedure over the oriented two-stage edge baskets."""
+class DescendingRunner:
+    """Descending procedure over the compiled edge baskets.
 
-    def __init__(self, inst: MatchingInstance, orientation: Orientation):
-        orientation.require_covers(inst)
+    With an orientation each edge is its oriented two-stage basket; without
+    one, each edge is its bundled one-stage basket (both boxes at once).
+    """
+
+    def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
+        if orientation is not None:
+            orientation.require_covers(inst)
         self.inst = inst
         self.orientation = orientation
         self.baskets = {}
         self.path_lookup = {}
+        self._opened = {}   # edge id -> directed pairs inspected, by stages opened
         for e in inst.edges:
-            d = orientation.direction_of(e.id)
-            basket, lookup = oriented_basket(e, d)
-            self.baskets[e.id] = basket
-            self.path_lookup[e.id] = lookup
+            d = orientation.direction_of(e.id) if orientation is not None else None
+            self.baskets[e.id], self.path_lookup[e.id] = e.basket(d)
+            both = e.directions()
+            self._opened[e.id] = ((), both) if d is None else ((), (d,), both)
         self._conflicts = _edge_conflicts(inst)
 
     def paths_for(self, realization: Realization) -> dict:
@@ -149,44 +154,17 @@ class OrientedDescendingRunner:
         """Realized terminal capped value per edge (the greedy weights)."""
         return {eid: p.kappa1 for eid, p in self.paths_for(realization).items()}
 
-    def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
-        paths = self.paths_for(realization)
-        res = descending_run(self.baskets, paths, self._conflicts, record_steps)
-        inspected = set()
-        for eid, tr in res.traces.items():
-            d = self.orientation.direction_of(eid)
-            if tr.stages_opened >= 1:
-                inspected.add(d)
-            if tr.stages_opened >= 2:
-                inspected.add((d[1], d[0]))
-        return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
-                        res.claimed_value, res.welfare, res.steps, res.traces)
-
-
-class BundledDescendingRunner:
-    """Descending procedure after merging each edge's boxes into one."""
-
-    def __init__(self, inst: MatchingInstance):
-        self.inst = inst
-        self.baskets = {}
-        self.path_lookup = {}
-        for e in inst.edges:
-            basket, lookup = bundled_basket(e)
-            self.baskets[e.id] = basket
-            self.path_lookup[e.id] = lookup
-        self._conflicts = _edge_conflicts(inst)
-
-    def paths_for(self, realization: Realization) -> dict:
-        return {eid: self.path_lookup[eid][k] for eid, k in realization.items()}
+    def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
+        return all(check_non_exposure(nt, self.baskets[eid])
+                   for eid, nt in trace.nested_traces.items())
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
         paths = self.paths_for(realization)
         res = descending_run(self.baskets, paths, self._conflicts, record_steps)
         inspected = set()
+        opened = self._opened
         for eid, tr in res.traces.items():
-            if tr.stages_opened >= 1:
-                inspected.add(eid)
-                inspected.add((eid[1], eid[0]))
+            inspected.update(opened[eid][tr.stages_opened])
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
                         res.claimed_value, res.welfare, res.steps, res.traces)
 
@@ -222,6 +200,13 @@ class VertexBasedDescendingRunner:
             vals[(e.i, e.j)] = o.v_i
             vals[(e.j, e.i)] = o.v_j
         return vals
+
+    def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
+        """No opened box showed a value above its index on an unmatched edge."""
+        values = self.endpoint_values(realization)
+        return not any(values[(u, v)] > self.sigma[(u, v)]
+                       and (min(u, v), max(u, v)) not in trace.matched
+                       for u, v in trace.inspected)
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
         vals = self.endpoint_values(realization)
@@ -270,16 +255,6 @@ class VertexBasedDescendingRunner:
                     steps.append((time, "match", eid, best_val))
             time += 1
         return RunTrace(set(opened), frozenset(matched), costs, value, value - costs, steps)
-
-
-class DoNothingRunner:
-    """Performs no inspections; welfare 0 on every realization."""
-
-    def __init__(self, inst: MatchingInstance):
-        self.inst = inst
-
-    def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
-        return RunTrace(set(), frozenset(), ZERO, ZERO, ZERO)
 
 
 def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
@@ -333,17 +308,6 @@ def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
 # Policies built on top of the oriented descending procedure
 # ---------------------------------------------------------------------------
 
-def oriented_descending(inst: MatchingInstance, orientation: Orientation,
-                        realization: Realization) -> RunTrace:
-    return OrientedDescendingRunner(inst, orientation).run(realization)
-
-def bundled_descending(inst: MatchingInstance, realization: Realization) -> RunTrace:
-    return BundledDescendingRunner(inst).run(realization)
-
-def vertex_based_descending(inst: MatchingInstance, realization: Realization) -> RunTrace:
-    return VertexBasedDescendingRunner(inst).run(realization)
-
-
 def randomized_matching(inst: MatchingInstance, mode: str = "exact",
                         seed: int | None = None, enum_bound=None):
     """Uniform-random orientation, then oriented descending.
@@ -360,18 +324,14 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
         total = ZERO
         count = 0
         for o in all_orientations(inst):
-            total += expected_welfare_exact(inst, OrientedDescendingRunner(inst, o), enum_bound)
+            total += expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
             count += 1
         return total / count
     if mode == "seeded":
         if seed is None:
             raise ValueError("seeded mode requires a seed")
-        rng = SplitMix64(seed)
-        pairs = []
-        for (i, j) in inst.edge_ids:
-            pairs.append((i, j) if rng.next_bit() == 0 else (j, i))
-        o = Orientation(pairs)
-        return o, expected_welfare_exact(inst, OrientedDescendingRunner(inst, o), enum_bound)
+        o = random_orientation(inst, SplitMix64(seed))
+        return o, expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -382,8 +342,8 @@ def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, F
     """
     o = canonical_orientation(inst)
     o_rev = o.reverse()
-    w = expected_welfare_exact(inst, OrientedDescendingRunner(inst, o), enum_bound)
-    w_rev = expected_welfare_exact(inst, OrientedDescendingRunner(inst, o_rev), enum_bound)
+    w = expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
+    w_rev = expected_welfare_exact(inst, DescendingRunner(inst, o_rev), enum_bound)
     if w_rev > w:
         return o_rev, w_rev
     return o, w
@@ -400,8 +360,8 @@ def edge_based_orientation(inst: MatchingInstance, rule: str = "higher_sigma1") 
     pairs = []
     for e in inst.edges:
         d1, d2 = e.directions()
-        s1 = oriented_basket(e, d1)[0].sigma1
-        s2 = oriented_basket(e, d2)[0].sigma1
+        s1 = e.basket(d1)[0].sigma1
+        s2 = e.basket(d2)[0].sigma1
         pairs.append(d1 if s1 >= s2 else d2)
     return Orientation(pairs)
 
@@ -415,11 +375,11 @@ def make_runner(inst: MatchingInstance, policy: str, orientation: Orientation | 
     if policy == "oriented-desc":
         if orientation is None:
             orientation = canonical_orientation(inst)
-        return OrientedDescendingRunner(inst, orientation)
+        return DescendingRunner(inst, orientation)
     if policy == "bundled":
-        return BundledDescendingRunner(inst)
+        return DescendingRunner(inst)
     if policy == "vertex-based":
         return VertexBasedDescendingRunner(inst)
     if policy == "edge-based":
-        return OrientedDescendingRunner(inst, edge_based_orientation(inst))
+        return DescendingRunner(inst, edge_based_orientation(inst))
     raise ValueError(f"{policy!r} is not a per-realization policy")

@@ -72,21 +72,9 @@ class IndexedBox:
     def capped_value(self, value) -> Fraction:
         """min(value, index) for a value in the box's support."""
         v = Fraction(value)
-        if v not in box_support(self.box):
+        if v not in self.box.dist.support:
             raise ValueError(f"value {v} not in the box's support")
         return min(v, self.sigma)
-
-    def capped_dist(self) -> DiscreteDistribution:
-        """Law of the capped value."""
-        return self.box.dist.map_values(lambda v: min(v, self.sigma))
-
-
-def box_support(box: PandoraBox) -> tuple[Fraction, ...]:
-    return box.dist.support
-
-
-def capped_value(ib: IndexedBox, value) -> Fraction:
-    return ib.capped_value(value)
 
 
 def bundle(a: PandoraBox, b: PandoraBox) -> PandoraBox:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algorithms import (
-    BundledDescendingRunner,
-    OrientedDescendingRunner,
+    DescendingRunner,
     VertexBasedDescendingRunner,
     assert_valid_trace,
     best_of_two,
@@ -23,7 +22,6 @@ from .algorithms import (
 )
 from .distributions import ZERO
 from .instance import MatchingInstance, Orientation, canonical_orientation, validate
-from .nested import check_non_exposure
 from .oracle import greedy_matching, optimal_welfare
 
 
@@ -35,41 +33,47 @@ class CheckResult:
 
 
 @dataclass
-class OrientedSummary:
-    """Aggregates of one full enumeration of an oriented descending run."""
+class Summary:
+    """Aggregates of one full enumeration of a runner.
+
+    claimed_kappa_sum and greedy_equal need capped edge weights, so they are
+    None for the vertex-based runner; gamma_steps_ok is only checked when
+    steps are recorded.
+    """
 
     welfare: Fraction
-    claimed_kappa_sum: Fraction
+    claimed_kappa_sum: Fraction | None
     traces_valid: bool
     non_exposed: bool
-    greedy_equal: bool
+    greedy_equal: bool | None
     gamma_steps_ok: bool
 
 
-def summarize_oriented(inst: MatchingInstance, orientation: Orientation,
-                       enum_bound=None, record_steps: bool = True) -> OrientedSummary:
-    runner = OrientedDescendingRunner(inst, orientation)
-    welfare = ZERO
-    kappa_sum = ZERO
+def summarize(inst: MatchingInstance, runner, enum_bound=None,
+              record_steps: bool = False) -> Summary:
+    """Enumerate every realization once and check each run."""
+    weighted = isinstance(runner, DescendingRunner)
+    welfare = kappa_sum = ZERO
     traces_valid = non_exposed = greedy_equal = gamma_ok = True
     for realization, prob, trace in enumerate_runs(inst, runner, enum_bound,
                                                    record_steps=record_steps):
         welfare += prob * trace.welfare
-        weights = runner.kappa_weights(realization)
-        kappa_sum += prob * sum((weights[eid] for eid in trace.matched), ZERO)
         try:
             assert_valid_trace(trace, inst, realization)
         except AssertionError:
             traces_valid = False
-        for eid, nested_trace in trace.nested_traces.items():
-            if not check_non_exposure(nested_trace, runner.baskets[eid]):
-                non_exposed = False
-        if trace.matched != greedy_matching(weights)[0]:
-            greedy_equal = False
+        if not runner.non_exposed(realization, trace):
+            non_exposed = False
+        if weighted:
+            weights = runner.kappa_weights(realization)
+            kappa_sum += prob * sum((weights[eid] for eid in trace.matched), ZERO)
+            if trace.matched != greedy_matching(weights)[0]:
+                greedy_equal = False
         if record_steps and not _gamma_steps_ok(trace.steps):
             gamma_ok = False
-    return OrientedSummary(welfare, kappa_sum, traces_valid, non_exposed,
-                           greedy_equal, gamma_ok)
+    if not weighted:
+        kappa_sum = greedy_equal = None
+    return Summary(welfare, kappa_sum, traces_valid, non_exposed, greedy_equal, gamma_ok)
 
 
 def _gamma_steps_ok(steps) -> bool:
@@ -85,46 +89,6 @@ def _gamma_steps_ok(steps) -> bool:
     return True
 
 
-def bundled_summary(inst: MatchingInstance, enum_bound=None):
-    """(expected welfare, traces ok, non-exposure ok, greedy-on-bundled ok)."""
-    runner = BundledDescendingRunner(inst)
-    welfare = ZERO
-    ok_valid = ok_exposure = ok_greedy = True
-    for realization, prob, trace in enumerate_runs(inst, runner, enum_bound):
-        welfare += prob * trace.welfare
-        try:
-            assert_valid_trace(trace, inst, realization)
-        except AssertionError:
-            ok_valid = False
-        for eid, nested_trace in trace.nested_traces.items():
-            if not check_non_exposure(nested_trace, runner.baskets[eid]):
-                ok_exposure = False
-        weights = {eid: runner.path_lookup[eid][k].kappa1
-                   for eid, k in realization.items()}
-        if trace.matched != greedy_matching(weights)[0]:
-            ok_greedy = False
-    return welfare, ok_valid, ok_exposure, ok_greedy
-
-
-def vertex_based_summary(inst: MatchingInstance, enum_bound=None):
-    """(expected welfare, traces ok, single-box non-exposure ok)."""
-    runner = VertexBasedDescendingRunner(inst)
-    welfare = ZERO
-    ok_valid = ok_exposure = True
-    for realization, prob, trace in enumerate_runs(inst, runner, enum_bound):
-        welfare += prob * trace.welfare
-        try:
-            assert_valid_trace(trace, inst, realization)
-        except AssertionError:
-            ok_valid = False
-        values = runner.endpoint_values(realization)
-        for pair in trace.inspected:
-            eid = pair if pair[0] < pair[1] else (pair[1], pair[0])
-            if values[pair] > runner.sigma[pair] and eid not in trace.matched:
-                ok_exposure = False
-    return welfare, ok_valid, ok_exposure
-
-
 def run_all_checks(inst: MatchingInstance, orientation: Orientation | None = None,
                    enum_bound=None) -> list[CheckResult]:
     """The full invariant suite for one instance; all exact comparisons."""
@@ -136,8 +100,8 @@ def run_all_checks(inst: MatchingInstance, orientation: Orientation | None = Non
 
     o = orientation or canonical_orientation(inst)
     o_rev = o.reverse()
-    fwd = summarize_oriented(inst, o, enum_bound)
-    rev = summarize_oriented(inst, o_rev, enum_bound)
+    fwd = summarize(inst, DescendingRunner(inst, o), enum_bound, record_steps=True)
+    rev = summarize(inst, DescendingRunner(inst, o_rev), enum_bound, record_steps=True)
 
     for label, s in (("forward", fwd), ("reverse", rev)):
         results.append(CheckResult(f"trace-validity-{label}", s.traces_valid))
@@ -148,15 +112,15 @@ def run_all_checks(inst: MatchingInstance, orientation: Orientation | None = Non
             f"welfare {s.welfare} vs claimed capped sum {s.claimed_kappa_sum}"))
         results.append(CheckResult(f"descending-step-indices-{label}", s.gamma_steps_ok))
 
-    bundle_welfare, b_valid, b_exposure, b_greedy = bundled_summary(inst, enum_bound)
-    results.append(CheckResult("trace-validity-bundled", b_valid))
-    results.append(CheckResult("non-exposure-bundled", b_exposure))
-    results.append(CheckResult("greedy-equivalence-bundled", b_greedy))
+    bundled = summarize(inst, DescendingRunner(inst), enum_bound)
+    results.append(CheckResult("trace-validity-bundled", bundled.traces_valid))
+    results.append(CheckResult("non-exposure-bundled", bundled.non_exposed))
+    results.append(CheckResult("greedy-equivalence-bundled", bundled.greedy_equal))
 
     if inst.all_independent():
-        _, v_valid, v_exposure = vertex_based_summary(inst, enum_bound)
-        results.append(CheckResult("trace-validity-vertex-based", v_valid))
-        results.append(CheckResult("non-exposure-vertex-based", v_exposure))
+        vertex = summarize(inst, VertexBasedDescendingRunner(inst), enum_bound)
+        results.append(CheckResult("trace-validity-vertex-based", vertex.traces_valid))
+        results.append(CheckResult("non-exposure-vertex-based", vertex.non_exposed))
 
     opt_free = optimal_welfare(inst).value
     opt_fwd = optimal_welfare(inst, "oriented", o).value

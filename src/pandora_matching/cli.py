@@ -25,9 +25,11 @@ from fractions import Fraction
 
 from . import repro
 from .algorithms import (
+    POLICY_NAMES,
     EnumerationBoundError,
     UnsupportedModelError,
     best_of_two,
+    edge_based_orientation,
     expected_welfare,
     make_runner,
     randomized_matching,
@@ -40,6 +42,7 @@ from .instance import (
     MatchingInstance,
     Orientation,
     canonical_orientation,
+    random_orientation,
     validate,
 )
 from .nested import OutcomeNode, annotate, annotated_to_json_obj
@@ -50,6 +53,7 @@ from .rationals import (
     load_json,
     loads_json,
     parse_rational,
+    rational_json,
 )
 from .rng import SplitMix64
 
@@ -58,11 +62,16 @@ class CliError(Exception):
     pass
 
 
-def _load_instance(path: str) -> MatchingInstance:
+def _load(path: str, what: str, from_json_obj):
+    """Read a JSON file into an object; any failure becomes one CliError."""
     try:
-        return MatchingInstance.from_json_obj(load_json(path))
+        return from_json_obj(load_json(path))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"cannot read instance {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_instance(path: str) -> MatchingInstance:
+    return _load(path, "instance", MatchingInstance.from_json_obj)
 
 
 def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientation:
@@ -72,12 +81,9 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
     if spec == "reverse":
         return canonical_orientation(inst).reverse()
     if spec == "edge-based":
-        from .algorithms import edge_based_orientation
         return edge_based_orientation(inst)
     if spec.startswith("random:"):
-        rng = SplitMix64(int(spec.split(":", 1)[1]))
-        pairs = [(i, j) if rng.next_bit() == 0 else (j, i) for i, j in inst.edge_ids]
-        return Orientation(pairs)
+        return random_orientation(inst, SplitMix64(int(spec.split(":", 1)[1])))
     if spec.strip().startswith("["):
         o = Orientation.from_json_obj(loads_json(spec))
     elif os.path.exists(spec):
@@ -100,19 +106,15 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _welfare_doc(value: Fraction) -> dict:
-    return {"exact": format_rational(value), "float": float(value)}
-
-
 def cmd_index(args) -> int:
-    box = PandoraBox.from_json_obj(load_json(args.instance))
+    box = _load(args.instance, "box", PandoraBox.from_json_obj)
     sigma = weitzman_index(box)
     print(json.dumps({"sigma": format_rational(sigma), "sigma_float": float(sigma)}))
     return 0
 
 
 def cmd_nested_index(args) -> int:
-    root = OutcomeNode.from_json_obj(load_json(args.instance))
+    root = _load(args.instance, "tree", OutcomeNode.from_json_obj)
     basket = annotate(root)
     doc = {
         "sigma1": format_rational(basket.sigma1),
@@ -125,6 +127,8 @@ def cmd_nested_index(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.mode == "montecarlo" and args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     inst = _load_instance(args.instance)
     report = validate(inst)
     if not report.ok:
@@ -142,12 +146,12 @@ def cmd_run(args) -> int:
                                                      enum_bound=bound)
             orientation_desc = _orientation_string(orientation)
             doc["orientation"] = orientation.to_json_obj()
-        doc["welfare"] = _welfare_doc(value)
+        doc["welfare"] = rational_json(value)
     elif args.policy == "best-of-two":
         orientation, value = best_of_two(inst, bound)
         orientation_desc = _orientation_string(orientation)
         doc["orientation"] = orientation.to_json_obj()
-        doc["welfare"] = _welfare_doc(value)
+        doc["welfare"] = rational_json(value)
     else:
         orientation = None
         if args.policy == "oriented-desc":
@@ -160,7 +164,7 @@ def cmd_run(args) -> int:
             doc["orientation"] = runner.orientation.to_json_obj()
         if args.mode == "exact":
             value = expected_welfare(inst, runner, "exact", enum_bound=bound)
-            doc["welfare"] = _welfare_doc(value)
+            doc["welfare"] = rational_json(value)
         else:
             _require_seed(args)
             mean, stderr = expected_welfare(inst, runner, "montecarlo",
@@ -177,10 +181,10 @@ def cmd_run(args) -> int:
     ratio = ""
     if args.with_opt:
         opt = optimal_welfare(inst).value
-        doc["opt_free"] = _welfare_doc(opt)
+        doc["opt_free"] = rational_json(opt)
         if opt != 0 and args.mode == "exact":
             ratio_val = Fraction(value) / opt
-            doc["ratio_to_opt"] = _welfare_doc(ratio_val)
+            doc["ratio_to_opt"] = rational_json(ratio_val)
             ratio = format_rational(ratio_val)
 
     exact_str = format_rational(value) if isinstance(value, Fraction) else ""
@@ -277,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a matching policy")
     p.add_argument("--instance", required=True)
-    p.add_argument("--policy", required=True,
-                   choices=["oriented-desc", "randomized", "best-of-two",
-                            "bundled", "vertex-based", "edge-based"])
+    p.add_argument("--policy", required=True, choices=POLICY_NAMES)
     p.add_argument("--orientation", default="canonical",
                    help="canonical | reverse | edge-based | random:SEED | file | inline JSON")
     p.add_argument("--mode", default="exact", choices=["exact", "montecarlo"])

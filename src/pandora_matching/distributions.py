@@ -124,14 +124,3 @@ class DiscreteDistribution:
                 raise DistributionError(f"bad atom {entry!r}") from exc
         return cls(atoms)
 
-
-def expectation(d: DiscreteDistribution) -> Fraction:
-    return d.expectation()
-
-
-def surplus(d: DiscreteDistribution, threshold) -> Fraction:
-    return d.surplus(threshold)
-
-
-def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
-    return a.convolve(b)

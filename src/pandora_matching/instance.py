@@ -44,11 +44,25 @@ class JointOutcome:
     v_j: Fraction | None = None
 
 
+@dataclass(frozen=True)
+class DirectionTable:
+    """An edge's joint law in one inspection order.
+
+    first: (first signal, marginal probability) per first signal, sorted.
+    second: first signal -> (second signal, conditional probability, outcome
+    index) per second signal, sorted.
+    """
+
+    first: tuple[tuple[str, Fraction], ...]
+    second: dict[str, tuple[tuple[str, Fraction, int], ...]]
+
+
 class EdgeSpec:
     """An undirected edge with its two inspection costs and outcome law.
 
     Endpoints are stored sorted (i < j).  Direction (u, v) means endpoint u
     is inspected first; cost(u, v) is the cost of that first inspection.
+    The per-direction tables and compiled baskets are built on first use.
     """
 
     def __init__(self, i: str, j: str, cost_ij, cost_ji,
@@ -67,6 +81,8 @@ class EdgeSpec:
         self.box_ji = box_ji
         self.outcomes = tuple(sorted(outcomes, key=lambda o: (o.label_i, o.label_j)))
         self._check()
+        self._tables: dict[DirectedPair, DirectionTable] = {}
+        self._baskets: dict = {}
 
     @property
     def id(self) -> EdgeId:
@@ -143,16 +159,41 @@ class EdgeSpec:
             return self.box_ji
         raise InstanceError(f"{direction} is not a direction of edge {self.id}")
 
-    def first_label(self, outcome: JointOutcome, direction: DirectedPair) -> str:
-        return outcome.label_i if direction == (self.i, self.j) else outcome.label_j
+    def table(self, direction: DirectedPair) -> DirectionTable:
+        """The joint law grouped by the signal inspected first."""
+        if direction not in self._tables:
+            self.cost(direction)  # direction check
+            forward = direction == (self.i, self.j)
+            groups: dict[str, list] = {}
+            for k, o in enumerate(self.outcomes):
+                first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
+                groups.setdefault(first, []).append((second, o.prob, k))
+            first_law = []
+            second_laws = {}
+            for label in sorted(groups):
+                rows = sorted(groups[label])
+                marginal = sum((p for _, p, _ in rows), ZERO)
+                first_law.append((label, marginal))
+                second_laws[label] = tuple((s, p / marginal, k) for s, p, k in rows)
+            self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
+        return self._tables[direction]
 
-    def second_label(self, outcome: JointOutcome, direction: DirectedPair) -> str:
-        return outcome.label_j if direction == (self.i, self.j) else outcome.label_i
+    def basket(self, direction: DirectedPair | None = None
+               ) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
+        """Compiled basket and outcome-index -> path lookup.
+
+        A direction gives the oriented two-stage basket, None the bundled
+        one-stage basket.  Every caller gets the same objects; none may
+        mutate them.
+        """
+        if direction not in self._baskets:
+            self._baskets[direction] = (bundled_basket(self) if direction is None
+                                        else oriented_basket(self, direction))
+        return self._baskets[direction]
 
     def bundled_box(self) -> PandoraBox:
         """Both inspections merged into one box over the edge total."""
-        dist = DiscreteDistribution((o.total, o.prob) for o in self.outcomes)
-        return PandoraBox(dist, self.cost_ij + self.cost_ji)
+        return PandoraBox(self.total_dist(), self.cost_ij + self.cost_ji)
 
     def total_dist(self) -> DiscreteDistribution:
         return DiscreteDistribution((o.total, o.prob) for o in self.outcomes)
@@ -187,32 +228,25 @@ def edge_to_basket(edge: EdgeSpec, direction: DirectedPair) -> OutcomeNode:
     Stage 1 costs cost(direction) and reveals the first endpoint's signal;
     stage 2 costs the reverse cost and reveals the edge total.
     """
-    edge.cost(direction)  # direction check
+    table = edge.table(direction)
     reverse_cost = edge.cost((direction[1], direction[0]))
-    groups: dict[str, list[JointOutcome]] = {}
-    for o in edge.outcomes:
-        groups.setdefault(edge.first_label(o, direction), []).append(o)
-    branches = []
-    for label in sorted(groups):
-        rows = groups[label]
-        marginal = sum((o.prob for o in rows), ZERO)
-        leaves = [
-            (edge.second_label(o, direction), o.prob / marginal, OutcomeNode.leaf(o.total))
-            for o in sorted(rows, key=lambda o: edge.second_label(o, direction))
-        ]
-        branches.append((label, marginal, OutcomeNode.stage(reverse_cost, leaves)))
+    branches = [
+        (label, marginal, OutcomeNode.stage(reverse_cost, [
+            (second, p, OutcomeNode.leaf(edge.outcomes[k].total))
+            for second, p, k in table.second[label]
+        ]))
+        for label, marginal in table.first
+    ]
     return OutcomeNode.stage(edge.cost(direction), branches)
 
 
 def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
     """Annotated basket for a direction plus outcome-index -> path lookup."""
     basket = annotate(edge_to_basket(edge, direction))
-    by_labels = {(p.labels[0], p.labels[1]): p for p in basket.paths}
-    lookup = {
-        k: by_labels[(edge.first_label(o, direction), edge.second_label(o, direction))]
-        for k, o in enumerate(edge.outcomes)
-    }
-    return basket, lookup
+    # paths are enumerated in tree order, which is the table's order
+    table = edge.table(direction)
+    order = [k for label, _ in table.first for _, _, k in table.second[label]]
+    return basket, dict(zip(order, basket.paths))
 
 
 def bundled_basket(edge: EdgeSpec) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
@@ -356,13 +390,14 @@ class Orientation:
         return cls((str(p[0]), str(p[1])) for p in obj)
 
 
-def reverse(o: Orientation) -> Orientation:
-    return o.reverse()
-
-
 def canonical_orientation(inst: MatchingInstance) -> Orientation:
     """Deterministic default: every edge oriented low vertex id first."""
     return Orientation(inst.edge_ids)
+
+
+def random_orientation(inst: MatchingInstance, rng) -> Orientation:
+    """One bit of a SplitMix64 stream per edge, in edge order; 0 keeps (i, j)."""
+    return Orientation((i, j) if rng.next_bit() == 0 else (j, i) for i, j in inst.edge_ids)
 
 
 def all_orientations(inst: MatchingInstance):

@@ -19,7 +19,7 @@ kappa^(l+1) > gamma^(l); non-exposed runs attain the amortization identity
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -283,12 +283,6 @@ class NestedTrace:
     costs_paid: Fraction
     welfare: Fraction
 
-    def indicator_sequence(self) -> list[int]:
-        d = self.path.depth
-        seq = [1 if l < self.stages_opened else 0 for l in range(d)]
-        seq.append(1 if self.claimed else 0)
-        return seq
-
 
 def make_trace(basket_id, path: PathInfo, stages_opened: int, claimed: bool) -> NestedTrace:
     if claimed and stages_opened != path.depth:
@@ -339,7 +333,6 @@ class StagePath:
 
     basket_id: object
     node: AnnotatedStage | AnnotatedLeaf
-    labels: list[str] = field(default_factory=list)
     stage: int = 0
     gamma: Fraction | None = None
 
@@ -424,7 +417,6 @@ def descending_run(
             cur.gamma = cur.node.sigma if cur.gamma is None else min(cur.gamma, cur.node.sigma)
             bi = paths[best].branch_indices[cur.stage]
             cur.node = cur.node.branches[bi][2]
-            cur.labels.append(paths[best].labels[cur.stage])
             cur.stage += 1
         time += 1
     traces = {
@@ -433,11 +425,6 @@ def descending_run(
     return DescendingResult(
         traces, claimed, total_costs, claimed_value, claimed_value - total_costs, steps
     )
-
-
-def descending_select(baskets: dict, paths: dict) -> DescendingResult:
-    """Single-selection descending run: claim at most one basket."""
-    return descending_run(baskets, paths)
 
 
 def enumerate_joint_paths(baskets: dict) -> Iterator[tuple[dict, Fraction]]:
@@ -454,5 +441,5 @@ def expected_select_welfare(baskets: dict) -> Fraction:
     """Exact expected welfare of the single-selection descending run."""
     total = ZERO
     for paths, prob in enumerate_joint_paths(baskets):
-        total += prob * descending_select(baskets, paths).welfare
+        total += prob * descending_run(baskets, paths).welfare
     return total

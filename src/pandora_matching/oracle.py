@@ -93,46 +93,38 @@ class PolicyValue:
 
 
 class _EdgeData:
-    __slots__ = ("edge", "labels_i", "labels_j", "rows", "total_by_pair",
-                 "idx_i", "idx_j")
+    """An edge's signal labels and transition laws, read from its tables.
+
+    Evidence is a pair of label indices (i side, j side), -1 where unseen.
+    """
+
+    __slots__ = ("edge", "labels_i", "labels_j", "total_by_pair", "laws")
 
     def __init__(self, edge):
         self.edge = edge
-        self.labels_i = sorted({o.label_i for o in edge.outcomes})
-        self.labels_j = sorted({o.label_j for o in edge.outcomes})
-        self.idx_i = {l: k for k, l in enumerate(self.labels_i)}
-        self.idx_j = {l: k for k, l in enumerate(self.labels_j)}
-        self.rows = [
-            (self.idx_i[o.label_i], self.idx_j[o.label_j], o.total, o.prob)
-            for o in edge.outcomes
-        ]
-        self.total_by_pair = {(a, b): t for a, b, t, _ in self.rows}
+        ij, ji = (edge.table(d) for d in edge.directions())
+        self.labels_i = [label for label, _ in ij.first]
+        self.labels_j = [label for label, _ in ji.first]
+        idx_i = {label: k for k, label in enumerate(self.labels_i)}
+        idx_j = {label: k for k, label in enumerate(self.labels_j)}
+        rows = [(idx_i[o.label_i], idx_j[o.label_j], o.total, o.prob) for o in edge.outcomes]
+        self.total_by_pair = {(a, b): t for a, b, t, _ in rows}
+        # (evidence, side) -> [(new evidence, conditional probability)]
+        laws = {
+            ((-1, -1), "ij"): [((a, b), p) for a, b, _, p in rows],
+            ((-1, -1), "i"): [((a, -1), p) for a, (_, p) in enumerate(ij.first)],
+            ((-1, -1), "j"): [((-1, b), p) for b, (_, p) in enumerate(ji.first)],
+        }
+        for a, (label, _) in enumerate(ij.first):
+            laws[(a, -1), "j"] = [((a, idx_j[s]), p) for s, p, _ in ij.second[label]]
+        for b, (label, _) in enumerate(ji.first):
+            laws[(-1, b), "i"] = [((idx_i[s], b), p) for s, p, _ in ji.second[label]]
+        self.laws = laws
 
-    def state_count(self) -> int:
-        li, lj = len(self.labels_i), len(self.labels_j)
-        return 1 + li + lj + len(self.rows)
-
-    def transitions(self, evidence, side):
-        """Conditional law of the side's label given current evidence."""
-        a, b = evidence
-        if side == "i":
-            assert a == -1
-            rows = self.rows if b == -1 else [r for r in self.rows if r[1] == b]
-            acc: dict[int, Fraction] = {}
-            for ra, _, _, p in rows:
-                acc[ra] = acc.get(ra, ZERO) + p
-        else:
-            assert b == -1
-            rows = self.rows if a == -1 else [r for r in self.rows if r[0] == a]
-            acc = {}
-            for _, rb, _, p in rows:
-                acc[rb] = acc.get(rb, ZERO) + p
-        norm = sum(acc.values(), ZERO)
-        return [(label_idx, p / norm) for label_idx, p in sorted(acc.items())]
-
-    def joint_transitions(self, evidence):
-        assert evidence == (-1, -1)
-        return [((a, b), p) for a, b, _, p in self.rows]
+    def branches(self, evidence, side):
+        """(new evidence, probability) per outcome of opening a side ("i",
+        "j", or "ij" for both at once) from the given evidence."""
+        return self.laws[evidence, side]
 
 
 def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
@@ -155,14 +147,14 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
     ids = inst.edge_ids
     estimate = 1
     for eid, d in zip(ids, data):
-        li, lj = len(d.labels_i), len(d.labels_j)
+        li, lj, n = len(d.labels_i), len(d.labels_j), len(d.edge.outcomes)
         if constraint == "bundled":
-            estimate *= 1 + len(d.rows)
+            estimate *= 1 + n
         elif constraint == "oriented":
             first_is_i = orientation.direction_of(eid) == (d.edge.i, d.edge.j)
-            estimate *= 1 + (li if first_is_i else lj) + len(d.rows)
+            estimate *= 1 + (li if first_is_i else lj) + n
         else:
-            estimate *= d.state_count()
+            estimate *= 1 + li + lj + n
     if estimate > state_bound:
         raise StateBoundError(estimate, state_bound)
 
@@ -212,15 +204,8 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
         action = ("stop",)
         for k, side, cost in legal_opens(state):
             d = data[k]
-            evidence = state[k]
-            if side == "ij":
-                branches = [((a, b), p) for (a, b), p in d.joint_transitions(evidence)]
-            elif side == "i":
-                branches = [((a, evidence[1]), p) for a, p in d.transitions(evidence, "i")]
-            else:
-                branches = [((evidence[0], b), p) for b, p in d.transitions(evidence, "j")]
             ev = -cost
-            for new_evidence, p in branches:
+            for new_evidence, p in d.branches(state[k], side):
                 child = state[:k] + (new_evidence,) + state[k + 1:]
                 ev += p * value(child)
             if ev > best:
@@ -250,30 +235,23 @@ def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int 
         if action[0] == "stop":
             return {"action": "stop"}
         if action[0] == "open-bundle":
-            eid = action[1]
-            k = ids.index(eid)
-            node = {"action": "open-bundle", "edge": list(eid), "outcomes": []}
-            for (a, b), _ in data[k].joint_transitions(state[k]):
+            k = ids.index(action[1])
+            d = data[k]
+            node = {"action": "open-bundle", "edge": list(action[1]), "outcomes": []}
+            for (a, b), _ in d.branches(state[k], "ij"):
                 child = state[:k] + ((a, b),) + state[k + 1:]
                 node["outcomes"].append({
-                    "si": data[k].labels_i[a], "sj": data[k].labels_j[b],
-                    "then": expand(child),
+                    "si": d.labels_i[a], "sj": d.labels_j[b], "then": expand(child),
                 })
             return node
         (u, v) = action[1]
-        eid = (u, v) if u < v else (v, u)
-        k = ids.index(eid)
+        k = ids.index((u, v) if u < v else (v, u))
         d = data[k]
         side = "i" if (u, v) == (d.edge.i, d.edge.j) else "j"
         node = {"action": "open", "box": [u, v], "outcomes": []}
-        for label_idx, _ in d.transitions(state[k], side):
-            if side == "i":
-                new_evidence = (label_idx, state[k][1])
-                label = d.labels_i[label_idx]
-            else:
-                new_evidence = (state[k][0], label_idx)
-                label = d.labels_j[label_idx]
-            child = state[:k] + (new_evidence,) + state[k + 1:]
+        for (a, b), _ in d.branches(state[k], side):
+            child = state[:k] + ((a, b),) + state[k + 1:]
+            label = d.labels_i[a] if side == "i" else d.labels_j[b]
             node["outcomes"].append({"signal": label, "then": expand(child)})
         return node
 

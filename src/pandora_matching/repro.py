@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import (
-    OrientedDescendingRunner,
-    RunTrace,
-    expected_welfare_exact,
-)
+from .algorithms import DescendingRunner, RunTrace, expected_welfare_exact
 from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution, ZERO
 from .instance import EdgeSpec, MatchingInstance, Orientation
@@ -264,15 +260,14 @@ def no_dessert_edge(alpha) -> NamedInstance:
     inst = MatchingInstance(["i", "j"], [EdgeSpec.independent("i", "j", box_ij, box_ji)])
     o_ij = Orientation([("i", "j")])
     o_ji = o_ij.reverse()
+    edge = inst.edges[0]
 
     def desc(o: Orientation) -> Fraction:
-        return expected_welfare_exact(inst, OrientedDescendingRunner(inst, o))
+        return expected_welfare_exact(inst, DescendingRunner(inst, o))
 
     table = (
-        ("sigma1_ij", lambda: OrientedDescendingRunner(inst, o_ij).baskets[("i", "j")].sigma1,
-         1 / a - 1),
-        ("sigma1_ji", lambda: OrientedDescendingRunner(inst, o_ji).baskets[("i", "j")].sigma1,
-         a ** -2 - 1 / a),
+        ("sigma1_ij", lambda: edge.basket(("i", "j"))[0].sigma1, 1 / a - 1),
+        ("sigma1_ji", lambda: edge.basket(("j", "i"))[0].sigma1, a ** -2 - 1 / a),
         ("welfare_desc_ij", lambda: desc(o_ij), 1 - a),
         ("welfare_desc_ji", lambda: desc(o_ji), a - a * a),
         ("opt_oriented_ij",
@@ -280,11 +275,11 @@ def no_dessert_edge(alpha) -> NamedInstance:
         ("opt_oriented_ji",
          lambda: optimal_welfare(inst, "oriented", o_ji).value, a - a * a),
         ("expected_positive_capped_ij",
-         lambda: OrientedDescendingRunner(inst, o_ij).baskets[("i", "j")]
-         .kappa1_distribution().expected_positive_part(), 1 - a),
+         lambda: edge.basket(("i", "j"))[0].kappa1_distribution().expected_positive_part(),
+         1 - a),
         ("expected_positive_capped_ji",
-         lambda: OrientedDescendingRunner(inst, o_ji).baskets[("i", "j")]
-         .kappa1_distribution().expected_positive_part(), a - a * a),
+         lambda: edge.basket(("j", "i"))[0].kappa1_distribution().expected_positive_part(),
+         a - a * a),
     )
     return NamedInstance("no-dessert-edge", {"alpha": a}, inst, table)
 
@@ -329,7 +324,7 @@ def no_dessert_star(alpha, m: int = 2) -> NamedInstance:
             else:
                 pairs.append((e.j, e.i))
         o = Orientation(pairs)
-        return expected_welfare_exact(inst, OrientedDescendingRunner(inst, o))
+        return expected_welfare_exact(inst, DescendingRunner(inst, o))
 
     table = (
         ("per_copy_gain", single_copy_gain, gain),

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from pandora_matching.algorithms import (
-    OrientedDescendingRunner,
+    DescendingRunner,
     VertexBasedDescendingRunner,
     best_of_two,
     edge_based_orientation,
@@ -22,11 +22,7 @@ from pandora_matching.algorithms import (
     expected_welfare_exact,
     randomized_matching,
 )
-from pandora_matching.checks import (
-    bundled_summary,
-    summarize_oriented,
-    vertex_based_summary,
-)
+from pandora_matching.checks import summarize
 from pandora_matching.distributions import ZERO
 from pandora_matching.instance import Orientation, canonical_orientation, validate
 from pandora_matching.nested import check_non_exposure, make_trace
@@ -62,8 +58,8 @@ def general_results():
     out = []
     for inst in general_batch(200):
         o = canonical_orientation(inst)
-        fwd = summarize_oriented(inst, o)
-        rev = summarize_oriented(inst, o.reverse())
+        fwd = summarize(inst, DescendingRunner(inst, o))
+        rev = summarize(inst, DescendingRunner(inst, o.reverse()))
         out.append({
             "inst": inst,
             "o": o,
@@ -121,9 +117,9 @@ def test_criterion_3_no_dessert_family():
             chosen = edge_based_orientation(inst)
             assert chosen == Orientation([("j", "i")])
             w_chosen = expected_welfare_exact(
-                inst, OrientedDescendingRunner(inst, chosen))
+                inst, DescendingRunner(inst, chosen))
             w_best = expected_welfare_exact(
-                inst, OrientedDescendingRunner(inst, chosen.reverse()))
+                inst, DescendingRunner(inst, chosen.reverse()))
             assert w_chosen == alpha * w_best
 
             star = no_dessert_star(alpha, 2)
@@ -133,10 +129,10 @@ def test_criterion_3_no_dessert_family():
             chosen_o, welfare = best_of_two(star.instance)
             all_ji = canonical_orientation(star.instance).reverse()
             w_all_ji = expected_welfare_exact(
-                star.instance, OrientedDescendingRunner(star.instance, all_ji))
+                star.instance, DescendingRunner(star.instance, all_ji))
             w_all_ij = expected_welfare_exact(
                 star.instance,
-                OrientedDescendingRunner(star.instance, canonical_orientation(star.instance)))
+                DescendingRunner(star.instance, canonical_orientation(star.instance)))
             if alpha < F(1, 2):
                 assert chosen_o == all_ji and welfare == w_all_ji > w_all_ij
             else:
@@ -155,7 +151,7 @@ def test_criterion_4_amortization(general_results):
         strict_count = 0
         for res in general_results:
             inst, o = res["inst"], res["o"]
-            runner = OrientedDescendingRunner(inst, o)
+            runner = DescendingRunner(inst, o)
             welfare = expected_welfare_exact(inst, OpenAllFirstStagesStrategy(inst, o))
             exposed = False
             for eid, basket in runner.baskets.items():
@@ -179,10 +175,10 @@ def test_criterion_5_non_exposure(general_results):
         for res in general_results:
             assert res["fwd"].non_exposed and res["fwd"].traces_valid
             assert res["rev"].non_exposed and res["rev"].traces_valid
-            _, b_valid, b_exposure, _ = bundled_summary(res["inst"])
-            assert b_valid and b_exposure
-            _, v_valid, v_exposure = vertex_based_summary(res["inst"])
-            assert v_valid and v_exposure
+            bundled = summarize(res["inst"], DescendingRunner(res["inst"]))
+            assert bundled.traces_valid and bundled.non_exposed
+            vertex = summarize(res["inst"], VertexBasedDescendingRunner(res["inst"]))
+            assert vertex.traces_valid and vertex.non_exposed
 
 
 def test_criterion_6_greedy_equivalence(general_results):
@@ -206,17 +202,17 @@ def test_criterion_8_positive_values_quarter():
     with criterion(8, "vertex-based quarter approximation on positive values"):
         for inst in positive_batch(100):
             assert validate(inst).positive_values
-            welfare, valid, non_exposed = vertex_based_summary(inst)
-            assert valid and non_exposed
-            assert 4 * welfare >= optimal_welfare(inst).value
+            vertex = summarize(inst, VertexBasedDescendingRunner(inst))
+            assert vertex.traces_valid and vertex.non_exposed
+            assert 4 * vertex.welfare >= optimal_welfare(inst).value
 
 
 def test_criterion_9_correlated_within_edges():
     with criterion(9, "greedy identity and ratios with correlated signals"):
         for inst in joint_batch(50):
             o = canonical_orientation(inst)
-            fwd = summarize_oriented(inst, o)
-            rev = summarize_oriented(inst, o.reverse())
+            fwd = summarize(inst, DescendingRunner(inst, o))
+            rev = summarize(inst, DescendingRunner(inst, o.reverse()))
             assert fwd.greedy_equal and rev.greedy_equal
             assert fwd.non_exposed and rev.non_exposed
             assert fwd.welfare == fwd.claimed_kappa_sum
@@ -233,7 +229,7 @@ def test_criterion_10_monte_carlo_consistency():
         trials = 100_000
 
         inst = no_dessert_edge(F(1, 4)).instance
-        runner = OrientedDescendingRunner(inst, canonical_orientation(inst))
+        runner = DescendingRunner(inst, canonical_orientation(inst))
         exact = expected_welfare_exact(inst, runner)
         assert exact == F(3, 4)
         mean, stderr = expected_welfare(inst, runner, "montecarlo",

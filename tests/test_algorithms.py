@@ -3,10 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from pandora_matching.algorithms import (
-    BundledDescendingRunner,
-    DoNothingRunner,
+    DescendingRunner,
     EnumerationBoundError,
-    OrientedDescendingRunner,
     UnsupportedModelError,
     VertexBasedDescendingRunner,
     assert_valid_trace,
@@ -48,18 +46,18 @@ class TestOrientedDescending:
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4)])
     def test_forward_welfare(self, alpha):
         inst = no_dessert_edge(alpha).instance
-        runner = OrientedDescendingRunner(inst, Orientation([("i", "j")]))
+        runner = DescendingRunner(inst, Orientation([("i", "j")]))
         assert expected_welfare_exact(inst, runner) == 1 - alpha
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4)])
     def test_reverse_welfare(self, alpha):
         inst = no_dessert_edge(alpha).instance
-        runner = OrientedDescendingRunner(inst, Orientation([("j", "i")]))
+        runner = DescendingRunner(inst, Orientation([("j", "i")]))
         assert expected_welfare_exact(inst, runner) == alpha - alpha ** 2
 
     def test_empty_graph(self):
         inst = MatchingInstance("ab", [])
-        runner = OrientedDescendingRunner(inst, Orientation([]))
+        runner = DescendingRunner(inst, Orientation([]))
         trace = runner.run({})
         assert trace.welfare == 0 and not trace.matched and not trace.inspected
         assert expected_welfare_exact(inst, runner) == 0
@@ -67,7 +65,7 @@ class TestOrientedDescending:
     def test_hub_instance_matches_selection_value(self):
         inst = no_dessert_star(F(1, 2), 2).instance
         pairs = [(e.j, e.i) for e in inst.edges]
-        runner = OrientedDescendingRunner(inst, Orientation(pairs))
+        runner = DescendingRunner(inst, Orientation(pairs))
         welfare = expected_welfare_exact(inst, runner)
         # all edges share the hub, so the claimed capped value is the best one
         expected = ZERO
@@ -80,7 +78,7 @@ class TestOrientedDescending:
         rng = SplitMix64(1)
         for _ in range(15):
             inst = rand_instance(rng)
-            runner = OrientedDescendingRunner(inst, canonical_orientation(inst))
+            runner = DescendingRunner(inst, canonical_orientation(inst))
             for realization, _, trace in enumerate_runs(inst, runner):
                 assert_valid_trace(trace, inst, realization)
 
@@ -89,37 +87,33 @@ class TestOrientedDescending:
         for _ in range(15):
             inst = rand_instance(rng)
             for o in (canonical_orientation(inst), canonical_orientation(inst).reverse()):
-                runner = OrientedDescendingRunner(inst, o)
+                runner = DescendingRunner(inst, o)
                 for realization, _, trace in enumerate_runs(inst, runner):
                     weights = runner.kappa_weights(realization)
                     assert trace.matched == greedy_matching(weights)[0]
 
 
 class TestExpectedWelfare:
-    def test_do_nothing_is_zero(self):
-        inst = no_dessert_edge(F(1, 4)).instance
-        assert expected_welfare_exact(inst, DoNothingRunner(inst)) == 0
-
     def test_exact_quarter_alpha(self):
         inst = no_dessert_edge(F(1, 4)).instance
-        runner = OrientedDescendingRunner(inst, Orientation([("i", "j")]))
+        runner = DescendingRunner(inst, Orientation([("i", "j")]))
         assert expected_welfare(inst, runner) == F(3, 4)
 
     def test_enumeration_bound(self):
         inst = no_dessert_edge(F(1, 2)).instance
-        runner = OrientedDescendingRunner(inst, canonical_orientation(inst))
+        runner = DescendingRunner(inst, canonical_orientation(inst))
         with pytest.raises(EnumerationBoundError):
             expected_welfare(inst, runner, enum_bound=2)
 
     def test_montecarlo_requires_seed(self):
         inst = no_dessert_edge(F(1, 2)).instance
-        runner = OrientedDescendingRunner(inst, canonical_orientation(inst))
+        runner = DescendingRunner(inst, canonical_orientation(inst))
         with pytest.raises(ValueError):
             expected_welfare(inst, runner, "montecarlo")
 
     def test_montecarlo_is_deterministic_given_seed(self):
         inst = no_dessert_edge(F(1, 2)).instance
-        runner = OrientedDescendingRunner(inst, canonical_orientation(inst))
+        runner = DescendingRunner(inst, canonical_orientation(inst))
         a = expected_welfare(inst, runner, "montecarlo", seed=5, trials=2000)
         b = expected_welfare(inst, runner, "montecarlo", seed=5, trials=2000)
         assert a == b
@@ -137,9 +131,21 @@ class TestRandomizedMatching:
         inst = indistinguishable_edge().instance
         values = []
         for pairs in ([("i", "j")], [("j", "i")]):
-            runner = OrientedDescendingRunner(inst, Orientation(pairs))
+            runner = DescendingRunner(inst, Orientation(pairs))
             values.append(expected_welfare_exact(inst, runner))
         assert randomized_matching(inst) == sum(values) / 2
+
+    def test_compiles_each_edge_direction_once(self, monkeypatch):
+        from pandora_matching import instance as instance_mod
+
+        calls = []
+        annotate = instance_mod.annotate
+        monkeypatch.setattr(instance_mod, "annotate",
+                            lambda root: calls.append(root) or annotate(root))
+        inst = no_dessert_star(F(1, 2), 2).instance
+        assert len(inst.edges) == 3
+        randomized_matching(inst, "exact")
+        assert len(calls) == 2 * len(inst.edges)
 
     def test_seeded_mode_is_deterministic(self):
         inst = no_dessert_edge(F(1, 2)).instance
@@ -170,7 +176,7 @@ class TestBestOfTwo:
 class TestBundledDescending:
     def test_star_welfare_at_most_one(self):
         inst = bundled_star(4).instance
-        welfare = expected_welfare_exact(inst, BundledDescendingRunner(inst))
+        welfare = expected_welfare_exact(inst, DescendingRunner(inst))
         assert welfare <= 1
 
     def test_negative_bundle_never_inspected(self):
@@ -178,7 +184,7 @@ class TestBundledDescending:
                                  PandoraBox(dist((1, 1)), 2),
                                  PandoraBox(dist((-1, 1)), 1))
         inst = MatchingInstance("ab", [e])
-        runner = BundledDescendingRunner(inst)
+        runner = DescendingRunner(inst)
         for _, _, trace in enumerate_runs(inst, runner):
             assert not trace.inspected and trace.welfare == 0
 
@@ -188,7 +194,7 @@ class TestBundledDescending:
         edges = [EdgeSpec.independent("a", "b", coin, free0),
                  EdgeSpec.independent("c", "d", coin, free0)]
         inst = MatchingInstance("abcd", edges)
-        runner = BundledDescendingRunner(inst)
+        runner = DescendingRunner(inst)
         for realization, _, trace in enumerate_runs(inst, runner):
             expected = {eid for eid, k in realization.items()
                         if inst.edge(eid).outcomes[k].total > 0}
@@ -196,7 +202,7 @@ class TestBundledDescending:
 
     def test_inspects_both_endpoints_together(self):
         inst = indistinguishable_edge().instance
-        runner = BundledDescendingRunner(inst)
+        runner = DescendingRunner(inst)
         for _, _, trace in enumerate_runs(inst, runner):
             assert (("i", "j") in trace.inspected) == (("j", "i") in trace.inspected)
 
@@ -272,9 +278,9 @@ class TestEdgeBasedOrientation:
         alpha = F(1, 4)
         inst = no_dessert_edge(alpha).instance
         chosen = edge_based_orientation(inst)
-        w_chosen = expected_welfare_exact(inst, OrientedDescendingRunner(inst, chosen))
+        w_chosen = expected_welfare_exact(inst, DescendingRunner(inst, chosen))
         w_other = expected_welfare_exact(
-            inst, OrientedDescendingRunner(inst, chosen.reverse()))
+            inst, DescendingRunner(inst, chosen.reverse()))
         assert w_chosen / w_other == alpha
 
     def test_make_runner_uses_edge_based_orientation(self):
@@ -289,7 +295,7 @@ class TestEdgeBasedOrientation:
                             ("y", "u", F(8), F(1, 4)), ("y", "v", F(0), F(1, 4))])
         inst = MatchingInstance("ab", [e])
         chosen = edge_based_orientation(inst)
-        fwd = OrientedDescendingRunner(inst, Orientation([("a", "b")])).baskets[e.id].sigma1
-        rev = OrientedDescendingRunner(inst, Orientation([("b", "a")])).baskets[e.id].sigma1
+        fwd = DescendingRunner(inst, Orientation([("a", "b")])).baskets[e.id].sigma1
+        rev = DescendingRunner(inst, Orientation([("b", "a")])).baskets[e.id].sigma1
         assert rev > fwd
         assert chosen == Orientation([("b", "a")])

@@ -192,3 +192,25 @@ class TestCheckCommand:
     def test_missing_instance_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--instance", "/nonexistent.json")
         assert code == 2 and "cannot read" in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, expected", [
+        (["index", "--instance", "{missing}"], "cannot read box"),
+        (["index", "--instance", "{no_cost}"], "cannot read box"),
+        (["nested-index", "--instance", "{not_tree}"], "cannot read tree"),
+        (["run", "--instance", "{missing}", "--policy", "oriented-desc",
+          "--mode", "montecarlo", "--seed", "1", "--trials", "0"], "--trials"),
+        (["run", "--instance", "{missing}", "--policy", "oriented-desc",
+          "--mode", "montecarlo", "--seed", "1", "--trials", "-5"], "--trials"),
+    ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
+            "trials-zero", "trials-negative"])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
+        files = {name: str(tmp_path / f"{name}.json")
+                 for name in ("missing", "no_cost", "not_tree")}
+        (tmp_path / "no_cost.json").write_text(json.dumps({"dist": [{"v": "1", "p": "1"}]}))
+        (tmp_path / "not_tree.json").write_text(json.dumps({"children": []}))
+        code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+        lines = err.strip().splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:") and expected in lines[0]

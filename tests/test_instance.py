@@ -17,6 +17,7 @@ from pandora_matching.instance import (
 from pandora_matching.nested import annotate
 from pandora_matching.repro import bundled_star, indistinguishable_edge, no_dessert_edge
 
+from support import general_batch, joint_batch
 from test_distributions import dist
 
 
@@ -170,6 +171,28 @@ class TestEdgeToBasket:
         for k, o in enumerate(e.outcomes):
             assert lookup[k].value == o.total
             assert lookup[k].depth == 1
+
+
+class TestDirectionTable:
+    @pytest.mark.parametrize("batch", [lambda: general_batch(200), lambda: joint_batch(50)],
+                             ids=["general", "joint"])
+    def test_marginal_times_conditional_is_the_joint_law(self, batch):
+        for inst in batch():
+            for e in inst.edges:
+                for d in e.directions():
+                    table = e.table(d)
+                    assert sum(p for _, p in table.first) == 1
+                    seen = []
+                    for first, marginal in table.first:
+                        law = table.second[first]
+                        assert sum(p for _, p, _ in law) == 1
+                        for second, p, k in law:
+                            o = e.outcomes[k]
+                            labels = (o.label_i, o.label_j) if d == e.id else (o.label_j, o.label_i)
+                            assert labels == (first, second)
+                            assert marginal * p == o.prob
+                            seen.append(k)
+                    assert sorted(seen) == list(range(len(e.outcomes)))
 
 
 class TestInstanceJson:

@@ -12,7 +12,6 @@ from pandora_matching.nested import (
     annotate,
     check_non_exposure,
     descending_run,
-    descending_select,
     enumerate_joint_paths,
     expected_select_welfare,
     gamma_sequence,
@@ -167,7 +166,7 @@ class TestAmortization:
         welfare = ZERO
         bound = ZERO
         for paths, prob in enumerate_joint_paths({"b": basket}):
-            res = descending_select({"b": basket}, paths)
+            res = descending_run({"b": basket}, paths)
             w, k = amortized_contribution(res.traces["b"], basket)
             welfare += prob * w
             bound += prob * k
@@ -282,7 +281,7 @@ class TestDescendingSelect:
         tree = OutcomeNode.stage(2, [("v", 1, OutcomeNode.leaf(-1))])
         basket = annotate(tree)
         assert basket.sigma1 < 0
-        res = descending_select({"b": basket}, {"b": basket.paths[0]})
+        res = descending_run({"b": basket}, {"b": basket.paths[0]})
         assert res.welfare == 0 and not res.claimed_ids
         assert res.traces["b"].stages_opened == 0
 
@@ -290,7 +289,7 @@ class TestDescendingSelect:
         tree = OutcomeNode.stage(1, [("v", 1, OutcomeNode.leaf(1))])
         basket = annotate(tree)
         assert basket.sigma1 == 0
-        res = descending_select({"b": basket}, {"b": basket.paths[0]})
+        res = descending_run({"b": basket}, {"b": basket.paths[0]})
         assert res.welfare == 0 and res.traces["b"].stages_opened == 0
 
     def test_claims_pointwise_max_capped_value(self):
@@ -298,7 +297,7 @@ class TestDescendingSelect:
         for _ in range(40):
             baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
             for paths, _ in enumerate_joint_paths(baskets):
-                res = descending_select(baskets, paths)
+                res = descending_run(baskets, paths)
                 best = max(max(p.kappa1, ZERO) for p in paths.values())
                 claimed = sum((paths[i].kappa1 for i in res.claimed_ids), ZERO)
                 assert claimed == best

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pandora_matching.algorithms import OrientedDescendingRunner, expected_welfare_exact
+from pandora_matching.algorithms import DescendingRunner, expected_welfare_exact
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.instance import (
     EdgeSpec,
@@ -117,7 +117,7 @@ class TestOptimalWelfare:
             o = canonical_orientation(inst)
             free = optimal_welfare(inst).value
             oriented = optimal_welfare(inst, "oriented", o).value
-            desc = expected_welfare_exact(inst, OrientedDescendingRunner(inst, o))
+            desc = expected_welfare_exact(inst, DescendingRunner(inst, o))
             assert free >= oriented >= desc
             assert free >= 0
 
