@@ -52,10 +52,20 @@ class UnsupportedModelError(ValueError):
 
 
 def resolve_enum_bound(explicit=None) -> int:
+    """The explicit bound, else PANDORA_ENUM_BOUND, else the default; at least 1."""
     if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(ENUM_BOUND_ENV)
-    return int(env) if env else DEFAULT_ENUM_BOUND
+        value, source = explicit, "--enum-bound"
+    else:
+        value, source = os.environ.get(ENUM_BOUND_ENV), ENUM_BOUND_ENV
+        if not value:
+            return DEFAULT_ENUM_BOUND
+    try:
+        bound = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if bound < 1:
+        raise ValueError(f"{source} must be at least 1, got {bound}")
+    return bound
 
 
 def enumerate_realizations(inst: MatchingInstance) -> Iterator[tuple[Realization, Fraction]]:
@@ -278,6 +288,8 @@ def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> F
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
                                 trials: int) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded sampled runs."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = SplitMix64(seed)
     acc = ZERO
     acc_sq = ZERO

@@ -33,6 +33,7 @@ from .algorithms import (
     expected_welfare,
     make_runner,
     randomized_matching,
+    resolve_enum_bound,
     sample_realization,
 )
 from .boxes import PandoraBox, weitzman_index
@@ -87,7 +88,7 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
     if spec.strip().startswith("["):
         o = Orientation.from_json_obj(loads_json(spec))
     elif os.path.exists(spec):
-        o = Orientation.from_json_obj(load_json(spec))
+        o = _load(spec, "orientation", Orientation.from_json_obj)
     else:
         raise CliError(f"cannot interpret orientation spec {spec!r}")
     o.require_covers(inst)
@@ -129,11 +130,11 @@ def cmd_nested_index(args) -> int:
 def cmd_run(args) -> int:
     if args.mode == "montecarlo" and args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
+    bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
     report = validate(inst)
     if not report.ok:
         raise CliError("invalid instance: " + "; ".join(report.errors))
-    bound = args.enum_bound
     orientation_desc = ""
     doc: dict = {"instance": args.instance, "policy": args.policy, "mode": args.mode}
 
@@ -254,9 +255,10 @@ def cmd_repro(args) -> int:
 
 
 def cmd_check(args) -> int:
+    bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
     orientation = _resolve_orientation(args.orientation, inst)
-    results = run_all_checks(inst, orientation, args.enum_bound)
+    results = run_all_checks(inst, orientation, bound)
     doc = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                       for r in results],
            "all_passed": all(r.passed for r in results)}

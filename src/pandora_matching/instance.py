@@ -387,6 +387,10 @@ class Orientation:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Orientation":
+        if not isinstance(obj, list) or not all(isinstance(p, list) and len(p) == 2
+                                                for p in obj):
+            raise InstanceError(
+                f"orientation must be a list of [first, second] pairs, got {obj!r}")
         return cls((str(p[0]), str(p[1])) for p in obj)
 
 

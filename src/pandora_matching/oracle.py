@@ -6,16 +6,19 @@ that, so states canonicalize to one evidence pair per edge.  Terminal value
 is the best matching over fully-inspected edges with their realized totals
 (never forced below the empty matching).  Constraints restrict the action
 set: "oriented" only allows the second box after the first per the given
-orientation, "bundled" opens both boxes of an edge at once.
+orientation, "bundled" opens both boxes of an edge at once.  Each edge's
+allowed moves are tabulated once per call, keyed by the evidence the
+constraint can reach, so the state space is the product of those key sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ZERO
-from .instance import EdgeId, InstanceError, MatchingInstance, Orientation
+from .instance import EdgeId, EdgeSpec, InstanceError, MatchingInstance, Orientation
 
 DEFAULT_STATE_BOUND = 500_000
 MATCHING_EDGE_LIMIT = 16
@@ -24,7 +27,7 @@ MATCHING_EDGE_LIMIT = 16
 class StateBoundError(RuntimeError):
     def __init__(self, estimate: int, bound: int):
         super().__init__(
-            f"oracle state space has about {estimate} states, above the bound of {bound}"
+            f"oracle state space has {estimate} states, above the bound of {bound}"
         )
         self.estimate = estimate
         self.bound = bound
@@ -87,44 +90,65 @@ def greedy_matching(weights: dict[EdgeId, Fraction]) -> tuple[frozenset, Fractio
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PolicyValue:
-    value: Fraction
-    best_action: dict    # state -> action descriptor, for inspection/tracing
+class Move:
+    """One box, or for the bundled constraint one edge's pair of boxes, that
+    may be opened from an edge's evidence.
 
-
-class _EdgeData:
-    """An edge's signal labels and transition laws, read from its tables.
-
-    Evidence is a pair of label indices (i side, j side), -1 where unseen.
+    action: ("open", directed pair of the box) or ("open-bundle", edge id),
+    ("stop",) for STOP; edge: index of the edge in instance order; branches:
+    (new evidence, conditional probability, outcome labels) per outcome.
     """
 
-    __slots__ = ("edge", "labels_i", "labels_j", "total_by_pair", "laws")
+    action: tuple
+    edge: int
+    cost: Fraction
+    branches: tuple
 
-    def __init__(self, edge):
-        self.edge = edge
-        ij, ji = (edge.table(d) for d in edge.directions())
-        self.labels_i = [label for label, _ in ij.first]
-        self.labels_j = [label for label, _ in ji.first]
-        idx_i = {label: k for k, label in enumerate(self.labels_i)}
-        idx_j = {label: k for k, label in enumerate(self.labels_j)}
-        rows = [(idx_i[o.label_i], idx_j[o.label_j], o.total, o.prob) for o in edge.outcomes]
-        self.total_by_pair = {(a, b): t for a, b, t, _ in rows}
-        # (evidence, side) -> [(new evidence, conditional probability)]
-        laws = {
-            ((-1, -1), "ij"): [((a, b), p) for a, b, _, p in rows],
-            ((-1, -1), "i"): [((a, -1), p) for a, (_, p) in enumerate(ij.first)],
-            ((-1, -1), "j"): [((-1, b), p) for b, (_, p) in enumerate(ji.first)],
-        }
-        for a, (label, _) in enumerate(ij.first):
-            laws[(a, -1), "j"] = [((a, idx_j[s]), p) for s, p, _ in ij.second[label]]
-        for b, (label, _) in enumerate(ji.first):
-            laws[(-1, b), "i"] = [((idx_i[s], b), p) for s, p, _ in ji.second[label]]
-        self.laws = laws
 
-    def branches(self, evidence, side):
-        """(new evidence, probability) per outcome of opening a side ("i",
-        "j", or "ij" for both at once) from the given evidence."""
-        return self.laws[evidence, side]
+STOP = Move(("stop",), -1, ZERO, ())
+
+
+@dataclass(frozen=True)
+class PolicyValue:
+    value: Fraction
+    best_action: dict    # state -> best Move (STOP to stop), for inspection/tracing
+
+
+def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
+                orientation: Orientation | None) -> tuple[dict, dict]:
+    """The moves the constraint allows on one edge, per reachable evidence.
+
+    Evidence is a pair of label indices (i side, j side), -1 where unseen.
+    Returns (evidence -> moves, fully seen evidence -> edge total); every
+    evidence the constraint can reach is a key of the first map.
+    """
+    directions = edge.directions()
+    tables = [edge.table(d) for d in directions]
+    index = [{label: x for x, (label, _) in enumerate(t.first)} for t in tables]
+    totals = {(index[0][o.label_i], index[1][o.label_j]): o.total for o in edge.outcomes}
+    moves = dict.fromkeys(totals, ())
+    if constraint == "bundled":
+        moves[-1, -1] = (Move(("open-bundle", edge.id), k, edge.cost_ij + edge.cost_ji, tuple(
+            (evidence, o.prob, (("si", o.label_i), ("sj", o.label_j)))
+            for evidence, o in zip(totals, edge.outcomes))),)
+        return moves, totals
+
+    def evidence(side, seen, other):
+        return (seen, other) if side == 0 else (other, seen)
+
+    openings = []
+    for side, (first, table) in enumerate(zip(directions, tables)):
+        if constraint == "oriented" and orientation.direction_of(edge.id) != first:
+            continue
+        second = (first[1], first[0])
+        openings.append(Move(("open", first), k, edge.cost(first), tuple(
+            (evidence(side, x, -1), p, (("signal", s),)) for x, (s, p) in enumerate(table.first))))
+        for x, (s, _) in enumerate(table.first):
+            moves[evidence(side, x, -1)] = (Move(("open", second), k, edge.cost(second), tuple(
+                (evidence(side, x, index[1 - side][t]), p, (("signal", t),))
+                for t, p, _ in table.second[s])),)
+    moves[-1, -1] = tuple(openings)
+    return moves, totals
 
 
 def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
@@ -143,56 +167,25 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
             raise ValueError("oriented constraint needs an orientation")
         orientation.require_covers(inst)
 
-    data = [_EdgeData(e) for e in inst.edges]
+    tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
+    moves = [m for m, _ in tables]
+    totals = [t for _, t in tables]
+    states = math.prod(len(m) for m in moves)
+    if states > state_bound:
+        raise StateBoundError(states, state_bound)
     ids = inst.edge_ids
-    estimate = 1
-    for eid, d in zip(ids, data):
-        li, lj, n = len(d.labels_i), len(d.labels_j), len(d.edge.outcomes)
-        if constraint == "bundled":
-            estimate *= 1 + n
-        elif constraint == "oriented":
-            first_is_i = orientation.direction_of(eid) == (d.edge.i, d.edge.j)
-            estimate *= 1 + (li if first_is_i else lj) + n
-        else:
-            estimate *= 1 + li + lj + n
-    if estimate > state_bound:
-        raise StateBoundError(estimate, state_bound)
-
     terminal_cache: dict = {}
 
     def terminal_value(state) -> Fraction:
         weights = {}
-        for eid, d, (a, b) in zip(ids, data, state):
-            if a != -1 and b != -1:
-                w = d.total_by_pair[(a, b)]
-                if w > 0:
-                    weights[eid] = w
+        for eid, edge_totals, evidence in zip(ids, totals, state):
+            w = edge_totals.get(evidence)
+            if w is not None and w > 0:
+                weights[eid] = w
         key = tuple(sorted(weights.items()))
         if key not in terminal_cache:
             terminal_cache[key] = max_weight_matching(weights)[1]
         return terminal_cache[key]
-
-    def legal_opens(state):
-        """(edge index, side, cost) for every box openable from this state."""
-        out = []
-        for k, (eid, d, (a, b)) in enumerate(zip(ids, data, state)):
-            e = d.edge
-            if constraint == "bundled":
-                if a == -1 and b == -1:
-                    out.append((k, "ij", e.cost_ij + e.cost_ji))
-                continue
-            first = None
-            if constraint == "oriented":
-                first = orientation.direction_of(eid)
-            if a == -1:
-                allowed = first is None or first == (e.i, e.j) or b != -1
-                if allowed:
-                    out.append((k, "i", e.cost_ij))
-            if b == -1:
-                allowed = first is None or first == (e.j, e.i) or a != -1
-                if allowed:
-                    out.append((k, "j", e.cost_ji))
-        return out
 
     memo: dict = {}
     best_action: dict = {}
@@ -201,19 +194,16 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
         if state in memo:
             return memo[state]
         best = terminal_value(state)
-        action = ("stop",)
-        for k, side, cost in legal_opens(state):
-            d = data[k]
-            ev = -cost
-            for new_evidence, p in d.branches(state[k], side):
-                child = state[:k] + (new_evidence,) + state[k + 1:]
-                ev += p * value(child)
-            if ev > best:
-                best = ev
-                pair = (d.edge.i, d.edge.j) if side in ("i", "ij") else (d.edge.j, d.edge.i)
-                action = ("open-bundle", ids[k]) if side == "ij" else ("open", pair)
+        chosen = STOP
+        for k, evidence in enumerate(state):
+            for move in moves[k][evidence]:
+                ev = -move.cost
+                for child_evidence, p, _ in move.branches:
+                    ev += p * value(state[:k] + (child_evidence,) + state[k + 1:])
+                if ev > best:
+                    best, chosen = ev, move
         memo[state] = best
-        best_action[state] = action
+        best_action[state] = chosen
         return best
 
     initial = tuple((-1, -1) for _ in ids)
@@ -221,9 +211,7 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
 
 
 def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int = 2000):
-    """Expand the stored best actions into a JSON-able decision tree."""
-    data = [_EdgeData(e) for e in inst.edges]
-    ids = inst.edge_ids
+    """Expand the stored best moves into a JSON-able decision tree."""
     count = 0
 
     def expand(state):
@@ -231,28 +219,13 @@ def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int 
         count += 1
         if count > max_nodes:
             return {"truncated": True}
-        action = pv.best_action.get(state, ("stop",))
-        if action[0] == "stop":
+        move = pv.best_action[state]
+        if move is STOP:
             return {"action": "stop"}
-        if action[0] == "open-bundle":
-            k = ids.index(action[1])
-            d = data[k]
-            node = {"action": "open-bundle", "edge": list(action[1]), "outcomes": []}
-            for (a, b), _ in d.branches(state[k], "ij"):
-                child = state[:k] + ((a, b),) + state[k + 1:]
-                node["outcomes"].append({
-                    "si": d.labels_i[a], "sj": d.labels_j[b], "then": expand(child),
-                })
-            return node
-        (u, v) = action[1]
-        k = ids.index((u, v) if u < v else (v, u))
-        d = data[k]
-        side = "i" if (u, v) == (d.edge.i, d.edge.j) else "j"
-        node = {"action": "open", "box": [u, v], "outcomes": []}
-        for (a, b), _ in d.branches(state[k], side):
-            child = state[:k] + ((a, b),) + state[k + 1:]
-            label = d.labels_i[a] if side == "i" else d.labels_j[b]
-            node["outcomes"].append({"signal": label, "then": expand(child)})
-        return node
+        kind, target = move.action
+        k = move.edge
+        return {"action": kind, "box" if kind == "open" else "edge": list(target),
+                "outcomes": [dict(labels, then=expand(state[:k] + (evidence,) + state[k + 1:]))
+                             for evidence, _, labels in move.branches]}
 
-    return expand(tuple((-1, -1) for _ in ids))
+    return expand(tuple((-1, -1) for _ in inst.edges))

@@ -13,6 +13,7 @@ from pandora_matching.algorithms import (
     enumerate_runs,
     expected_welfare,
     expected_welfare_exact,
+    expected_welfare_montecarlo,
     make_runner,
     randomized_matching,
 )
@@ -110,6 +111,16 @@ class TestExpectedWelfare:
         runner = DescendingRunner(inst, canonical_orientation(inst))
         with pytest.raises(ValueError):
             expected_welfare(inst, runner, "montecarlo")
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_montecarlo_rejects_trials_below_one_before_running(self, trials):
+        class NeverRun:
+            def run(self, realization, record_steps=False):
+                raise AssertionError("ran a trial")
+
+        inst = no_dessert_edge(F(1, 2)).instance
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            expected_welfare_montecarlo(inst, NeverRun(), seed=1, trials=trials)
 
     def test_montecarlo_is_deterministic_given_seed(self):
         inst = no_dessert_edge(F(1, 2)).instance

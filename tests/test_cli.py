@@ -203,14 +203,43 @@ class TestInputErrors:
           "--mode", "montecarlo", "--seed", "1", "--trials", "0"], "--trials"),
         (["run", "--instance", "{missing}", "--policy", "oriented-desc",
           "--mode", "montecarlo", "--seed", "1", "--trials", "-5"], "--trials"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc",
+          "--orientation", "[1]"], "list of [first, second] pairs"),
+        (["oracle", "--instance", "{edge}", "--constraint", "oriented",
+          "--orientation", '[["a"]]'], "list of [first, second] pairs"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc",
+          "--orientation", "{dir}"], "cannot read orientation"),
+        (["check", "--instance", "{edge}", "--enum-bound", "-5"],
+         "--enum-bound must be at least 1, got -5"),
+        (["run", "--instance", "{edge}", "--policy", "randomized",
+          "--enum-bound", "0"], "--enum-bound must be at least 1, got 0"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
-            "trials-zero", "trials-negative"])
+            "trials-zero", "trials-negative", "orientation-entry-not-pair",
+            "orientation-pair-too-short", "orientation-directory",
+            "check-enum-bound-negative", "run-enum-bound-zero"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
-                 for name in ("missing", "no_cost", "not_tree")}
+                 for name in ("missing", "no_cost", "not_tree", "edge")}
+        files["dir"] = str(tmp_path)
         (tmp_path / "no_cost.json").write_text(json.dumps({"dist": [{"v": "1", "p": "1"}]}))
         (tmp_path / "not_tree.json").write_text(json.dumps({"children": []}))
+        (tmp_path / "edge.json").write_text(
+            json.dumps(no_dessert_edge(F(1, 2)).instance.to_json_obj()))
         code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
         lines = err.strip().splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:") and expected in lines[0]
+
+    @pytest.mark.parametrize("env, expected", [
+        ("-5", "PANDORA_ENUM_BOUND must be at least 1, got -5"),
+        ("lots", "PANDORA_ENUM_BOUND must be an integer, got 'lots'"),
+    ], ids=["negative", "not-integer"])
+    @pytest.mark.parametrize("command", [["check"], ["run", "--policy", "bundled"]],
+                             ids=["check", "run"])
+    def test_enum_bound_from_environment(self, edge_file, capsys, monkeypatch,
+                                         command, env, expected):
+        monkeypatch.setenv("PANDORA_ENUM_BOUND", env)
+        code, out, err = run_cli(capsys, *command, "--instance", edge_file)
+        lines = err.strip().splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0] == f"error: {expected}"

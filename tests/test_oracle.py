@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,13 @@ from pandora_matching.oracle import (
     StateBoundError,
     greedy_matching,
     max_weight_matching,
+    optimal_action_tree,
     optimal_welfare,
 )
 from pandora_matching.repro import bundled_star, indistinguishable_edge, no_dessert_edge
 from pandora_matching.rng import SplitMix64
 
-from support import rand_box, rand_instance
+from support import general_batch, rand_box, rand_instance
 from test_distributions import dist
 
 
@@ -142,10 +145,80 @@ class TestOptimalWelfare:
 
 class TestActionTrace:
     def test_free_trace_on_indistinguishable_edge(self):
-        from pandora_matching.oracle import optimal_action_tree
-
         inst = indistinguishable_edge().instance
         pv = optimal_welfare(inst)
         tree = optimal_action_tree(inst, pv)
         # optimal play starts by opening the skewed i-side box
         assert tree["action"] == "open" and tree["box"] == ["i", "j"]
+
+
+VARIANTS = ("free", "oriented", "oriented-reverse", "bundled")
+GOLDEN_INSTANCES = {
+    "indistinguishable-edge": lambda: indistinguishable_edge().instance,
+    "no-dessert-edge-1/4": lambda: no_dessert_edge(F(1, 4)).instance,
+    "bundled-star-2": lambda: bundled_star(2).instance,
+}
+
+
+def variant_args(inst, variant):
+    """(constraint, orientation) for one of VARIANTS."""
+    o = canonical_orientation(inst)
+    return {"free": ("free", None), "oriented": ("oriented", o),
+            "oriented-reverse": ("oriented", o.reverse()),
+            "bundled": ("bundled", None)}[variant]
+
+
+def walk(tree, opened=frozenset()):
+    """Yield every node of an action tree with the boxes opened above it."""
+    yield tree, opened
+    if tree.get("action") == "open":
+        opened = opened | {tuple(tree["box"])}
+    for outcome in tree.get("outcomes", ()):
+        yield from walk(outcome["then"], opened)
+
+
+def small_instances():
+    return general_batch(40) + [bundled_star(n).instance for n in (1, 2, 3, 4)]
+
+
+class TestStateBound:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bound_equals_stored_state_count(self, variant):
+        for inst in small_instances():
+            constraint, o = variant_args(inst, variant)
+            pv = optimal_welfare(inst, constraint, o)
+            states = len(pv.best_action)
+            assert optimal_welfare(inst, constraint, o, state_bound=states).value == pv.value
+            with pytest.raises(StateBoundError) as exc:
+                optimal_welfare(inst, constraint, o, state_bound=states - 1)
+            assert exc.value.estimate == states
+            assert f"has {states} states" in str(exc.value)
+
+
+class TestActionTreeGolden:
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_action_trees.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tree_matches_golden(self, name, variant):
+        inst = GOLDEN_INSTANCES[name]()
+        pv = optimal_welfare(inst, *variant_args(inst, variant))
+        golden = self.GOLDEN[f"{name} {variant}"]
+        assert str(pv.value) == golden["value"]
+        assert optimal_action_tree(inst, pv) == golden["tree"]
+
+    def test_bundled_trees_open_only_bundles(self):
+        for inst in small_instances():
+            tree = optimal_action_tree(inst, optimal_welfare(inst, "bundled"))
+            assert {node.get("action") for node, _ in walk(tree)} <= {"open-bundle", "stop", None}
+
+    @pytest.mark.parametrize("variant", ["oriented", "oriented-reverse"])
+    def test_oriented_trees_open_the_first_box_first(self, variant):
+        for inst in small_instances():
+            _, o = variant_args(inst, variant)
+            tree = optimal_action_tree(inst, optimal_welfare(inst, "oriented", o))
+            for node, opened in walk(tree):
+                if node.get("action") == "open":
+                    u, v = node["box"]
+                    eid = (u, v) if u < v else (v, u)
+                    assert o.direction_of(eid) == (u, v) or (v, u) in opened
