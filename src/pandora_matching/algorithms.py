@@ -2,8 +2,9 @@
 
 Every policy is a runner object with ``run(realization) -> RunTrace``; a
 realization assigns each edge one row of its joint outcome table.  Exact
-expectations enumerate the product outcome space; Monte Carlo draws seeded
-samples from the splitmix64 stream.
+expectations of descending runners sum greedy totals over the product of
+the per-edge capped-value laws; other runners enumerate the product outcome
+space.  Monte Carlo draws seeded samples from the splitmix64 stream.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from fractions import Fraction
 from typing import Iterator
 
 from .boxes import weitzman_index
-from .distributions import ZERO
+from .distributions import ONE, ZERO, DiscreteDistribution
 from .instance import (
     EdgeId,
     MatchingInstance,
     Orientation,
-    all_orientations,
     canonical_orientation,
     random_orientation,
 )
 from .nested import check_non_exposure, descending_run
+from .oracle import greedy_matching
 from .rng import SplitMix64
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -66,6 +67,13 @@ def resolve_enum_bound(explicit=None) -> int:
     if bound < 1:
         raise ValueError(f"{source} must be at least 1, got {bound}")
     return bound
+
+
+def _require_within_bound(size: int, enum_bound=None) -> None:
+    """Raise EnumerationBoundError if ``size`` weighted outcomes exceed the bound."""
+    bound = resolve_enum_bound(enum_bound)
+    if size > bound:
+        raise EnumerationBoundError(size, bound)
 
 
 def enumerate_realizations(inst: MatchingInstance) -> Iterator[tuple[Realization, Fraction]]:
@@ -163,6 +171,15 @@ class DescendingRunner:
     def kappa_weights(self, realization: Realization) -> dict:
         """Realized terminal capped value per edge (the greedy weights)."""
         return {eid: p.kappa1 for eid, p in self.paths_for(realization).items()}
+
+    def kappa_laws(self) -> dict:
+        """Law of each edge's terminal capped value, non-positive atoms merged at 0.
+
+        Greedy never takes a weight <= 0, so the merge leaves every greedy
+        total unchanged while it shrinks the profile space.
+        """
+        return {eid: b.kappa1_distribution().map_values(lambda v: max(v, ZERO))
+                for eid, b in self.baskets.items()}
 
     def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
         return all(check_non_exposure(nt, self.baskets[eid])
@@ -270,15 +287,34 @@ class VertexBasedDescendingRunner:
 def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
                    record_steps: bool = False):
     """Yield (realization, prob, trace) over the whole outcome space."""
-    bound = resolve_enum_bound(enum_bound)
-    size = inst.realization_count()
-    if size > bound:
-        raise EnumerationBoundError(size, bound)
+    _require_within_bound(inst.realization_count(), enum_bound)
     for realization, prob in enumerate_realizations(inst):
         yield realization, prob, runner.run(realization, record_steps=record_steps)
 
 
+def kappa_welfare(inst: MatchingInstance, laws: dict) -> Fraction:
+    """Expected greedy total over the product of per-edge capped-value laws.
+
+    Amortization (expected welfare equals expected claimed kappa^(1)) and
+    greedy equivalence (descending claims the greedy matching on kappa^(1),
+    heavier first, ties to the smaller edge id) make this the exact welfare
+    of a descending run whose baskets have these laws.
+    """
+    ids = inst.edge_ids
+    total = ZERO
+    for combo in itertools.product(*(laws[eid].atoms for eid in ids)):
+        prob = ONE
+        for _, p in combo:
+            prob *= p
+        total += prob * greedy_matching(dict(zip(ids, (v for v, _ in combo))))[1]
+    return total
+
+
 def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> Fraction:
+    """Exact expected welfare; the bound counts realizations for every runner."""
+    if isinstance(runner, DescendingRunner):
+        _require_within_bound(inst.realization_count(), enum_bound)
+        return kappa_welfare(inst, runner.kappa_laws())
     total = ZERO
     for _, prob, trace in enumerate_runs(inst, runner, enum_bound):
         total += prob * trace.welfare
@@ -324,21 +360,22 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
                         seed: int | None = None, enum_bound=None):
     """Uniform-random orientation, then oriented descending.
 
-    Exact mode averages the exact welfare over all 2^|E| orientations.
+    Exact mode is the average over all 2^|E| orientations.  Each edge's
+    direction is an independent fair coin, so that average is the greedy
+    profile sum over the half/half mixture of each edge's two directed
+    capped-value laws; the bound still counts 2^|E| times the realizations.
     Seeded mode draws one orientation from the splitmix64 stream and returns
     (orientation, exact welfare of that orientation).
     """
     if mode == "exact":
-        bound = resolve_enum_bound(enum_bound)
-        size = (2 ** len(inst.edges)) * inst.realization_count()
-        if size > bound:
-            raise EnumerationBoundError(size, bound)
-        total = ZERO
-        count = 0
-        for o in all_orientations(inst):
-            total += expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
-            count += 1
-        return total / count
+        _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
+        o = canonical_orientation(inst)
+        fwd = DescendingRunner(inst, o).kappa_laws()
+        rev = DescendingRunner(inst, o.reverse()).kappa_laws()
+        return kappa_welfare(inst, {
+            eid: DiscreteDistribution((v, p / 2) for v, p in fwd[eid].atoms + rev[eid].atoms)
+            for eid in fwd
+        })
     if mode == "seeded":
         if seed is None:
             raise ValueError("seeded mode requires a seed")

@@ -84,7 +84,13 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
     if spec == "edge-based":
         return edge_based_orientation(inst)
     if spec.startswith("random:"):
-        return random_orientation(inst, SplitMix64(int(spec.split(":", 1)[1])))
+        text = spec.split(":", 1)[1]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise CliError(f"--orientation random:SEED needs an integer SEED, "
+                           f"got {text!r}") from None
+        return random_orientation(inst, SplitMix64(seed))
     if spec.strip().startswith("["):
         o = Orientation.from_json_obj(loads_json(spec))
     elif os.path.exists(spec):

@@ -403,13 +403,3 @@ def random_orientation(inst: MatchingInstance, rng) -> Orientation:
     """One bit of a SplitMix64 stream per edge, in edge order; 0 keeps (i, j)."""
     return Orientation((i, j) if rng.next_bit() == 0 else (j, i) for i, j in inst.edge_ids)
 
-
-def all_orientations(inst: MatchingInstance):
-    """Iterate the 2^|E| orientations in a fixed order."""
-    import itertools
-
-    ids = inst.edge_ids
-    for bits in itertools.product((0, 1), repeat=len(ids)):
-        yield Orientation(
-            (i, j) if b == 0 else (j, i) for (i, j), b in zip(ids, bits)
-        )

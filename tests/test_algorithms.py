@@ -1,10 +1,14 @@
+import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from pandora_matching.algorithms import (
     DescendingRunner,
     EnumerationBoundError,
+    POLICY_NAMES,
     UnsupportedModelError,
     VertexBasedDescendingRunner,
     assert_valid_trace,
@@ -34,7 +38,7 @@ from pandora_matching.repro import (
 )
 from pandora_matching.rng import SplitMix64
 
-from support import rand_instance
+from support import general_batch, joint_batch, positive_batch, rand_instance
 from test_distributions import dist
 
 
@@ -310,3 +314,114 @@ class TestEdgeBasedOrientation:
         rev = DescendingRunner(inst, Orientation([("b", "a")])).baskets[e.id].sigma1
         assert rev > fwd
         assert chosen == Orientation([("b", "a")])
+
+
+def named_instances() -> dict:
+    named = {f"bundled-star n={n}": bundled_star(n).instance for n in range(1, 7)}
+    for a in ("1/2", "1/4", "1/8"):
+        for m in (1, 2, 3):
+            named[f"no-dessert-star alpha={a} m={m}"] = no_dessert_star(F(a), m).instance
+    named["indistinguishable-edge"] = indistinguishable_edge().instance
+    return named
+
+
+@pytest.fixture(scope="module")
+def profile_inputs() -> list:
+    return (general_batch(200) + positive_batch(100) + joint_batch(50)
+            + list(named_instances().values()))
+
+
+def simulated_welfare(inst, runner):
+    """Expected welfare by running the descending simulation on every realization."""
+    return sum((prob * trace.welfare for _, prob, trace in enumerate_runs(inst, runner)), ZERO)
+
+
+DESCENDING_RUNNERS = {
+    "canonical": lambda inst: DescendingRunner(inst, canonical_orientation(inst)),
+    "reverse": lambda inst: DescendingRunner(inst, canonical_orientation(inst).reverse()),
+    "edge-based": lambda inst: make_runner(inst, "edge-based"),
+    "bundled": lambda inst: DescendingRunner(inst),
+}
+
+
+def tied_path(vertex_order: str) -> MatchingInstance:
+    """Three identical edges along a path; all three tie whenever their values do."""
+    box = PandoraBox(dist((0, F(1, 2)), (3, F(1, 2))), F(1, 2))
+    edges = [EdgeSpec.independent(min(u, v), max(u, v), box, box)
+             for u, v in zip(vertex_order, vertex_order[1:])]
+    return MatchingInstance(vertex_order, edges)
+
+
+class TestKappaProfileWelfare:
+    """The capped-value profile sum equals the stage-by-stage simulation."""
+
+    @pytest.mark.parametrize("variant", sorted(DESCENDING_RUNNERS))
+    def test_fast_path_equals_simulation(self, profile_inputs, variant):
+        for inst in profile_inputs:
+            runner = DESCENDING_RUNNERS[variant](inst)
+            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner)
+
+    def test_randomized_equals_mean_over_all_orientations(self, profile_inputs):
+        for inst in profile_inputs:
+            orientations = list(itertools.product(*(e.directions() for e in inst.edges)))
+            total = sum((simulated_welfare(inst, DescendingRunner(inst, Orientation(pairs)))
+                         for pairs in orientations), ZERO)
+            assert randomized_matching(inst) == total / len(orientations)
+
+    @pytest.mark.parametrize("vertex_order", ["abcd", "cabd"])
+    def test_tied_edges_follow_the_descending_tie_rule(self, vertex_order):
+        # On "cabd" the middle edge (a, b) has the smallest id, so taking tied
+        # edges smallest id first claims one edge where another order claims two.
+        inst = tied_path(vertex_order)
+        tied = dict.fromkeys(inst.edge_ids, F(5, 2))
+        assert greedy_matching(tied)[1] == (F(5, 2) if vertex_order == "cabd" else 5)
+        for variant, make in sorted(DESCENDING_RUNNERS.items()):
+            runner = make(inst)
+            laws = runner.kappa_laws()
+            assert all(laws[eid] == laws[inst.edge_ids[0]] for eid in inst.edge_ids)
+            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner), variant
+
+    def test_empty_instance(self):
+        inst = MatchingInstance("ab", [])
+        for make in DESCENDING_RUNNERS.values():
+            runner = make(inst)
+            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner) == 0
+        assert randomized_matching(inst) == 0
+
+    def test_laws_merge_non_positive_values_at_zero(self, profile_inputs):
+        for inst in profile_inputs[:50]:
+            for make in DESCENDING_RUNNERS.values():
+                for law in make(inst).kappa_laws().values():
+                    assert law.min_value() >= 0
+                    assert law.support.count(ZERO) <= 1
+
+    def test_bound_counts_realizations(self):
+        inst = no_dessert_star(F(1, 2), 2).instance
+        size = inst.realization_count()
+        runner = DescendingRunner(inst, canonical_orientation(inst))
+        assert expected_welfare_exact(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
+        with pytest.raises(EnumerationBoundError) as exc:
+            expected_welfare_exact(inst, runner, enum_bound=size - 1)
+        assert exc.value.size == size
+        with pytest.raises(EnumerationBoundError) as exc:
+            randomized_matching(inst, enum_bound=2 ** len(inst.edges) * size - 1)
+        assert exc.value.size == 2 ** len(inst.edges) * size
+
+
+class TestExactWelfareGolden:
+    """Exact welfare of every policy, captured from the stage-by-stage simulation."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "exact_welfare.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_policies_match_golden(self, name):
+        inst = named_instances()[name]
+        golden = self.GOLDEN[name]
+        orientation, value = best_of_two(inst)
+        assert str(value) == golden["best-of-two"]
+        assert orientation.to_json_obj() == golden["best-of-two orientation"]
+        assert str(randomized_matching(inst)) == golden["randomized"]
+        for policy in POLICY_NAMES:
+            if policy not in ("randomized", "best-of-two"):
+                runner = make_runner(inst, policy)
+                assert str(expected_welfare_exact(inst, runner)) == golden[policy], policy

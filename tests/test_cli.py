@@ -213,10 +213,14 @@ class TestInputErrors:
          "--enum-bound must be at least 1, got -5"),
         (["run", "--instance", "{edge}", "--policy", "randomized",
           "--enum-bound", "0"], "--enum-bound must be at least 1, got 0"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc",
+          "--orientation", "random:abc"],
+         "--orientation random:SEED needs an integer SEED, got 'abc'"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
-            "check-enum-bound-negative", "run-enum-bound-zero"])
+            "check-enum-bound-negative", "run-enum-bound-zero",
+            "orientation-random-seed-not-integer"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}
