@@ -4,14 +4,17 @@ Every policy is a runner object with ``run(realization) -> RunTrace``; a
 realization assigns each edge one row of its joint outcome table.  Exact
 expectations of descending runners sum greedy totals over the product of
 the per-edge capped-value laws; other runners enumerate the product outcome
-space.  Monte Carlo draws seeded samples from the splitmix64 stream.
+space.  Monte Carlo draws seeded samples from the splitmix64 stream, tallies
+them, and runs each distinct sample once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -23,11 +26,12 @@ from .instance import (
     MatchingInstance,
     Orientation,
     canonical_orientation,
-    random_orientation,
+    orientation_bits,
+    orientation_from_bits,
 )
 from .nested import check_non_exposure, descending_run
 from .oracle import greedy_matching
-from .rng import SplitMix64
+from .rng import SplitMix64, weighted_cuts
 
 DEFAULT_ENUM_BOUND = 2_000_000
 ENUM_BOUND_ENV = "PANDORA_ENUM_BOUND"
@@ -86,11 +90,14 @@ def enumerate_realizations(inst: MatchingInstance) -> Iterator[tuple[Realization
         yield dict(zip(ids, combo)), prob
 
 
-def sample_realization(inst: MatchingInstance, rng: SplitMix64) -> Realization:
-    out = {}
-    for e in inst.edges:
-        out[e.id] = rng.choose_weighted(o.prob for o in e.outcomes)
-    return out
+def outcome_cuts(inst: MatchingInstance) -> list:
+    """(edge id, cut points of its outcome probabilities) per edge, in edge order."""
+    return [(e.id, weighted_cuts(o.prob for o in e.outcomes)) for e in inst.edges]
+
+
+def sample_realization(cuts: list, rng: SplitMix64) -> Realization:
+    """One outcome per edge, in edge order, one draw each; ``cuts`` is ``outcome_cuts(inst)``."""
+    return {eid: rng.choose_weighted(c) for eid, c in cuts}
 
 
 @dataclass
@@ -321,22 +328,52 @@ def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> F
     return total
 
 
-def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
-                                trials: int) -> tuple[float, float]:
-    """(mean, standard error) of the welfare over seeded sampled runs."""
+# Distinct samples Monte Carlo keeps at a time (a chunk's tally, and the
+# welfare cache across chunks), and runners kept for randomized Monte Carlo:
+# together they cap its memory whatever the trial count.
+MC_CHUNK = 1 << 12
+MC_RUNNERS = 256
+
+
+def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
+                runner_for) -> tuple[float, float]:
+    """(mean, standard error) of the welfare over seeded trials.
+
+    Each trial takes ``key = draw(rng)``, then one realization from the same
+    stream, and is run by ``runner_for(key)``.  The welfare depends only on
+    the key and the realization, so each chunk of ``MC_CHUNK`` trials is
+    tallied and each distinct pair in it is looked up in a bounded cache,
+    run only on a miss.  The sums of count * w and count * w^2 are exact,
+    so they equal the sums over the trials one by one.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = SplitMix64(seed)
-    acc = ZERO
-    acc_sq = ZERO
-    for _ in range(trials):
-        w = runner.run(sample_realization(inst, rng)).welfare
-        acc += w
-        acc_sq += w * w
+    cuts = outcome_cuts(inst)
+    ids = [eid for eid, _ in cuts]
+
+    @functools.lru_cache(maxsize=MC_CHUNK)
+    def welfare(key, sample):
+        return runner_for(key).run(dict(zip(ids, sample))).welfare
+
+    acc = acc_sq = ZERO
+    for start in range(0, trials, MC_CHUNK):
+        tally = Counter((draw(rng), tuple(sample_realization(cuts, rng).values()))
+                        for _ in range(min(MC_CHUNK, trials - start)))
+        for (key, sample), count in tally.items():
+            w = welfare(key, sample)
+            cw = count * w
+            acc += cw
+            acc_sq += cw * w
     mean = acc / trials
     var = acc_sq / trials - mean * mean
-    stderr = math.sqrt(max(0.0, float(var)) / trials)
-    return float(mean), stderr
+    return float(mean), math.sqrt(max(0.0, float(var)) / trials)
+
+
+def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
+                                trials: int) -> tuple[float, float]:
+    """(mean, standard error) of the welfare over seeded sampled runs."""
+    return _montecarlo(inst, seed, trials, lambda rng: None, lambda key: runner)
 
 
 def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
@@ -357,15 +394,16 @@ def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
 # ---------------------------------------------------------------------------
 
 def randomized_matching(inst: MatchingInstance, mode: str = "exact",
-                        seed: int | None = None, enum_bound=None):
+                        seed: int | None = None, enum_bound=None, trials: int = 100_000):
     """Uniform-random orientation, then oriented descending.
 
     Exact mode is the average over all 2^|E| orientations.  Each edge's
     direction is an independent fair coin, so that average is the greedy
     profile sum over the half/half mixture of each edge's two directed
     capped-value laws; the bound still counts 2^|E| times the realizations.
-    Seeded mode draws one orientation from the splitmix64 stream and returns
-    (orientation, exact welfare of that orientation).
+    Monte Carlo mode returns a seeded (mean, stderr) estimate: each trial
+    draws a fresh orientation (one bit per edge in edge order, as
+    ``random_orientation``) and then a realization; trials are keyed by the bits.
     """
     if mode == "exact":
         _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
@@ -376,11 +414,13 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
             eid: DiscreteDistribution((v, p / 2) for v, p in fwd[eid].atoms + rev[eid].atoms)
             for eid in fwd
         })
-    if mode == "seeded":
+    if mode == "montecarlo":
         if seed is None:
-            raise ValueError("seeded mode requires a seed")
-        o = random_orientation(inst, SplitMix64(seed))
-        return o, expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
+            raise ValueError("montecarlo mode requires a seed")
+        runner_for = functools.lru_cache(maxsize=MC_RUNNERS)(
+            lambda bits: DescendingRunner(inst, orientation_from_bits(inst, bits)))
+        return _montecarlo(inst, seed, trials, lambda rng: orientation_bits(inst, rng),
+                           runner_for)
     raise ValueError(f"unknown mode {mode!r}")
 
 

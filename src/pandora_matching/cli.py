@@ -32,6 +32,7 @@ from .algorithms import (
     edge_based_orientation,
     expected_welfare,
     make_runner,
+    outcome_cuts,
     randomized_matching,
     resolve_enum_bound,
     sample_realization,
@@ -134,8 +135,13 @@ def cmd_nested_index(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.mode == "montecarlo" and args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if args.mode == "montecarlo":
+        if args.policy == "best-of-two":
+            raise CliError("best-of-two has no Monte Carlo mode; it compares the exact "
+                           "welfare of two orientations")
+        if args.trials < 1:
+            raise CliError(f"--trials must be at least 1, got {args.trials}")
+        _require_seed(args)
     bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
     report = validate(inst)
@@ -147,13 +153,11 @@ def cmd_run(args) -> int:
     if args.policy == "randomized":
         if args.mode == "exact":
             value = randomized_matching(inst, "exact", enum_bound=bound)
+            doc["welfare"] = rational_json(value)
         else:
-            _require_seed(args)
-            orientation, value = randomized_matching(inst, "seeded", seed=args.seed,
-                                                     enum_bound=bound)
-            orientation_desc = _orientation_string(orientation)
-            doc["orientation"] = orientation.to_json_obj()
-        doc["welfare"] = rational_json(value)
+            value, stderr = randomized_matching(inst, "montecarlo", seed=args.seed,
+                                                trials=args.trials)
+            doc["welfare"] = _estimate_doc(args, value, stderr)
     elif args.policy == "best-of-two":
         orientation, value = best_of_two(inst, bound)
         orientation_desc = _orientation_string(orientation)
@@ -173,15 +177,12 @@ def cmd_run(args) -> int:
             value = expected_welfare(inst, runner, "exact", enum_bound=bound)
             doc["welfare"] = rational_json(value)
         else:
-            _require_seed(args)
-            mean, stderr = expected_welfare(inst, runner, "montecarlo",
-                                            seed=args.seed, trials=args.trials)
-            value = mean
-            doc["welfare"] = {"float": mean, "stderr": stderr,
-                              "trials": args.trials, "seed": args.seed}
+            value, stderr = expected_welfare(inst, runner, "montecarlo",
+                                             seed=args.seed, trials=args.trials)
+            doc["welfare"] = _estimate_doc(args, value, stderr)
         if args.trace_seed is not None:
             rng = SplitMix64(args.trace_seed)
-            realization = sample_realization(inst, rng)
+            realization = sample_realization(outcome_cuts(inst), rng)
             trace = runner.run(realization, record_steps=True)
             doc["sample_trace"] = _trace_doc(inst, realization, trace)
 
@@ -210,6 +211,10 @@ def _orientation_string(o: Orientation) -> str:
 def _require_seed(args) -> None:
     if args.seed is None:
         raise CliError("this mode requires --seed")
+
+
+def _estimate_doc(args, mean: float, stderr: float) -> dict:
+    return {"float": mean, "stderr": stderr, "trials": args.trials, "seed": args.seed}
 
 
 def _trace_doc(inst, realization, trace) -> dict:

@@ -8,6 +8,7 @@ experiment output stable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
@@ -28,10 +29,6 @@ class SplitMix64:
     def next_bit(self) -> int:
         return self.next_u64() >> 63
 
-    def next_fraction(self) -> Fraction:
-        """Uniform rational in [0, 1) with denominator 2^64."""
-        return Fraction(self.next_u64(), 1 << 64)
-
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""
         if n <= 0:
@@ -42,12 +39,27 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def choose_weighted(self, weights) -> int:
-        """Index drawn proportionally to exact rational weights summing to 1."""
-        u = self.next_fraction()
-        acc = Fraction(0)
-        for k, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return k
-        return len(weights) - 1
+    def choose_weighted(self, cuts) -> int:
+        """Index drawn by one u64: the first k with u < cuts[k].
+
+        ``cuts`` comes from ``weighted_cuts``.  For an integer u,
+        u < ceil(2^64 * s) exactly when u / 2^64 < s, so this is the first k
+        whose prefix sum of the weights exceeds u / 2^64.
+        """
+        return bisect_right(cuts, self.next_u64())
+
+
+def weighted_cuts(weights) -> tuple[int, ...]:
+    """Integer cut points ceil(2^64 * (w_0 + ... + w_k)) of exact rational weights.
+
+    The last cut is raised to at least 2^64, so that every u64 lies below
+    it: weights that sum to less than 1 leave the rest to the last index.
+    """
+    cuts = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        cuts.append(-(-(acc.numerator << 64) // acc.denominator))
+    if cuts:
+        cuts[-1] = max(cuts[-1], 1 << 64)
+    return tuple(cuts)

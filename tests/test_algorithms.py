@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pandora_matching import algorithms
 from pandora_matching.algorithms import (
     DescendingRunner,
     EnumerationBoundError,
@@ -19,7 +20,9 @@ from pandora_matching.algorithms import (
     expected_welfare_exact,
     expected_welfare_montecarlo,
     make_runner,
+    outcome_cuts,
     randomized_matching,
+    sample_realization,
 )
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.distributions import ZERO
@@ -28,6 +31,7 @@ from pandora_matching.instance import (
     MatchingInstance,
     Orientation,
     canonical_orientation,
+    random_orientation,
 )
 from pandora_matching.oracle import greedy_matching
 from pandora_matching.repro import (
@@ -133,6 +137,31 @@ class TestExpectedWelfare:
         b = expected_welfare(inst, runner, "montecarlo", seed=5, trials=2000)
         assert a == b
 
+    def test_montecarlo_runs_each_distinct_realization_once(self):
+        inst = no_dessert_edge(F(1, 2)).instance
+        runner = DescendingRunner(inst, canonical_orientation(inst))
+        runs = []
+
+        class Counting:
+            def run(self, realization, record_steps=False):
+                runs.append(dict(realization))
+                return runner.run(realization, record_steps)
+
+        estimate = expected_welfare_montecarlo(inst, Counting(), seed=11, trials=10_000)
+        assert len(runs) <= inst.realization_count()
+        assert len({tuple(r.items()) for r in runs}) == len(runs)
+        assert estimate == expected_welfare_montecarlo(inst, runner, seed=11, trials=10_000)
+
+    def test_montecarlo_chunks_and_runner_cache_leave_estimates_unchanged(self, monkeypatch):
+        inst = bundled_star(3).instance
+        runner = DescendingRunner(inst)
+        whole = expected_welfare_montecarlo(inst, runner, seed=5, trials=2000)
+        rand = randomized_matching(inst, "montecarlo", seed=5, trials=2000)
+        monkeypatch.setattr(algorithms, "MC_CHUNK", 7)
+        monkeypatch.setattr(algorithms, "MC_RUNNERS", 1)
+        assert expected_welfare_montecarlo(inst, runner, seed=5, trials=2000) == whole
+        assert randomized_matching(inst, "montecarlo", seed=5, trials=2000) == rand
+
 
 class TestRandomizedMatching:
     def test_single_edge_average_of_both_orientations(self):
@@ -162,12 +191,29 @@ class TestRandomizedMatching:
         randomized_matching(inst, "exact")
         assert len(calls) == 2 * len(inst.edges)
 
-    def test_seeded_mode_is_deterministic(self):
-        inst = no_dessert_edge(F(1, 2)).instance
-        o1, w1 = randomized_matching(inst, "seeded", seed=123)
-        o2, w2 = randomized_matching(inst, "seeded", seed=123)
-        assert o1 == o2 and w1 == w2
-        assert w1 in (F(1, 2), F(1, 4))
+    def test_montecarlo_draws_orientation_then_realization(self):
+        inst = bundled_star(3).instance
+        for seed in range(20):
+            rng = SplitMix64(seed)
+            o = random_orientation(inst, rng)
+            w = DescendingRunner(inst, o).run(sample_realization(outcome_cuts(inst), rng)).welfare
+            assert randomized_matching(inst, "montecarlo", seed=seed, trials=1) == (float(w), 0.0)
+
+    def test_montecarlo_within_four_standard_errors(self):
+        inst = bundled_star(3).instance
+        exact = randomized_matching(inst, "exact")
+        assert exact == F(65, 54)
+        mean, stderr = randomized_matching(inst, "montecarlo", seed=20240809, trials=20_000)
+        assert stderr > 0
+        assert abs(mean - float(exact)) <= 4 * stderr
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 10}, "requires a seed"),
+        ({"seed": 1, "trials": 0}, "trials must be at least 1"),
+    ], ids=["no-seed", "zero-trials"])
+    def test_montecarlo_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            randomized_matching(no_dessert_edge(F(1, 2)).instance, "montecarlo", **kwargs)
 
 
 class TestBestOfTwo:
@@ -425,3 +471,44 @@ class TestExactWelfareGolden:
             if policy not in ("randomized", "best-of-two"):
                 runner = make_runner(inst, policy)
                 assert str(expected_welfare_exact(inst, runner)) == golden[policy], policy
+
+
+MC_POLICIES = ("oriented-desc", "bundled", "vertex-based", "edge-based")
+MC_RUNS = [(trials, seed) for trials in (1, 7, 2000) for seed in (3, 1729)]
+
+
+def montecarlo_instances() -> dict:
+    """The named instances plus a few seeded general and joint-law instances."""
+    named = named_instances()
+    named.update((f"general_batch[{k}]", inst) for k, inst in enumerate(general_batch(6)))
+    named.update((f"joint_batch[{k}]", inst) for k, inst in enumerate(joint_batch(3)))
+    return named
+
+
+def montecarlo_estimates(inst) -> dict:
+    """policy -> "TRIALS@SEED" -> [repr(mean), repr(stderr)], for each policy defined on inst."""
+    out = {}
+    for policy in MC_POLICIES:
+        if policy == "vertex-based" and not inst.all_independent():
+            continue
+        runner = make_runner(inst, policy)
+        out[policy] = {f"{trials}@{seed}": [repr(x) for x in expected_welfare_montecarlo(
+            inst, runner, seed=seed, trials=trials)] for trials, seed in MC_RUNS}
+    return out
+
+
+class TestMonteCarloGolden:
+    """Seeded estimates, captured when every trial ran its own simulation."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "montecarlo_estimates.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return montecarlo_instances()
+
+    def test_covers_every_instance(self, instances):
+        assert sorted(self.GOLDEN) == sorted(instances)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_estimates_match_golden(self, instances, name):
+        assert montecarlo_estimates(instances[name]) == self.GOLDEN[name]

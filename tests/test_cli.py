@@ -100,6 +100,34 @@ class TestRunCommand:
         doc = json.loads(out1)
         assert doc["welfare"]["stderr"] > 0
 
+    def test_randomized_montecarlo_estimates_the_policy(self, edge_file, capsys):
+        from pandora_matching.algorithms import randomized_matching
+
+        code, out, _ = run_cli(capsys, "run", "--instance", edge_file, "--policy", "randomized",
+                               "--mode", "montecarlo", "--seed", "3", "--trials", "4000")
+        welfare = json.loads(out)["welfare"]
+        assert code == 0
+        assert welfare == {"float": welfare["float"], "stderr": welfare["stderr"],
+                           "trials": 4000, "seed": 3}
+        inst = no_dessert_edge(F(1, 2)).instance
+        assert (welfare["float"], welfare["stderr"]) == randomized_matching(
+            inst, "montecarlo", seed=3, trials=4000)
+        assert 0 < welfare["stderr"] and abs(welfare["float"] - 3 / 8) <= 4 * welfare["stderr"]
+
+    def test_random_orientation_gives_one_seeded_orientation(self, edge_file, capsys):
+        from pandora_matching.algorithms import DescendingRunner, expected_welfare_exact
+        from pandora_matching.instance import random_orientation
+        from pandora_matching.rng import SplitMix64
+
+        code, out, _ = run_cli(capsys, "run", "--instance", edge_file,
+                               "--policy", "oriented-desc", "--orientation", "random:3")
+        doc = json.loads(out)
+        inst = no_dessert_edge(F(1, 2)).instance
+        o = random_orientation(inst, SplitMix64(3))
+        value = expected_welfare_exact(inst, DescendingRunner(inst, o))
+        assert doc["orientation"] == o.to_json_obj()
+        assert doc["welfare"]["exact"] == str(value)
+
     def test_montecarlo_without_seed_fails(self, edge_file, capsys):
         code, _, err = run_cli(capsys, "run", "--instance", edge_file,
                                "--policy", "oriented-desc", "--mode", "montecarlo")
@@ -216,11 +244,13 @@ class TestInputErrors:
         (["run", "--instance", "{edge}", "--policy", "oriented-desc",
           "--orientation", "random:abc"],
          "--orientation random:SEED needs an integer SEED, got 'abc'"),
+        (["run", "--instance", "{edge}", "--policy", "best-of-two", "--mode", "montecarlo",
+          "--seed", "1"], "best-of-two has no Monte Carlo mode"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
             "check-enum-bound-negative", "run-enum-bound-zero",
-            "orientation-random-seed-not-integer"])
+            "orientation-random-seed-not-integer", "best-of-two-montecarlo"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}
