@@ -11,7 +11,7 @@ from .algorithms import (
     expected_welfare,
     randomized_matching,
 )
-from .boxes import IndexedBox, PandoraBox, bundle, weitzman_index
+from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution
 from .instance import (
     EdgeSpec,
@@ -26,7 +26,6 @@ from .nested import (
     AnnotatedBasket,
     NestedTrace,
     OutcomeNode,
-    amortized_contribution,
     annotate,
     check_non_exposure,
     descending_run,

@@ -22,7 +22,6 @@ from typing import Iterator
 from .boxes import weitzman_index
 from .distributions import ONE, ZERO, DiscreteDistribution
 from .instance import (
-    EdgeId,
     MatchingInstance,
     Orientation,
     canonical_orientation,
@@ -136,25 +135,13 @@ def assert_valid_trace(trace: RunTrace, inst: MatchingInstance, realization: Rea
         raise AssertionError("welfare != matched value - costs")
 
 
-def _edge_conflicts(inst: MatchingInstance):
-    by_vertex: dict[str, list[EdgeId]] = {}
-    for e in inst.edges:
-        by_vertex.setdefault(e.i, []).append(e.id)
-        by_vertex.setdefault(e.j, []).append(e.id)
-
-    def conflicts(eid: EdgeId):
-        out = set(by_vertex[eid[0]]) | set(by_vertex[eid[1]])
-        out.discard(eid)
-        return out
-
-    return conflicts
-
-
 class DescendingRunner:
-    """Descending procedure over the compiled edge baskets.
+    """Descending procedure over the edges' compiled baskets.
 
     With an orientation each edge is its oriented two-stage basket; without
     one, each edge is its bundled one-stage basket (both boxes at once).
+    The runner only picks each edge's cached ``EdgeSpec.basket`` entry and
+    reads the instance's conflict sets.
     """
 
     def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
@@ -162,43 +149,34 @@ class DescendingRunner:
             orientation.require_covers(inst)
         self.inst = inst
         self.orientation = orientation
-        self.baskets = {}
-        self.path_lookup = {}
-        self._opened = {}   # edge id -> directed pairs inspected, by stages opened
-        for e in inst.edges:
-            d = orientation.direction_of(e.id) if orientation is not None else None
-            self.baskets[e.id], self.path_lookup[e.id] = e.basket(d)
-            both = e.directions()
-            self._opened[e.id] = ((), both) if d is None else ((), (d,), both)
-        self._conflicts = _edge_conflicts(inst)
+        self.baskets = {e.id: e.basket(None if orientation is None
+                                       else orientation.direction_of(e.id))
+                        for e in inst.edges}
+        self.conflicts = inst.conflicts
 
     def paths_for(self, realization: Realization) -> dict:
-        return {eid: self.path_lookup[eid][k] for eid, k in realization.items()}
+        baskets = self.baskets
+        return {eid: baskets[eid].path_of[k] for eid, k in realization.items()}
 
     def kappa_weights(self, realization: Realization) -> dict:
         """Realized terminal capped value per edge (the greedy weights)."""
         return {eid: p.kappa1 for eid, p in self.paths_for(realization).items()}
 
     def kappa_laws(self) -> dict:
-        """Law of each edge's terminal capped value, non-positive atoms merged at 0.
-
-        Greedy never takes a weight <= 0, so the merge leaves every greedy
-        total unchanged while it shrinks the profile space.
-        """
-        return {eid: b.kappa1_distribution().map_values(lambda v: max(v, ZERO))
-                for eid, b in self.baskets.items()}
+        """Each edge's ``EdgeBasket.kappa_law``."""
+        return {eid: c.kappa_law for eid, c in self.baskets.items()}
 
     def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
-        return all(check_non_exposure(nt, self.baskets[eid])
+        return all(check_non_exposure(nt, self.baskets[eid].basket)
                    for eid, nt in trace.nested_traces.items())
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
-        paths = self.paths_for(realization)
-        res = descending_run(self.baskets, paths, self._conflicts, record_steps)
+        baskets = self.baskets
+        res = descending_run({eid: c.basket for eid, c in baskets.items()},
+                             self.paths_for(realization), self.conflicts, record_steps)
         inspected = set()
-        opened = self._opened
         for eid, tr in res.traces.items():
-            inspected.update(opened[eid][tr.stages_opened])
+            inspected.update(baskets[eid].opened[tr.stages_opened])
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
                         res.claimed_value, res.welfare, res.steps, res.traces)
 
@@ -407,12 +385,10 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     """
     if mode == "exact":
         _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
-        o = canonical_orientation(inst)
-        fwd = DescendingRunner(inst, o).kappa_laws()
-        rev = DescendingRunner(inst, o.reverse()).kappa_laws()
         return kappa_welfare(inst, {
-            eid: DiscreteDistribution((v, p / 2) for v, p in fwd[eid].atoms + rev[eid].atoms)
-            for eid in fwd
+            e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
+                                       for v, p in e.basket(d).kappa_law.atoms)
+            for e in inst.edges
         })
     if mode == "montecarlo":
         if seed is None:
@@ -438,19 +414,14 @@ def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, F
     return o, w
 
 
-def edge_based_orientation(inst: MatchingInstance, rule: str = "higher_sigma1") -> Orientation:
-    """Orient each edge by a deterministic per-edge rule.
-
-    higher_sigma1 picks the direction whose two-stage basket has the larger
-    initial index, ties to the canonical direction.
-    """
-    if rule != "higher_sigma1":
-        raise ValueError(f"unknown rule {rule!r}")
+def edge_based_orientation(inst: MatchingInstance) -> Orientation:
+    """Orient each edge in the direction whose two-stage basket has the
+    larger initial index, ties to the canonical direction."""
     pairs = []
     for e in inst.edges:
         d1, d2 = e.directions()
-        s1 = e.basket(d1)[0].sigma1
-        s2 = e.basket(d2)[0].sigma1
+        s1 = e.basket(d1).basket.sigma1
+        s2 = e.basket(d2).basket.sigma1
         pairs.append(d1 if s1 >= s2 else d2)
     return Orientation(pairs)
 

@@ -1,4 +1,4 @@
-"""Single-stage Pandora boxes: Weitzman index, capped value, bundling.
+"""Single-stage Pandora boxes and their Weitzman index.
 
 A box is a (distribution, cost) pair.  Its Weitzman index is the threshold
 at which the expected surplus of the value above the threshold equals the
@@ -56,27 +56,3 @@ def weitzman_index(box: PandoraBox) -> Fraction:
         if k + 1 == n or t >= atoms_desc[k + 1][0]:
             return t
     raise AssertionError("unreachable: surplus is unbounded below")
-
-
-@dataclass(frozen=True)
-class IndexedBox:
-    """A box together with its Weitzman index."""
-
-    box: PandoraBox
-    sigma: Fraction
-
-    @classmethod
-    def from_box(cls, box: PandoraBox) -> "IndexedBox":
-        return cls(box, weitzman_index(box))
-
-    def capped_value(self, value) -> Fraction:
-        """min(value, index) for a value in the box's support."""
-        v = Fraction(value)
-        if v not in self.box.dist.support:
-            raise ValueError(f"value {v} not in the box's support")
-        return min(v, self.sigma)
-
-
-def bundle(a: PandoraBox, b: PandoraBox) -> PandoraBox:
-    """Combine two boxes into one: values add, costs add."""
-    return PandoraBox(a.dist.convolve(b.dist), a.cost + b.cost)

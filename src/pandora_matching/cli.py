@@ -135,6 +135,11 @@ def cmd_nested_index(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.orientation is not None and args.policy != "oriented-desc":
+        raise CliError(f"--orientation applies only to oriented-desc, not {args.policy}")
+    if args.trace_seed is not None and args.policy == "randomized":
+        raise CliError("--trace-seed needs one runner; randomized draws an orientation "
+                       "per realization")
     if args.mode == "montecarlo":
         if args.policy == "best-of-two":
             raise CliError("best-of-two has no Monte Carlo mode; it compares the exact "
@@ -160,6 +165,7 @@ def cmd_run(args) -> int:
             doc["welfare"] = _estimate_doc(args, value, stderr)
     elif args.policy == "best-of-two":
         orientation, value = best_of_two(inst, bound)
+        runner = make_runner(inst, "oriented-desc", orientation)
         orientation_desc = _orientation_string(orientation)
         doc["orientation"] = orientation.to_json_obj()
         doc["welfare"] = rational_json(value)
@@ -180,11 +186,10 @@ def cmd_run(args) -> int:
             value, stderr = expected_welfare(inst, runner, "montecarlo",
                                              seed=args.seed, trials=args.trials)
             doc["welfare"] = _estimate_doc(args, value, stderr)
-        if args.trace_seed is not None:
-            rng = SplitMix64(args.trace_seed)
-            realization = sample_realization(outcome_cuts(inst), rng)
-            trace = runner.run(realization, record_steps=True)
-            doc["sample_trace"] = _trace_doc(inst, realization, trace)
+    if args.trace_seed is not None:
+        realization = sample_realization(outcome_cuts(inst), SplitMix64(args.trace_seed))
+        trace = runner.run(realization, record_steps=True)
+        doc["sample_trace"] = _trace_doc(inst, realization, trace)
 
     ratio = ""
     if args.with_opt:
@@ -228,6 +233,9 @@ def _trace_doc(inst, realization, trace) -> dict:
 
 
 def cmd_oracle(args) -> int:
+    if args.orientation is not None and args.constraint != "oriented":
+        raise CliError(f"--orientation applies only to --constraint oriented, "
+                       f"not {args.constraint}")
     inst = _load_instance(args.instance)
     orientation = None
     if args.constraint == "oriented":
@@ -295,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a matching policy")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    p.add_argument("--orientation", default="canonical",
-                   help="canonical | reverse | edge-based | random:SEED | file | inline JSON")
+    p.add_argument("--orientation", default=None,
+                   help="oriented-desc only: canonical (default) | reverse | edge-based | "
+                        "random:SEED | file | inline JSON")
     p.add_argument("--mode", default="exact", choices=["exact", "montecarlo"])
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=100_000)
@@ -312,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--constraint", default="free",
                    choices=["free", "oriented", "bundled"])
-    p.add_argument("--orientation", default="canonical")
+    p.add_argument("--orientation", default=None,
+                   help="--constraint oriented only; default canonical")
     p.add_argument("--trace", action="store_true",
                    help="include the optimal action tree")
     p.set_defaults(func=cmd_oracle)

@@ -50,22 +50,8 @@ class DiscreteDistribution:
     def point(cls, value) -> "DiscreteDistribution":
         return cls([(Fraction(value), ONE)])
 
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(v for v, _ in self.atoms)
-
     def min_value(self) -> Fraction:
         return self.atoms[0][0]
-
-    def max_value(self) -> Fraction:
-        return self.atoms[-1][0]
-
-    def prob_of(self, value) -> Fraction:
-        value = Fraction(value)
-        for v, p in self.atoms:
-            if v == value:
-                return p
-        return ZERO
 
     def expectation(self) -> Fraction:
         """Mean of the distribution, exact."""
@@ -81,15 +67,6 @@ class DiscreteDistribution:
 
     def expected_positive_part(self) -> Fraction:
         return self.surplus(ZERO)
-
-    def convolve(self, other: "DiscreteDistribution") -> "DiscreteDistribution":
-        """Distribution of the sum of independent draws from self and other."""
-        sums: dict[Fraction, Fraction] = {}
-        for v1, p1 in self.atoms:
-            for v2, p2 in other.atoms:
-                s = v1 + v2
-                sums[s] = sums.get(s, ZERO) + p1 * p2
-        return DiscreteDistribution(sums.items())
 
     def map_values(self, fn) -> "DiscreteDistribution":
         """Pushforward under a value transformation (atoms re-merged)."""

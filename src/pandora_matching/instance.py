@@ -11,6 +11,7 @@ that need them separately.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -55,6 +56,28 @@ class DirectionTable:
 
     first: tuple[tuple[str, Fraction], ...]
     second: dict[str, tuple[tuple[str, Fraction, int], ...]]
+
+
+@dataclass(frozen=True)
+class EdgeBasket:
+    """An edge compiled for one direction (or bundled), as runners read it.
+
+    path_of: outcome index -> realized path through the basket.
+    opened: the directed pairs inspected, indexed by the stages opened.
+    """
+
+    basket: AnnotatedBasket
+    path_of: dict[int, PathInfo]
+    opened: tuple[tuple[DirectedPair, ...], ...]
+
+    @functools.cached_property
+    def kappa_law(self) -> DiscreteDistribution:
+        """Law of the terminal capped value, non-positive atoms merged at 0.
+
+        Greedy never takes a weight <= 0, so the merge leaves every greedy
+        total unchanged while it shrinks the profile space.
+        """
+        return self.basket.kappa1_distribution().map_values(lambda v: max(v, ZERO))
 
 
 class EdgeSpec:
@@ -178,9 +201,8 @@ class EdgeSpec:
             self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
         return self._tables[direction]
 
-    def basket(self, direction: DirectedPair | None = None
-               ) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
-        """Compiled basket and outcome-index -> path lookup.
+    def basket(self, direction: DirectedPair | None = None) -> EdgeBasket:
+        """The edge compiled for a direction, built once per direction.
 
         A direction gives the oriented two-stage basket, None the bundled
         one-stage basket.  Every caller gets the same objects; none may
@@ -240,23 +262,24 @@ def edge_to_basket(edge: EdgeSpec, direction: DirectedPair) -> OutcomeNode:
     return OutcomeNode.stage(edge.cost(direction), branches)
 
 
-def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
-    """Annotated basket for a direction plus outcome-index -> path lookup."""
+def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
+    """Two-stage basket for a direction: first endpoint, then both."""
     basket = annotate(edge_to_basket(edge, direction))
     # paths are enumerated in tree order, which is the table's order
     table = edge.table(direction)
     order = [k for label, _ in table.first for _, _, k in table.second[label]]
-    return basket, dict(zip(order, basket.paths))
+    return EdgeBasket(basket, dict(zip(order, basket.paths)),
+                      ((), (direction,), edge.directions()))
 
 
-def bundled_basket(edge: EdgeSpec) -> tuple[AnnotatedBasket, dict[int, PathInfo]]:
+def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
     """Single-stage basket over the edge total (both costs paid at once)."""
     box = edge.bundled_box()
     branches = [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in box.dist.atoms]
     basket = annotate(OutcomeNode.stage(box.cost, branches))
     by_label = {p.labels[0]: p for p in basket.paths}
     lookup = {k: by_label[format_rational(o.total)] for k, o in enumerate(edge.outcomes)}
-    return basket, lookup
+    return EdgeBasket(basket, lookup, ((), edge.directions()))
 
 
 class MatchingInstance:
@@ -281,6 +304,15 @@ class MatchingInstance:
     @property
     def edge_ids(self) -> list[EdgeId]:
         return [e.id for e in self.edges]
+
+    @functools.cached_property
+    def conflicts(self) -> dict[EdgeId, frozenset[EdgeId]]:
+        """Edge id -> the other edges that share an endpoint with it."""
+        at: dict[str, set[EdgeId]] = {v: set() for v in self.vertices}
+        for e in self.edges:
+            at[e.i].add(e.id)
+            at[e.j].add(e.id)
+        return {e.id: frozenset((at[e.i] | at[e.j]) - {e.id}) for e in self.edges}
 
     def all_independent(self) -> bool:
         return all(e.is_independent for e in self.edges)

@@ -265,7 +265,7 @@ def kappa_sequence(sigmas: Sequence[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Traces, exposure, amortization
+# Traces and exposure
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -311,16 +311,6 @@ def check_non_exposure(trace: NestedTrace, basket: AnnotatedBasket) -> bool:
     tail = list(path.sigmas[stop:]) + [path.value]
     kappa_next = min(tail)
     return not kappa_next > gamma
-
-
-def amortized_contribution(trace: NestedTrace, basket: AnnotatedBasket) -> tuple[Fraction, Fraction]:
-    """(realized welfare contribution, realized claimed capped value).
-
-    Averaging both components over all realizations of a policy gives the
-    two sides of the amortization inequality.
-    """
-    bound = trace.path.kappa1 if trace.claimed else ZERO
-    return trace.welfare, bound
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +361,11 @@ def descending_run(
 
     Repeatedly advance the eligible basket with the largest current index
     (ties to the smallest basket id) while that index is positive.  Claiming
-    a basket removes the ids given by ``conflicts(basket_id)`` from the
-    eligible set; with the default (all other ids) this is the
-    single-selection problem.
+    a basket removes the ids in ``conflicts[basket_id]`` from the eligible
+    set; with the default (all other ids) this is the single-selection
+    problem.
     """
     ids = sorted(baskets)
-    if conflicts is None:
-        conflicts = lambda claimed: [i for i in ids if i != claimed]
     cursors = {i: StagePath(i, baskets[i].root) for i in ids}
     eligible = set(ids)
     claimed: list = []
@@ -410,8 +398,7 @@ def descending_run(
             claimed.append(best)
             claimed_value += cur.node.value
             eligible.discard(best)
-            for other in conflicts(best):
-                eligible.discard(other)
+            eligible.difference_update(ids if conflicts is None else conflicts[best])
         else:
             total_costs += cur.node.cost
             cur.gamma = cur.node.sigma if cur.gamma is None else min(cur.gamma, cur.node.sigma)

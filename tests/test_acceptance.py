@@ -154,10 +154,10 @@ def test_criterion_4_amortization(general_results):
             runner = DescendingRunner(inst, o)
             welfare = expected_welfare_exact(inst, OpenAllFirstStagesStrategy(inst, o))
             exposed = False
-            for eid, basket in runner.baskets.items():
-                for path in basket.paths:
+            for eid, compiled in runner.baskets.items():
+                for path in compiled.basket.paths:
                     trace = make_trace(eid, path, 1, False)
-                    if not check_non_exposure(trace, basket):
+                    if not check_non_exposure(trace, compiled.basket):
                         exposed = True
             bound = ZERO  # nothing is ever claimed
             assert welfare <= bound

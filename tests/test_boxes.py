@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pandora_matching.boxes import IndexedBox, PandoraBox, bundle, weitzman_index
+from pandora_matching.boxes import PandoraBox, weitzman_index
+from pandora_matching.instance import EdgeSpec
 
 from test_distributions import dist, distributions
 
@@ -48,7 +49,7 @@ class TestWeitzmanIndex:
             assert b.dist.surplus(sigma - 1) > b.cost
             assert b.dist.surplus(sigma + 1) < b.cost
         else:
-            assert sigma == b.dist.max_value()
+            assert sigma == b.dist.atoms[-1][0]
             assert b.dist.surplus(sigma) == 0
 
     @given(distributions(), st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4),
@@ -64,29 +65,8 @@ class TestWeitzmanIndex:
         assert weitzman_index(shifted) == weitzman_index(b) + k
 
 
-class TestCappedValue:
-    def test_caps_high_value(self):
-        ib = IndexedBox.from_box(box(dist((9, F(1, 8)), (-3, F(7, 8))), 1))
-        assert ib.capped_value(9) == 1
-        assert ib.capped_value(-3) == -3
-
-    def test_fractional_cap(self):
-        ib = IndexedBox(box(dist((1, 1)), 0), F(3, 4))
-        assert ib.capped_value(1) == F(3, 4)
-
-    def test_rejects_value_outside_support(self):
-        ib = IndexedBox.from_box(box(dist((2, 1)), 1))
-        with pytest.raises(ValueError):
-            ib.capped_value(3)
-
-    @given(boxes)
-    @settings(deadline=None)
-    def test_cap_is_min(self, b):
-        ib = IndexedBox.from_box(b)
-        for v in b.dist.support:
-            k = ib.capped_value(v)
-            assert k <= ib.sigma and k <= v
-            assert k == ib.sigma or k == v
+def bundle(a, b):
+    return EdgeSpec.independent("i", "j", a, b).bundled_box()
 
 
 class TestBundle:
@@ -103,3 +83,29 @@ class TestBundle:
         b = box(dist((9, F(1, 8)), (-3, F(7, 8))), 1)
         merged = bundle(b, box(dist((0, 1)), 0))
         assert weitzman_index(merged) == weitzman_index(b)
+
+    def test_point_masses(self):
+        assert bundle(box(dist((1, 1)), 0), box(dist((2, 1)), 0)).dist == dist((3, 1))
+
+    def test_shift_by_constant(self):
+        n = 4
+        d = dist((n, F(1, n)), (0, 1 - F(1, n)))
+        shifted = bundle(box(d, 0), box(dist((1, 1)), 0)).dist
+        assert shifted == dist((n + 1, F(1, n)), (1, 1 - F(1, n)))
+
+    def test_two_coins(self):
+        coin = box(dist((0, F(1, 2)), (1, F(1, 2))), 0)
+        assert bundle(coin, coin).dist == dist((0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4)))
+
+    @given(boxes, boxes)
+    @settings(deadline=None)
+    def test_commutes_and_mass_one(self, a, b):
+        ab = bundle(a, b)
+        assert ab == bundle(b, a)
+        assert ab.cost == a.cost + b.cost
+        assert sum(p for _, p in ab.dist.atoms) == 1
+
+    @given(boxes, boxes)
+    @settings(deadline=None)
+    def test_expectation_additive(self, a, b):
+        assert bundle(a, b).dist.expectation() == a.dist.expectation() + b.dist.expectation()

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pandora_matching.cli import main
-from pandora_matching.repro import indistinguishable_edge, no_dessert_edge
+from pandora_matching.repro import indistinguishable_edge, no_dessert_edge, no_dessert_star
 
 
 @pytest.fixture
@@ -139,6 +139,21 @@ class TestRunCommand:
         doc = json.loads(out)
         assert "sample_trace" in doc and "welfare" in doc["sample_trace"]
 
+    def test_best_of_two_traces_its_chosen_orientation(self, tmp_path, capsys):
+        # on this star best-of-two keeps the reverse (leaf-first) orientation
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(no_dessert_star(F(1, 4), 2).instance.to_json_obj()))
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path),
+                               "--policy", "best-of-two", "--trace-seed", "3")
+        doc = json.loads(out)
+        assert code == 0 and doc["orientation"] == [["j1", "i"], ["j2", "i"], ["k", "i"]]
+        _, same, _ = run_cli(capsys, "run", "--instance", str(path), "--policy", "oriented-desc",
+                             "--orientation", "reverse", "--trace-seed", "3")
+        _, other, _ = run_cli(capsys, "run", "--instance", str(path), "--policy", "oriented-desc",
+                              "--trace-seed", "3")
+        assert doc["sample_trace"] == json.loads(same)["sample_trace"]
+        assert doc["sample_trace"] != json.loads(other)["sample_trace"]
+
     def test_bundled_policy(self, indist_file, capsys):
         code, out, _ = run_cli(capsys, "run", "--instance", indist_file,
                                "--policy", "bundled")
@@ -246,11 +261,24 @@ class TestInputErrors:
          "--orientation random:SEED needs an integer SEED, got 'abc'"),
         (["run", "--instance", "{edge}", "--policy", "best-of-two", "--mode", "montecarlo",
           "--seed", "1"], "best-of-two has no Monte Carlo mode"),
+        (["run", "--instance", "{missing}", "--policy", "bundled", "--orientation", "reverse"],
+         "--orientation applies only to oriented-desc, not bundled"),
+        (["run", "--instance", "{missing}", "--policy", "best-of-two",
+          "--orientation", "canonical"], "--orientation applies only to oriented-desc"),
+        (["run", "--instance", "{missing}", "--policy", "randomized", "--trace-seed", "3"],
+         "--trace-seed needs one runner"),
+        (["oracle", "--instance", "{missing}", "--constraint", "bundled",
+          "--orientation", "nonsense"], "--orientation applies only to --constraint oriented"),
+        (["oracle", "--instance", "{missing}", "--orientation", "reverse"],
+         "--orientation applies only to --constraint oriented, not free"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
             "check-enum-bound-negative", "run-enum-bound-zero",
-            "orientation-random-seed-not-integer", "best-of-two-montecarlo"])
+            "orientation-random-seed-not-integer", "best-of-two-montecarlo",
+            "run-bundled-orientation", "run-best-of-two-orientation",
+            "run-randomized-trace-seed", "oracle-bundled-orientation",
+            "oracle-free-orientation"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}

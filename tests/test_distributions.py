@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pandora_matching.distributions import DiscreteDistribution, DistributionError
@@ -57,33 +57,6 @@ class TestSurplus:
     def test_linear_below_support(self, d, drop):
         t = d.min_value() - drop
         assert d.surplus(t) == d.expectation() - t
-
-
-class TestConvolve:
-    def test_point_masses(self):
-        assert dist((1, 1)).convolve(dist((2, 1))) == dist((3, 1))
-
-    def test_shift_by_constant(self):
-        n = 4
-        d = dist((n, F(1, n)), (0, 1 - F(1, n)))
-        shifted = d.convolve(dist((1, 1)))
-        assert shifted == dist((n + 1, F(1, n)), (1, 1 - F(1, n)))
-
-    def test_two_coins(self):
-        coin = dist((0, F(1, 2)), (1, F(1, 2)))
-        assert coin.convolve(coin) == dist((0, F(1, 4)), (1, F(1, 2)), (2, F(1, 4)))
-
-    @given(distributions(), distributions())
-    @settings(deadline=None)
-    def test_commutes_and_mass_one(self, a, b):
-        ab = a.convolve(b)
-        assert ab == b.convolve(a)
-        assert sum(p for _, p in ab.atoms) == 1
-
-    @given(distributions(), distributions())
-    @settings(deadline=None)
-    def test_expectation_additive(self, a, b):
-        assert a.convolve(b).expectation() == a.expectation() + b.expectation()
 
 
 class TestConstruction:

@@ -160,14 +160,18 @@ class TestEdgeToBasket:
 
     def test_oriented_basket_lookup_is_bijective(self):
         e = fig_edge()
-        basket, lookup = oriented_basket(e, ("j", "i"))
+        compiled = oriented_basket(e, ("j", "i"))
+        assert compiled.opened == ((), (("j", "i"),), e.directions())
+        lookup = compiled.path_of
         assert sorted(lookup) == list(range(len(e.outcomes)))
         for k, o in enumerate(e.outcomes):
             assert lookup[k].value == o.total
 
     def test_bundled_basket_paths_are_totals(self):
         e = fig_edge()
-        basket, lookup = bundled_basket(e)
+        compiled = bundled_basket(e)
+        assert compiled.opened == ((), e.directions())
+        lookup = compiled.path_of
         for k, o in enumerate(e.outcomes):
             assert lookup[k].value == o.total
             assert lookup[k].depth == 1

@@ -8,7 +8,6 @@ from pandora_matching.distributions import DiscreteDistribution, ZERO
 from pandora_matching.nested import (
     BasketError,
     OutcomeNode,
-    amortized_contribution,
     annotate,
     check_non_exposure,
     descending_run,
@@ -99,7 +98,7 @@ class TestKappa1Distribution:
     def test_reverse_orientation(self):
         basket = annotate(edge_tree(F(1, 2), "ji"))
         k1 = basket.kappa1_distribution()
-        assert k1.prob_of(2) == F(1, 8)  # alpha^3
+        assert dict(k1.atoms)[2] == F(1, 8)  # alpha^3
         assert k1.expected_positive_part() == F(1, 4)  # alpha - alpha^2
 
     def test_free_point_box(self):
@@ -159,7 +158,7 @@ class TestAmortization:
     def test_unopened_contributes_nothing(self):
         basket = annotate(edge_tree(F(1, 2)))
         trace = make_trace("b", basket.paths[0], 0, False)
-        assert amortized_contribution(trace, basket) == (0, 0)
+        assert (trace.welfare, trace.path.kappa1 if trace.claimed else 0) == (0, 0)
 
     def test_descending_equality_over_all_paths(self):
         basket = annotate(edge_tree(F(1, 2)))
@@ -167,7 +166,8 @@ class TestAmortization:
         bound = ZERO
         for paths, prob in enumerate_joint_paths({"b": basket}):
             res = descending_run({"b": basket}, paths)
-            w, k = amortized_contribution(res.traces["b"], basket)
+            trace = res.traces["b"]
+            w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
             welfare += prob * w
             bound += prob * k
         assert welfare == bound == F(1, 2)
@@ -176,7 +176,7 @@ class TestAmortization:
         basket = annotate(edge_tree(F(1, 2)))
         p = path_by_labels(basket, "hi", "zero")
         trace = make_trace("b", p, 2, True)
-        w, k = amortized_contribution(trace, basket)
+        w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
         assert w == 8 - 1 - F(1, 2)
         assert k == 1
 
@@ -188,7 +188,7 @@ class TestAmortization:
         exposed = False
         for p in basket.paths:
             trace = make_trace("b", p, 1, False)
-            w, k = amortized_contribution(trace, basket)
+            w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
             welfare += p.prob * w
             bound += p.prob * k
             if not check_non_exposure(trace, basket):
@@ -238,7 +238,7 @@ class TestAmortizationOverAllPolicies:
                 exposed = False
                 for path in basket.paths:
                     trace = run_policy(basket, policy, path)
-                    w, k = amortized_contribution(trace, basket)
+                    w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
                     welfare += path.prob * w
                     bound += path.prob * k
                     if not check_non_exposure(trace, basket):
@@ -251,7 +251,7 @@ class TestAmortizationOverAllPolicies:
         basket = annotate(rand_tree(rng, depth=3, max_branch=1))
         for policy in all_node_choices(basket):
             trace = run_policy(basket, policy, basket.paths[0])
-            w, k = amortized_contribution(trace, basket)
+            w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
             assert w <= k or not check_non_exposure(trace, basket)
 
 
@@ -361,7 +361,7 @@ class TestAnnotationInvariants:
                 if node.cost > 0:
                     assert node.kappa_next_dist.surplus(node.sigma) == node.cost
                 else:
-                    assert node.sigma == node.kappa_next_dist.max_value()
+                    assert node.sigma == node.kappa_next_dist.atoms[-1][0]
                 for _, _, child in node.branches:
                     walk(child)
 

@@ -132,7 +132,7 @@ class TestOptimalWelfare:
                      for leaf in ("b", "c")]
             inst = MatchingInstance("abc", edges)
             o = canonical_orientation(inst)
-            baskets = {e.id: oriented_basket(e, o.direction_of(e.id))[0]
+            baskets = {e.id: oriented_basket(e, o.direction_of(e.id)).basket
                        for e in inst.edges}
             assert optimal_welfare(inst, "oriented", o).value == \
                 expected_select_welfare(baskets)
