@@ -59,6 +59,8 @@ from .rationals import (
 )
 from .rng import SplitMix64
 
+DEFAULT_TRIALS = 100_000
+
 
 class CliError(Exception):
     pass
@@ -144,9 +146,15 @@ def cmd_run(args) -> int:
         if args.policy == "best-of-two":
             raise CliError("best-of-two has no Monte Carlo mode; it compares the exact "
                            "welfare of two orientations")
+        if args.trials is None:
+            args.trials = DEFAULT_TRIALS
         if args.trials < 1:
             raise CliError(f"--trials must be at least 1, got {args.trials}")
         _require_seed(args)
+    else:
+        for flag, given in (("--seed", args.seed), ("--trials", args.trials)):
+            if given is not None:
+                raise CliError(f"{flag} applies only to --mode montecarlo")
     bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
     report = validate(inst)
@@ -308,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "random:SEED | file | inline JSON")
     p.add_argument("--mode", default="exact", choices=["exact", "montecarlo"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"montecarlo only; default {DEFAULT_TRIALS}")
     p.add_argument("--enum-bound", type=int, default=None)
     p.add_argument("--with-opt", action="store_true",
                    help="also compute the free optimum and the welfare ratio")

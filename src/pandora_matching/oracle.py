@@ -9,13 +9,24 @@ set: "oriented" only allows the second box after the first per the given
 orientation, "bundled" opens both boxes of an edge at once.  Each edge's
 allowed moves are tabulated once per call, keyed by the evidence the
 constraint can reach, so the state space is the product of those key sets.
+
+The DP runs bottom-up over that product.  Each edge's evidences are ordered
+so that every move goes to a later one, and a state is the mixed-radix index
+of its edges' positions, so filling flat value and move lists from the last
+index down sees every child first.  Values are integers in a per-state scale
+(the common denominator of totals and costs, times each edge's probability
+denominator raised to the moves left on that edge), so options compare, and
+ties break, exactly as in Fractions; only the root value becomes a Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, mul
 
 from .distributions import ZERO
 from .instance import EdgeId, EdgeSpec, InstanceError, MatchingInstance, Orientation
@@ -37,16 +48,21 @@ class StateBoundError(RuntimeError):
 # Matchings on explicit edge weights
 # ---------------------------------------------------------------------------
 
-def max_weight_matching(weights: dict[EdgeId, Fraction]) -> tuple[frozenset, Fraction]:
-    """Best matching by brute force; edges with weight <= 0 are never used."""
+def max_weight_matching(weights: Mapping[EdgeId, Fraction | int],
+                        zero: Fraction | int = ZERO) -> tuple[frozenset, Fraction | int]:
+    """Best matching by brute force; edges with weight <= 0 are never used.
+
+    Weights are Fractions or ints; ``zero`` is the empty matching's total,
+    so pass 0 with int weights to keep the total an int.
+    """
     edges = sorted(eid for eid, w in weights.items() if w > 0)
     if len(edges) > MATCHING_EDGE_LIMIT:
         raise InstanceError(f"brute-force matching limited to {MATCHING_EDGE_LIMIT} edges")
 
     best_set: frozenset = frozenset()
-    best_total = ZERO
+    best_total = zero
 
-    def recurse(k: int, used: set, chosen: list, total: Fraction):
+    def recurse(k: int, used: set, chosen: list, total: Fraction | int):
         nonlocal best_set, best_total
         if total > best_total:
             best_total = total
@@ -63,7 +79,7 @@ def max_weight_matching(weights: dict[EdgeId, Fraction]) -> tuple[frozenset, Fra
             chosen.pop()
             used.difference_update(eid)
 
-    recurse(0, set(), [], ZERO)
+    recurse(0, set(), [], zero)
     return best_set, best_total
 
 
@@ -111,7 +127,45 @@ STOP = Move(("stop",), -1, ZERO, ())
 @dataclass(frozen=True)
 class PolicyValue:
     value: Fraction
-    best_action: dict    # state -> best Move (STOP to stop), for inspection/tracing
+    best_action: Mapping    # state -> best Move (STOP to stop), for inspection/tracing
+
+
+class StateTable(Mapping):
+    """Best move per state, read from the DP's flat tables.
+
+    A state holds one evidence per edge; ``position[k]`` numbers edge k's
+    evidences in order and a state sits at index
+    sum(position_k * strides[k]).  ``value(state)`` is the state's optimal
+    value; ``val`` holds it times q * prod_k powers[k][position_k].
+    """
+
+    def __init__(self, position, strides, q, powers, val, act):
+        self._position = position
+        self._strides = strides
+        self._q = q
+        self._powers = powers
+        self._val = val
+        self._act = act
+
+    def _positions(self, state) -> list[int]:
+        try:
+            return [pos[e] for pos, e in zip(self._position, state, strict=True)]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(state) from None
+
+    def __getitem__(self, state) -> Move:
+        return self._act[sum(map(mul, self._positions(state), self._strides))]
+
+    def __iter__(self):
+        return itertools.product(*self._position)
+
+    def __len__(self) -> int:
+        return len(self._act)
+
+    def value(self, state) -> Fraction:
+        positions = self._positions(state)
+        scale = self._q * math.prod(map(getitem, self._powers, positions))
+        return Fraction(self._val[sum(map(mul, positions, self._strides))], scale)
 
 
 def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
@@ -168,46 +222,70 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
         orientation.require_covers(inst)
 
     tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
-    moves = [m for m, _ in tables]
-    totals = [t for _, t in tables]
-    states = math.prod(len(m) for m in moves)
+    states = math.prod(len(m) for m, _ in tables)
     if states > state_bound:
         raise StateBoundError(states, state_bound)
+
+    # A move turns an unseen -1 into a label index, so in sorted order every
+    # move goes to a later evidence; a state's index is the mixed-radix
+    # number of its edges' positions in that order.
+    evidences = [sorted(m) for m, _ in tables]
+    positions = [{e: x for x, e in enumerate(evs)} for evs in evidences]
+    strides = [math.prod(len(evs) for evs in evidences[k + 1:]) for k in range(len(evidences))]
+    # A state's value is stored times q * prod_k d_k ** r_k, where q clears
+    # every total and cost, d_k clears edge k's probabilities, and r_k counts
+    # the moves left on edge k; every option at a state is an integer in
+    # that one scale.
+    q = math.lcm(*(x.denominator for m, t in tables
+                   for x in [*t.values(), *(mv.cost for mvs in m.values() for mv in mvs)]))
+    powers, options, weights = [], [], []
+    for (moves, totals), evs, position, stride in zip(tables, evidences, positions, strides):
+        d = math.lcm(*(p.denominator for mvs in moves.values() for mv in mvs
+                       for _, p, _ in mv.branches))
+        left = [0] * len(evs)
+        for x in reversed(range(len(evs))):
+            left[x] = max((1 + left[position[c]] for mv in moves[evs[x]]
+                           for c, _, _ in mv.branches), default=0)
+        powers.append([d ** r for r in left])
+        options.append([tuple(
+            (mv, _scaled(mv.cost, q), tuple(
+                (_scaled(p, d ** (left[x] - left[position[c]])), (position[c] - x) * stride)
+                for c, p, _ in mv.branches))
+            for mv in moves[e]) for x, e in enumerate(evs)])
+        weights.append([_scaled(totals[e], q) if totals.get(e, 0) > 0 else 0 for e in evs])
+
     ids = inst.edge_ids
     terminal_cache: dict = {}
-
-    def terminal_value(state) -> Fraction:
-        weights = {}
-        for eid, edge_totals, evidence in zip(ids, totals, state):
-            w = edge_totals.get(evidence)
-            if w is not None and w > 0:
-                weights[eid] = w
-        key = tuple(sorted(weights.items()))
-        if key not in terminal_cache:
-            terminal_cache[key] = max_weight_matching(weights)[1]
-        return terminal_cache[key]
-
-    memo: dict = {}
-    best_action: dict = {}
-
-    def value(state) -> Fraction:
-        if state in memo:
-            return memo[state]
-        best = terminal_value(state)
+    val = [0] * states
+    act = [STOP] * states
+    index = states
+    for pos in itertools.product(*(range(len(evs) - 1, -1, -1) for evs in evidences)):
+        index -= 1
+        scale = math.prod(map(getitem, powers, pos))
+        key = tuple(map(getitem, weights, pos))
+        best = terminal_cache.get(key)
+        if best is None:
+            best = terminal_cache[key] = max_weight_matching(
+                {eid: w for eid, w in zip(ids, key) if w}, zero=0)[1]
+        best *= scale
         chosen = STOP
-        for k, evidence in enumerate(state):
-            for move in moves[k][evidence]:
-                ev = -move.cost
-                for child_evidence, p, _ in move.branches:
-                    ev += p * value(state[:k] + (child_evidence,) + state[k + 1:])
+        for opts in map(getitem, options, pos):
+            for move, cost, branches in opts:
+                ev = -cost * scale
+                for coef, delta in branches:
+                    ev += coef * val[index + delta]
                 if ev > best:
                     best, chosen = ev, move
-        memo[state] = best
-        best_action[state] = chosen
-        return best
+        val[index] = best
+        act[index] = chosen
 
-    initial = tuple((-1, -1) for _ in ids)
-    return PolicyValue(value(initial), best_action)
+    table = StateTable(positions, strides, q, powers, val, act)
+    return PolicyValue(table.value(tuple(evs[0] for evs in evidences)), table)
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """x * scale, for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
 def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int = 2000):

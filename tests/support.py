@@ -143,3 +143,53 @@ def positive_batch(count: int, base_seed: int = 5000) -> list[MatchingInstance]:
 
 def joint_batch(count: int, base_seed: int = 9000) -> list[MatchingInstance]:
     return [rand_joint_instance(SplitMix64(base_seed + k)) for k in range(count)]
+
+
+def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
+                              orientation=None) -> tuple[dict, dict]:
+    """The oracle's DP evaluated in Fractions by memoized recursion.
+
+    Reads the same per-edge move tables, in the same order and with the same
+    strict first-best tie-break, as ``oracle.optimal_welfare``.  Returns the
+    value and the best move (``oracle.STOP`` to stop) of every state.
+    """
+    from pandora_matching.oracle import STOP, _edge_moves, max_weight_matching
+
+    tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
+    moves = [m for m, _ in tables]
+    totals = [t for _, t in tables]
+    ids = inst.edge_ids
+    terminal_cache: dict = {}
+
+    def terminal_value(state) -> Fraction:
+        weights = {}
+        for eid, edge_totals, evidence in zip(ids, totals, state):
+            w = edge_totals.get(evidence)
+            if w is not None and w > 0:
+                weights[eid] = w
+        key = tuple(sorted(weights.items()))
+        if key not in terminal_cache:
+            terminal_cache[key] = max_weight_matching(weights)[1]
+        return terminal_cache[key]
+
+    memo: dict = {}
+    best_action: dict = {}
+
+    def value(state) -> Fraction:
+        if state in memo:
+            return memo[state]
+        best = terminal_value(state)
+        chosen = STOP
+        for k, evidence in enumerate(state):
+            for move in moves[k][evidence]:
+                ev = -move.cost
+                for child_evidence, p, _ in move.branches:
+                    ev += p * value(state[:k] + (child_evidence,) + state[k + 1:])
+                if ev > best:
+                    best, chosen = ev, move
+        memo[state] = best
+        best_action[state] = chosen
+        return best
+
+    value(tuple((-1, -1) for _ in ids))
+    return memo, best_action

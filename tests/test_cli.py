@@ -100,6 +100,11 @@ class TestRunCommand:
         doc = json.loads(out1)
         assert doc["welfare"]["stderr"] > 0
 
+    def test_montecarlo_trials_default(self, edge_file, capsys):
+        code, out, _ = run_cli(capsys, "run", "--instance", edge_file, "--policy", "bundled",
+                               "--mode", "montecarlo", "--seed", "4")
+        assert code == 0 and json.loads(out)["welfare"]["trials"] == 100_000
+
     def test_randomized_montecarlo_estimates_the_policy(self, edge_file, capsys):
         from pandora_matching.algorithms import randomized_matching
 
@@ -271,6 +276,14 @@ class TestInputErrors:
           "--orientation", "nonsense"], "--orientation applies only to --constraint oriented"),
         (["oracle", "--instance", "{missing}", "--orientation", "reverse"],
          "--orientation applies only to --constraint oriented, not free"),
+        (["run", "--instance", "{edge}", "--policy", "bundled", "--seed", "5"],
+         "--seed applies only to --mode montecarlo"),
+        (["run", "--instance", "{edge}", "--policy", "bundled", "--seed", "5",
+          "--trials", "0"], "--seed applies only to --mode montecarlo"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc", "--trials", "-3"],
+         "--trials applies only to --mode montecarlo"),
+        (["run", "--instance", "{missing}", "--policy", "randomized", "--mode", "exact",
+          "--trials", "10"], "--trials applies only to --mode montecarlo"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
@@ -278,7 +291,8 @@ class TestInputErrors:
             "orientation-random-seed-not-integer", "best-of-two-montecarlo",
             "run-bundled-orientation", "run-best-of-two-orientation",
             "run-randomized-trace-seed", "oracle-bundled-orientation",
-            "oracle-free-orientation"])
+            "oracle-free-orientation", "exact-seed", "exact-seed-trials-zero",
+            "exact-trials-negative", "exact-trials"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}

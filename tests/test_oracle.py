@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,10 +24,22 @@ from pandora_matching.oracle import (
     optimal_action_tree,
     optimal_welfare,
 )
-from pandora_matching.repro import bundled_star, indistinguishable_edge, no_dessert_edge
+from pandora_matching.repro import (
+    bundled_star,
+    indistinguishable_edge,
+    no_dessert_edge,
+    no_dessert_star,
+)
 from pandora_matching.rng import SplitMix64
 
-from support import general_batch, rand_box, rand_instance
+from support import (
+    general_batch,
+    joint_batch,
+    positive_batch,
+    rand_box,
+    rand_instance,
+    reference_optimal_welfare,
+)
 from test_distributions import dist
 
 
@@ -52,6 +65,15 @@ class TestMaxWeightMatching:
     def test_disjoint_edges_both_taken(self):
         weights = {("a", "b"): F(1), ("c", "d"): F(2)}
         assert max_weight_matching(weights)[1] == 3
+
+    def test_total_type_follows_the_weights(self):
+        assert type(max_weight_matching({})[1]) is F
+        assert type(max_weight_matching({("a", "b"): F(-1)})[1]) is F
+        weights = {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 5, ("c", "d"): -2}
+        for given in ({}, {("a", "b"): -1}, weights):
+            m, total = max_weight_matching(given, zero=0)
+            assert type(total) is int
+            assert (m, total) == max_weight_matching({e: F(w) for e, w in given.items()})
 
 
 class TestGreedyMatching:
@@ -142,6 +164,18 @@ class TestOptimalWelfare:
         with pytest.raises(StateBoundError):
             optimal_welfare(inst, state_bound=100)
 
+    def test_state_bound_error_before_per_state_lists(self):
+        # 6^8 states: per-state lists alone would take over 10 MB
+        inst = bundled_star(8).instance
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateBoundError):
+                optimal_welfare(inst, state_bound=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestActionTrace:
     def test_free_trace_on_indistinguishable_edge(self):
@@ -222,3 +256,75 @@ class TestActionTreeGolden:
                     u, v = node["box"]
                     eid = (u, v) if u < v else (v, u)
                     assert o.direction_of(eid) == (u, v) or (v, u) in opened
+
+
+def assert_matches_reference(inst, variant):
+    """Value and best move at every state equal the Fraction memo DP's."""
+    constraint, o = variant_args(inst, variant)
+    pv = optimal_welfare(inst, constraint, o)
+    values, moves = reference_optimal_welfare(inst, constraint, o)
+    assert len(pv.best_action) == len(moves)
+    for state, move in moves.items():
+        assert pv.best_action[state] == move, state
+        assert pv.best_action.value(state) == values[state], state
+    assert type(pv.value) is F
+    assert pv.value == values[tuple((-1, -1) for _ in inst.edges)]
+
+
+def named_stars():
+    stars = [bundled_star(n).instance for n in range(1, 6)]
+    stars += [no_dessert_star(a, m).instance for a in (F(1, 2), F(1, 4), F(1, 8))
+              for m in (1, 2, 3)]
+    return stars + [indistinguishable_edge().instance, no_dessert_edge(F(1, 4)).instance]
+
+
+def awkward_instances():
+    """Inputs that stress the integer scale, keyed by name."""
+    joint = EdgeSpec.joint("a", "b", F(1, 6), F(2, 5), [
+        ("s0", "t0", F(5, 3), F(1, 7)), ("s0", "t1", F(-2, 9), F(1, 11)),
+        ("s1", "t0", F(7, 2), F(1, 13)), ("s1", "t1", F(1, 5), F(690, 1001))])
+    thirds = EdgeSpec.independent("b", "c", PandoraBox(dist((F(4, 3), F(2, 3)), (-1, F(1, 3))),
+                                                       F(1, 7)),
+                                  PandoraBox(dist((F(5, 2), F(3, 5)), (0, F(2, 5))), F(1, 3)))
+    free = EdgeSpec.independent("a", "c", PandoraBox(dist((3, F(1, 2)), (-1, F(1, 2))), 0),
+                                PandoraBox(dist((1, F(1, 4)), (0, F(3, 4))), 0))
+    negative = [EdgeSpec.independent(u, v, PandoraBox(dist((-1, F(1, 3)), (-3, F(2, 3))), 1),
+                                     PandoraBox(dist((F(-1, 2), 1)), 0))
+                for u, v in (("a", "b"), ("b", "c"))]
+    single = [EdgeSpec.independent(u, v, PandoraBox(dist((F(3, 2), 1)), F(1, 2)),
+                                   PandoraBox(dist((F(2, 3), 1)), F(1, 4)))
+              for u, v in (("a", "b"), ("b", "c"), ("a", "c"))]
+    return {
+        "coprime-joint": MatchingInstance("abc", [joint, thirds]),
+        "zero-costs": MatchingInstance("abc", [free, thirds]),
+        "all-negative": MatchingInstance("abc", negative),
+        "single-atom": MatchingInstance("abc", single),
+        "mixed": MatchingInstance("abc", [joint, thirds, free]),
+    }
+
+
+class TestReferenceDP:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_seeded_batches(self, variant):
+        for inst in general_batch(40) + positive_batch(20) + joint_batch(12):
+            assert_matches_reference(inst, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_named_stars(self, variant):
+        for inst in named_stars():
+            assert_matches_reference(inst, variant)
+
+    @pytest.mark.parametrize("name", sorted(awkward_instances()))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_awkward_scales(self, name, variant):
+        assert_matches_reference(awkward_instances()[name], variant)
+
+    def test_state_table_rejects_foreign_states(self):
+        inst = bundled_star(2).instance
+        table = optimal_welfare(inst, "bundled").best_action
+        for state in [((-1, -1),), ((0, -1), (-1, -1)), ((-1, -1), (-1, -1), (-1, -1)),
+                      ([-1, -1], (-1, -1)), "ab"]:
+            assert state not in table
+            with pytest.raises(KeyError):
+                table[state]
+        assert set(table) == set(reference_optimal_welfare(inst, "bundled")[1])
