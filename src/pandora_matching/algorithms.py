@@ -3,9 +3,10 @@
 Every policy is a runner object with ``run(realization) -> RunTrace``; a
 realization assigns each edge one row of its joint outcome table.  Exact
 expectations of descending runners sum greedy totals over the product of
-the per-edge capped-value laws; other runners enumerate the product outcome
-space.  Monte Carlo draws seeded samples from the splitmix64 stream, tallies
-them, and runs each distinct sample once.
+the per-edge capped-value laws; the vertex-based runner expands its own
+decision tree over the endpoint-box laws; other runners enumerate the
+product outcome space.  Monte Carlo draws seeded samples from the splitmix64
+stream, tallies them, and runs each distinct sample once.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class VertexBasedDescendingRunner:
     the highest revealed value among opened ones; opens while the index is
     strictly larger, otherwise matches the edge of the best revealed value
     (opening its partner box if needed).  Stops once the best candidate is
-    not positive.  Only defined when endpoint boxes are independent.
+    not positive.  Ties go to the smaller directed pair.  Only defined when
+    endpoint boxes are independent.
     """
 
     def __init__(self, inst: MatchingInstance):
@@ -199,11 +201,43 @@ class VertexBasedDescendingRunner:
         self.inst = inst
         self.sigma = {}
         self.cost = {}
+        self.dist = {}
         for e in inst.edges:
             for d in e.directions():
                 box = e.box(d)
                 self.sigma[d] = weitzman_index(box)
                 self.cost[d] = box.cost
+                self.dist[d] = box.dist
+        # every directed pair, highest index first, ties to the smaller pair
+        self._by_index = sorted(self.sigma, key=lambda d: (-self.sigma[d], d))
+
+    def _next(self, opened: dict, blocked) -> tuple | None:
+        """The policy's next step, or None to stop.
+
+        ``opened`` maps each opened box's directed pair to its revealed value
+        and ``blocked`` holds the matched vertices (so every matched edge's
+        two pairs).  Returns ("open", pair, index) for the unopened box of
+        highest index, or ("match", pair, value) for the opened box of highest
+        value, whichever is larger (the match on a tie); pairs with a blocked
+        endpoint are out.
+        """
+        best_sigma = best_sigma_pair = None
+        for d in self._by_index:
+            if d not in opened and d[0] not in blocked and d[1] not in blocked:
+                best_sigma, best_sigma_pair = self.sigma[d], d
+                break
+        best_val = best_val_pair = None
+        for d, v in opened.items():
+            if d[0] in blocked or d[1] in blocked:
+                continue
+            if best_val is None or v > best_val or (v == best_val and d < best_val_pair):
+                best_val, best_val_pair = v, d
+        candidates = [x for x in (best_sigma, best_val) if x is not None]
+        if not candidates or max(candidates) <= 0:
+            return None
+        if best_sigma is not None and (best_val is None or best_sigma > best_val):
+            return "open", best_sigma_pair, best_sigma
+        return "match", best_val_pair, best_val
 
     def endpoint_values(self, realization: Realization) -> dict:
         vals = {}
@@ -229,32 +263,14 @@ class VertexBasedDescendingRunner:
         value = ZERO
         steps: list = []
         time = 0
-        while True:
-            best_sigma = best_sigma_pair = None
-            best_val = best_val_pair = None
-            for e in self.inst.edges:
-                if e.id in matched or e.i in blocked or e.j in blocked:
-                    continue
-                for d in e.directions():
-                    if d in opened:
-                        v = opened[d]
-                        if best_val is None or v > best_val or (v == best_val and d < best_val_pair):
-                            best_val, best_val_pair = v, d
-                    else:
-                        s = self.sigma[d]
-                        if best_sigma is None or s > best_sigma or (s == best_sigma and d < best_sigma_pair):
-                            best_sigma, best_sigma_pair = s, d
-            candidates = [x for x in (best_sigma, best_val) if x is not None]
-            if not candidates or max(candidates) <= 0:
-                break
-            if best_sigma is not None and (best_val is None or best_sigma > best_val):
-                pair = best_sigma_pair
+        while (step := self._next(opened, blocked)) is not None:
+            kind, pair, key = step
+            if kind == "open":
                 costs += self.cost[pair]
                 opened[pair] = vals[pair]
                 if record_steps:
-                    steps.append((time, "open", pair, best_sigma))
+                    steps.append((time, "open", pair, key))
             else:
-                pair = best_val_pair
                 partner = (pair[1], pair[0])
                 if partner not in opened:
                     costs += self.cost[partner]
@@ -264,9 +280,45 @@ class VertexBasedDescendingRunner:
                 blocked.update(eid)
                 value += vals[pair] + vals[partner]
                 if record_steps:
-                    steps.append((time, "match", eid, best_val))
+                    steps.append((time, "match", eid, key))
             time += 1
         return RunTrace(set(opened), frozenset(matched), costs, value, value - costs, steps)
+
+    def exact_welfare(self) -> Fraction:
+        """Exact expected welfare by expanding the policy's decision tree.
+
+        ``_next`` reads only the revealed values and the blocked vertices, and
+        endpoint boxes are independent, so an open step pays the box's cost
+        and branches over the box's law.  A match step adds both values; if
+        the partner box is still closed it pays the partner's cost and adds
+        its mean instead of its draw, since a matched edge's endpoints are
+        blocked and its boxes never steer a later step (so the match has one
+        child, without the dead pairs).  An explicit stack of (probability,
+        revealed values, blocked vertices) holds the open nodes.
+        """
+        total = ZERO
+        stack = [(ONE, {}, frozenset())]
+        while stack:
+            prob, opened, blocked = stack.pop()
+            step = self._next(opened, blocked)
+            if step is None:
+                continue
+            kind, pair, _ = step
+            if kind == "open":
+                total -= prob * self.cost[pair]
+                stack.extend((prob * p, {**opened, pair: v}, blocked)
+                             for v, p in self.dist[pair].atoms)
+                continue
+            partner = (pair[1], pair[0])
+            if partner in opened:
+                gain = opened[pair] + opened[partner]
+            else:
+                gain = opened[pair] + self.dist[partner].expectation() - self.cost[partner]
+            total += prob * gain
+            blocked = blocked.union(pair)
+            stack.append((prob, {d: v for d, v in opened.items() if blocked.isdisjoint(d)},
+                          blocked))
+        return total
 
 
 def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
@@ -300,6 +352,9 @@ def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> F
     if isinstance(runner, DescendingRunner):
         _require_within_bound(inst.realization_count(), enum_bound)
         return kappa_welfare(inst, runner.kappa_laws())
+    if isinstance(runner, VertexBasedDescendingRunner):
+        _require_within_bound(inst.realization_count(), enum_bound)
+        return runner.exact_welfare()
     total = ZERO
     for _, prob, trace in enumerate_runs(inst, runner, enum_bound):
         total += prob * trace.welfare

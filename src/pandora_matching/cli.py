@@ -142,6 +142,8 @@ def cmd_run(args) -> int:
     if args.trace_seed is not None and args.policy == "randomized":
         raise CliError("--trace-seed needs one runner; randomized draws an orientation "
                        "per realization")
+    if args.trace_seed is not None and args.format == "csv":
+        raise CliError("--trace-seed needs --format json; the CSV row has no trace")
     if args.mode == "montecarlo":
         if args.policy == "best-of-two":
             raise CliError("best-of-two has no Monte Carlo mode; it compares the exact "

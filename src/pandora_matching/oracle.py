@@ -53,11 +53,21 @@ def max_weight_matching(weights: Mapping[EdgeId, Fraction | int],
     """Best matching by brute force; edges with weight <= 0 are never used.
 
     Weights are Fractions or ints; ``zero`` is the empty matching's total,
-    so pass 0 with int weights to keep the total an int.
+    so pass 0 with int weights to keep the total an int.  When no two
+    positive edges are disjoint (a star, or at most three vertices) the
+    best matching is the heaviest edge; the search below would keep the
+    largest edge id among equal weights, and so does the shortcut.
     """
     edges = sorted(eid for eid, w in weights.items() if w > 0)
     if len(edges) > MATCHING_EDGE_LIMIT:
         raise InstanceError(f"brute-force matching limited to {MATCHING_EDGE_LIMIT} edges")
+    if not edges:
+        return frozenset(), zero
+    u, v = edges[0]
+    if (all(u in e for e in edges) or all(v in e for e in edges)
+            or len({x for e in edges for x in e}) <= 3):
+        eid = max(edges, key=lambda e: (weights[e], e))
+        return frozenset((eid,)), zero + weights[eid]
 
     best_set: frozenset = frozenset()
     best_total = zero

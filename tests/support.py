@@ -145,6 +145,30 @@ def joint_batch(count: int, base_seed: int = 9000) -> list[MatchingInstance]:
     return [rand_joint_instance(SplitMix64(base_seed + k)) for k in range(count)]
 
 
+def reference_max_weight_matching(weights, zero=Fraction(0)):
+    """Best matching by plain recursion over the positive edges in id order.
+
+    The search ``oracle.max_weight_matching`` runs on graphs with two
+    disjoint positive edges, kept whole as the reference for its shortcut:
+    the first matching found with a strictly larger total wins.
+    """
+    edges = sorted(eid for eid, w in weights.items() if w > 0)
+    best = [frozenset(), zero]
+
+    def recurse(k, used, chosen, total):
+        if total > best[1]:
+            best[:] = [frozenset(chosen), total]
+        if k == len(edges):
+            return
+        eid = edges[k]
+        recurse(k + 1, used, chosen, total)
+        if eid[0] not in used and eid[1] not in used:
+            recurse(k + 1, used | set(eid), chosen + [eid], total + weights[eid])
+
+    recurse(0, set(), [], zero)
+    return best[0], best[1]
+
+
 def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                               orientation=None) -> tuple[dict, dict]:
     """The oracle's DP evaluated in Fractions by memoized recursion.

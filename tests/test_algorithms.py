@@ -471,6 +471,100 @@ class TestKappaProfileWelfare:
         assert exc.value.size == 2 ** len(inst.edges) * size
 
 
+def vertex_tie_instances() -> list:
+    """Small graphs whose boxes share the index 2, some revealing exactly 2.
+
+    point 2 at cost 0 and {2, 6} at cost 2 reveal a value equal to the
+    other boxes' index; {0, 4} at cost 1 and {-1, 3} at cost 1/2 only tie
+    on the index; {1, 3} at cost 0 has index 3.
+    """
+    pool = [PandoraBox(dist((2, 1)), 0),
+            PandoraBox(dist((2, F(1, 2)), (6, F(1, 2))), 2),
+            PandoraBox(dist((0, F(1, 2)), (4, F(1, 2))), 1),
+            PandoraBox(dist((-1, F(1, 2)), (3, F(1, 2))), F(1, 2)),
+            PandoraBox(dist((1, F(1, 2)), (3, F(1, 2))), 0)]
+    graphs = [[("a", "b"), ("b", "c")], [("a", "b"), ("a", "c"), ("a", "d")],
+              [("a", "b"), ("a", "c"), ("b", "c")], [("a", "b"), ("c", "d")],
+              [("a", "b"), ("b", "c"), ("c", "d")]]
+    rng = SplitMix64(8)
+    out = []
+    for graph in graphs:
+        for _ in range(40):
+            edges = [EdgeSpec.independent(i, j, *(pool[rng.next_below(len(pool))]
+                                                  for _ in range(2))) for i, j in graph]
+            out.append(MatchingInstance({v for e in graph for v in e}, edges))
+    return out
+
+
+def rebuilt(inst, box) -> MatchingInstance:
+    """inst with every endpoint box replaced by box(old box)."""
+    return MatchingInstance(inst.vertices, [
+        EdgeSpec.independent(e.i, e.j, box(e.box_ij), box(e.box_ji)) for e in inst.edges])
+
+
+class TestVertexBasedExact:
+    """The decision-tree expansion equals the welfare of every enumerated run."""
+
+    @staticmethod
+    def assert_expansion_equals_runs(instances):
+        for inst in instances:
+            runner = VertexBasedDescendingRunner(inst)
+            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner)
+
+    def test_seeded_batches(self):
+        self.assert_expansion_equals_runs(
+            [inst for inst in general_batch(200) + positive_batch(100) if inst.all_independent()])
+
+    def test_named_instances(self):
+        self.assert_expansion_equals_runs(
+            [bundled_star(n).instance for n in range(1, 9)]
+            + [no_dessert_star(F(a), m).instance for a in ("1/2", "1/4", "1/8")
+               for m in range(1, 5)]
+            + [no_dessert_edge(F(1, 4)).instance, indistinguishable_edge().instance,
+               MatchingInstance("ab", [])])
+
+    def test_ties(self):
+        # all four boxes have index 2: (a, b) opens first as the smallest
+        # pair, and its revealed 2 equals the best unopened index, so it matches
+        sure = PandoraBox(dist((2, 1)), 0)
+        coin = PandoraBox(dist((0, F(1, 2)), (4, F(1, 2))), 1)
+        low = PandoraBox(dist((-1, F(1, 2)), (3, F(1, 2))), F(1, 2))
+        inst = MatchingInstance("abcd", [EdgeSpec.independent("a", "b", sure, coin),
+                                         EdgeSpec.independent("c", "d", coin, low)])
+        runner = VertexBasedDescendingRunner(inst)
+        assert set(runner.sigma.values()) == {2}
+        for _, _, trace in enumerate_runs(inst, runner, record_steps=True):
+            assert trace.steps[:2] == [(0, "open", ("a", "b"), 2), (1, "match", ("a", "b"), 2)]
+        self.assert_expansion_equals_runs([inst] + vertex_tie_instances())
+
+    def test_zero_cost_and_single_atom_boxes(self):
+        batch = general_batch(60)
+        self.assert_expansion_equals_runs(
+            [rebuilt(inst, lambda b: PandoraBox(b.dist, 0)) for inst in batch]
+            + [rebuilt(inst, lambda b: PandoraBox(dist((b.dist.atoms[-1][0], 1)), b.cost))
+               for inst in batch])
+
+    def test_bound_counts_realizations(self):
+        inst = no_dessert_star(F(1, 2), 2).instance
+        size = inst.realization_count()
+        runner = VertexBasedDescendingRunner(inst)
+        assert expected_welfare_exact(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
+        with pytest.raises(EnumerationBoundError) as exc:
+            expected_welfare_exact(inst, runner, enum_bound=size - 1)
+        assert exc.value.size == size
+
+    def test_long_path_needs_no_recursion(self):
+        # 500 single-atom edges: one realization, about 1,000 steps in a row
+        box = PandoraBox(dist((1, 1)), F(1, 4))
+        names = [f"v{k:03d}" for k in range(501)]
+        inst = MatchingInstance(names, [EdgeSpec.independent(u, v, box, box)
+                                        for u, v in zip(names, names[1:])])
+        runner = VertexBasedDescendingRunner(inst)
+        trace = runner.run({eid: 0 for eid in inst.edge_ids})
+        assert len(trace.matched) == 250
+        assert expected_welfare_exact(inst, runner) == trace.welfare == 250 * F(3, 2)
+
+
 class TestExactWelfareGolden:
     """Exact welfare of every policy, captured from the stage-by-stage simulation."""
 

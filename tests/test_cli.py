@@ -284,6 +284,8 @@ class TestInputErrors:
          "--trials applies only to --mode montecarlo"),
         (["run", "--instance", "{missing}", "--policy", "randomized", "--mode", "exact",
           "--trials", "10"], "--trials applies only to --mode montecarlo"),
+        (["run", "--instance", "{missing}", "--policy", "bundled", "--trace-seed", "3",
+          "--format", "csv"], "--trace-seed needs --format json"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
@@ -292,7 +294,7 @@ class TestInputErrors:
             "run-bundled-orientation", "run-best-of-two-orientation",
             "run-randomized-trace-seed", "oracle-bundled-orientation",
             "oracle-free-orientation", "exact-seed", "exact-seed-trials-zero",
-            "exact-trials-negative", "exact-trials"])
+            "exact-trials-negative", "exact-trials", "trace-seed-csv"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}

@@ -38,6 +38,7 @@ from support import (
     positive_batch,
     rand_box,
     rand_instance,
+    reference_max_weight_matching,
     reference_optimal_welfare,
 )
 from test_distributions import dist
@@ -74,6 +75,44 @@ class TestMaxWeightMatching:
             m, total = max_weight_matching(given, zero=0)
             assert type(total) is int
             assert (m, total) == max_weight_matching({e: F(w) for e, w in given.items()})
+
+
+def matching_graphs(rng: SplitMix64) -> list:
+    """Stars (hub first or last in id order), triangles, paths and small graphs."""
+    graphs = [[]]
+    for k in range(1, 8):
+        graphs.append([("h", f"l{t}") for t in range(k)])
+        graphs.append([(f"a{t}", "z") for t in range(k)])
+    graphs.append([("a", "b"), ("a", "c"), ("b", "c")])
+    graphs.append([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
+    for _ in range(20):
+        pool = "abcdef"[:3 + rng.next_below(4)]
+        edges = {(min(u, v), max(u, v)) for u in pool for v in pool
+                 if u != v and rng.next_below(2)}
+        graphs.append(sorted(edges))
+    return graphs
+
+
+class TestMatchingShortcut:
+    """The heaviest-edge shortcut returns what the full search returns."""
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    def test_equals_recursion(self, kind):
+        rng = SplitMix64(77)
+        values = [-1, 0, 1, 2, 2, 3] if kind == "int" else [F(-1), F(0), F(1, 2), F(2), F(7, 3)]
+        zero = 0 if kind == "int" else F(0)
+        for graph in matching_graphs(rng):
+            for _ in range(30):
+                weights = {e: values[rng.next_below(len(values))] for e in graph}
+                got = max_weight_matching(weights, zero=zero)
+                assert got == reference_max_weight_matching(weights, zero=zero), weights
+                assert type(got[1]) is type(zero)
+
+    def test_ties_keep_the_largest_edge_id(self):
+        star = {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 1}
+        assert max_weight_matching(star, zero=0) == (frozenset({("b", "h")}), 2)
+        triangle = {("a", "b"): F(3), ("a", "c"): F(3), ("b", "c"): F(3)}
+        assert max_weight_matching(triangle) == (frozenset({("b", "c")}), 3)
 
 
 class TestGreedyMatching:
