@@ -1,6 +1,7 @@
 """Exact toolkit for two-sided matching with Pandora-box inspection costs."""
 
 from .algorithms import (
+    DecisionRunner,
     DescendingRunner,
     EnumerationBoundError,
     RunTrace,

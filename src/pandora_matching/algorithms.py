@@ -1,12 +1,12 @@
 """Matching policies: run on one realization or evaluate exactly.
 
-Every policy is a runner object with ``run(realization) -> RunTrace``; a
-realization assigns each edge one row of its joint outcome table.  Exact
-expectations of descending runners sum greedy totals over the product of
-the per-edge capped-value laws; the vertex-based runner expands its own
-decision tree over the endpoint-box laws; other runners enumerate the
-product outcome space.  Monte Carlo draws seeded samples from the splitmix64
-stream, tallies them, and runs each distinct sample once.
+Every policy is a runner object with ``run(realization) -> RunTrace`` and
+``exact_welfare()``; a realization assigns each edge one row of its joint
+outcome table.  Descending runners sum greedy totals over the product of
+the per-edge capped-value laws; ``DecisionRunner`` subclasses (vertex-based
+descending and the single-box policies of ``repro``) expand their own
+decision tree over the endpoint-box laws.  Monte Carlo draws seeded samples
+from the splitmix64 stream, tallies them, and runs each distinct sample once.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ class EnumerationBoundError(RuntimeError):
     """Exact evaluation would exceed the enumeration bound."""
 
     def __init__(self, size: int, bound: int):
-        super().__init__(
-            f"exact enumeration needs {size} weighted outcomes, above the bound "
-            f"of {bound}; raise the bound (--enum-bound / {ENUM_BOUND_ENV}) or "
-            f"use Monte Carlo mode"
-        )
+        super().__init__(f"exact enumeration needs {size} weighted outcomes, "
+                         f"above the bound of {bound}")
         self.size = size
         self.bound = bound
 
@@ -167,6 +164,10 @@ class DescendingRunner:
         """Each edge's ``EdgeBasket.kappa_law``."""
         return {eid: c.kappa_law for eid, c in self.baskets.items()}
 
+    def exact_welfare(self) -> Fraction:
+        """Greedy totals over the product of the baskets' capped-value laws."""
+        return kappa_welfare(self.inst, self.kappa_laws())
+
     def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
         return all(check_non_exposure(nt, self.baskets[eid].basket)
                    for eid, nt in trace.nested_traces.items())
@@ -182,62 +183,33 @@ class DescendingRunner:
                         res.claimed_value, res.welfare, res.steps, res.traces)
 
 
-class VertexBasedDescendingRunner:
-    """Descending over single-box indices and revealed endpoint values.
+class DecisionRunner:
+    """A policy that decides each step from the revealed endpoint values.
 
-    Considers the highest index among unopened boxes of feasible edges and
-    the highest revealed value among opened ones; opens while the index is
-    strictly larger, otherwise matches the edge of the best revealed value
-    (opening its partner box if needed).  Stops once the best candidate is
-    not positive.  Ties go to the smaller directed pair.  Only defined when
-    endpoint boxes are independent.
+    Subclasses define only ``_next(opened, blocked)``: ``opened`` maps each
+    opened box's directed pair to its revealed value and ``blocked`` holds
+    the matched vertices.  It returns None to stop, ("open", pair, key) to
+    open a closed box, or ("match", pair, key) to match the edge of the
+    opened box ``pair``, opening its partner box if needed.  ``key`` only
+    labels the recorded step.  ``_next`` must ignore every box with a
+    blocked endpoint: after a match ``exact_welfare`` drops those boxes'
+    revealed values (``run`` keeps them).  Only defined when endpoint boxes
+    are independent.
     """
+
+    policy = "single-box decision policy"
 
     def __init__(self, inst: MatchingInstance):
         if not inst.all_independent():
-            raise UnsupportedModelError(
-                "vertex-based descending needs independent endpoint boxes"
-            )
+            raise UnsupportedModelError(f"{self.policy} needs independent endpoint boxes")
         self.inst = inst
-        self.sigma = {}
         self.cost = {}
         self.dist = {}
         for e in inst.edges:
             for d in e.directions():
                 box = e.box(d)
-                self.sigma[d] = weitzman_index(box)
                 self.cost[d] = box.cost
                 self.dist[d] = box.dist
-        # every directed pair, highest index first, ties to the smaller pair
-        self._by_index = sorted(self.sigma, key=lambda d: (-self.sigma[d], d))
-
-    def _next(self, opened: dict, blocked) -> tuple | None:
-        """The policy's next step, or None to stop.
-
-        ``opened`` maps each opened box's directed pair to its revealed value
-        and ``blocked`` holds the matched vertices (so every matched edge's
-        two pairs).  Returns ("open", pair, index) for the unopened box of
-        highest index, or ("match", pair, value) for the opened box of highest
-        value, whichever is larger (the match on a tie); pairs with a blocked
-        endpoint are out.
-        """
-        best_sigma = best_sigma_pair = None
-        for d in self._by_index:
-            if d not in opened and d[0] not in blocked and d[1] not in blocked:
-                best_sigma, best_sigma_pair = self.sigma[d], d
-                break
-        best_val = best_val_pair = None
-        for d, v in opened.items():
-            if d[0] in blocked or d[1] in blocked:
-                continue
-            if best_val is None or v > best_val or (v == best_val and d < best_val_pair):
-                best_val, best_val_pair = v, d
-        candidates = [x for x in (best_sigma, best_val) if x is not None]
-        if not candidates or max(candidates) <= 0:
-            return None
-        if best_sigma is not None and (best_val is None or best_sigma > best_val):
-            return "open", best_sigma_pair, best_sigma
-        return "match", best_val_pair, best_val
 
     def endpoint_values(self, realization: Realization) -> dict:
         vals = {}
@@ -246,13 +218,6 @@ class VertexBasedDescendingRunner:
             vals[(e.i, e.j)] = o.v_i
             vals[(e.j, e.i)] = o.v_j
         return vals
-
-    def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
-        """No opened box showed a value above its index on an unmatched edge."""
-        values = self.endpoint_values(realization)
-        return not any(values[(u, v)] > self.sigma[(u, v)]
-                       and (min(u, v), max(u, v)) not in trace.matched
-                       for u, v in trace.inspected)
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
         vals = self.endpoint_values(realization)
@@ -321,6 +286,56 @@ class VertexBasedDescendingRunner:
         return total
 
 
+class VertexBasedDescendingRunner(DecisionRunner):
+    """Descending over single-box indices and revealed endpoint values.
+
+    Considers the highest index among unopened boxes of feasible edges and
+    the highest revealed value among opened ones; opens while the index is
+    strictly larger, otherwise matches the edge of the best revealed value
+    (opening its partner box if needed).  Stops once the best candidate is
+    not positive.  Ties go to the smaller directed pair.
+    """
+
+    policy = "vertex-based descending"
+
+    def __init__(self, inst: MatchingInstance):
+        super().__init__(inst)
+        self.sigma = {d: weitzman_index(e.box(d))
+                      for e in inst.edges for d in e.directions()}
+        # every directed pair, highest index first, ties to the smaller pair
+        self._by_index = sorted(self.sigma, key=lambda d: (-self.sigma[d], d))
+
+    def _next(self, opened: dict, blocked) -> tuple | None:
+        """("open", pair, index) for the unopened box of highest index, or
+        ("match", pair, value) for the opened box of highest value, whichever
+        is larger (the match on a tie); pairs with a blocked endpoint are out.
+        """
+        best_sigma = best_sigma_pair = None
+        for d in self._by_index:
+            if d not in opened and d[0] not in blocked and d[1] not in blocked:
+                best_sigma, best_sigma_pair = self.sigma[d], d
+                break
+        best_val = best_val_pair = None
+        for d, v in opened.items():
+            if d[0] in blocked or d[1] in blocked:
+                continue
+            if best_val is None or v > best_val or (v == best_val and d < best_val_pair):
+                best_val, best_val_pair = v, d
+        candidates = [x for x in (best_sigma, best_val) if x is not None]
+        if not candidates or max(candidates) <= 0:
+            return None
+        if best_sigma is not None and (best_val is None or best_sigma > best_val):
+            return "open", best_sigma_pair, best_sigma
+        return "match", best_val_pair, best_val
+
+    def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
+        """No opened box showed a value above its index on an unmatched edge."""
+        values = self.endpoint_values(realization)
+        return not any(values[(u, v)] > self.sigma[(u, v)]
+                       and (min(u, v), max(u, v)) not in trace.matched
+                       for u, v in trace.inspected)
+
+
 def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
                    record_steps: bool = False):
     """Yield (realization, prob, trace) over the whole outcome space."""
@@ -349,16 +364,8 @@ def kappa_welfare(inst: MatchingInstance, laws: dict) -> Fraction:
 
 def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> Fraction:
     """Exact expected welfare; the bound counts realizations for every runner."""
-    if isinstance(runner, DescendingRunner):
-        _require_within_bound(inst.realization_count(), enum_bound)
-        return kappa_welfare(inst, runner.kappa_laws())
-    if isinstance(runner, VertexBasedDescendingRunner):
-        _require_within_bound(inst.realization_count(), enum_bound)
-        return runner.exact_welfare()
-    total = ZERO
-    for _, prob, trace in enumerate_runs(inst, runner, enum_bound):
-        total += prob * trace.welfare
-    return total
+    _require_within_bound(inst.realization_count(), enum_bound)
+    return runner.exact_welfare()
 
 
 # Distinct samples Monte Carlo keeps at a time (a chunk's tally, and the

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import repro
 from .algorithms import (
+    ENUM_BOUND_ENV,
     POLICY_NAMES,
     EnumerationBoundError,
     UnsupportedModelError,
@@ -198,7 +199,7 @@ def cmd_run(args) -> int:
             doc["welfare"] = _estimate_doc(args, value, stderr)
     if args.trace_seed is not None:
         realization = sample_realization(outcome_cuts(inst), SplitMix64(args.trace_seed))
-        trace = runner.run(realization, record_steps=True)
+        trace = runner.run(realization)
         doc["sample_trace"] = _trace_doc(inst, realization, trace)
 
     ratio = ""
@@ -355,13 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bound_advice(args) -> str:
+    """The remedies for an exceeded enumeration bound that this command offers."""
+    if args.command == "repro":
+        return f"raise the bound ({ENUM_BOUND_ENV})"
+    advice = f"raise the bound (--enum-bound / {ENUM_BOUND_ENV})"
+    if args.command == "run" and args.policy != "best-of-two":
+        advice += " or use Monte Carlo mode"
+    return advice
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except EnumerationBoundError as exc:
+        print(f"error: {exc}; {_bound_advice(args)}", file=sys.stderr)
+        return 2
     except (CliError, InstanceError, RationalParseError, UnsupportedModelError,
-            EnumerationBoundError, StateBoundError, ValueError) as exc:
+            StateBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import DescendingRunner, RunTrace, expected_welfare_exact
+from .algorithms import DecisionRunner, DescendingRunner, expected_welfare_exact
 from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution, ZERO
 from .instance import EdgeSpec, MatchingInstance, Orientation
@@ -42,86 +42,68 @@ class ReportRow:
 # Explicit strategies used by the tables
 # ---------------------------------------------------------------------------
 
-class _StrategyBase:
-    """Hand-written inspection strategies; each run returns a RunTrace."""
+class _SingleEdgeStrategy(DecisionRunner):
+    """A policy on a one-edge instance; ``ij`` and ``ji`` are its two boxes."""
 
     def __init__(self, inst: MatchingInstance):
-        self.inst = inst
+        super().__init__(inst)
+        (e,) = inst.edges
+        self.ij, self.ji = e.directions()
 
-    def _outcome(self, realization, eid):
-        return self.inst.edge(eid).outcomes[realization[eid]]
 
-
-class InspectIFirstStrategy(_StrategyBase):
+class InspectIFirstStrategy(_SingleEdgeStrategy):
     """Open the i-side box; continue to j and match only on a positive value."""
 
-    def run(self, realization, record_steps=False) -> RunTrace:
-        (eid,) = self.inst.edge_ids
-        e = self.inst.edge(eid)
-        o = self._outcome(realization, eid)
-        inspected = {(e.i, e.j)}
-        costs = e.cost_ij
-        if o.v_i > 0:
-            inspected.add((e.j, e.i))
-            costs += e.cost_ji
-            return RunTrace(inspected, frozenset([eid]), costs, o.total, o.total - costs)
-        return RunTrace(inspected, frozenset(), costs, ZERO, -costs)
+    def _next(self, opened, blocked):
+        if blocked:
+            return None
+        if self.ij not in opened:
+            return "open", self.ij, None
+        v = opened[self.ij]
+        return ("match", self.ij, v) if v > 0 else None
 
 
-class InspectJThenIStrategy(_StrategyBase):
+class InspectJThenIStrategy(_SingleEdgeStrategy):
     """Open j then i unconditionally; match iff the total is positive."""
 
-    def run(self, realization, record_steps=False) -> RunTrace:
-        (eid,) = self.inst.edge_ids
-        e = self.inst.edge(eid)
-        o = self._outcome(realization, eid)
-        inspected = {(e.j, e.i), (e.i, e.j)}
-        costs = e.cost_ij + e.cost_ji
-        if o.total > 0:
-            return RunTrace(inspected, frozenset([eid]), costs, o.total, o.total - costs)
-        return RunTrace(inspected, frozenset(), costs, ZERO, -costs)
+    def _next(self, opened, blocked):
+        if blocked:
+            return None
+        for d in (self.ji, self.ij):
+            if d not in opened:
+                return "open", d, None
+        total = opened[self.ij] + opened[self.ji]
+        return ("match", self.ij, total) if total > 0 else None
 
 
-class InspectJOnlyStrategy(_StrategyBase):
+class InspectJOnlyStrategy(_SingleEdgeStrategy):
     """Open the j-side box and stop."""
 
-    def run(self, realization, record_steps=False) -> RunTrace:
-        (eid,) = self.inst.edge_ids
-        e = self.inst.edge(eid)
-        inspected = {(e.j, e.i)}
-        return RunTrace(inspected, frozenset(), e.cost_ji, ZERO, -e.cost_ji)
+    def _next(self, opened, blocked):
+        return None if self.ji in opened else ("open", self.ji, None)
 
 
-class InspectAllCentersStrategy(_StrategyBase):
+class InspectAllCentersStrategy(DecisionRunner):
     """Star policy: open every center box, complete and match the first hit."""
 
     def __init__(self, inst: MatchingInstance, center: str, high_value: Fraction):
         super().__init__(inst)
-        self.center = center
         self.high = Fraction(high_value)
+        self.center_pairs = [(center, e.j if e.i == center else e.i) for e in inst.edges]
 
-    def run(self, realization, record_steps=False) -> RunTrace:
-        inspected = set()
-        costs = ZERO
-        hit = None
-        for eid in self.inst.edge_ids:
-            e = self.inst.edge(eid)
-            leaf = e.j if e.i == self.center else e.i
-            o = self._outcome(realization, eid)
-            center_value = o.v_i if e.i == self.center else o.v_j
-            inspected.add((self.center, leaf))
-            costs += e.cost((self.center, leaf))
-            if hit is None and center_value == self.high:
-                hit = (eid, leaf, o.total)
-        if hit is None:
-            return RunTrace(inspected, frozenset(), costs, ZERO, -costs)
-        eid, leaf, total = hit
-        inspected.add((leaf, self.center))
-        costs += self.inst.edge(eid).cost((leaf, self.center))
-        return RunTrace(inspected, frozenset([eid]), costs, total, total - costs)
+    def _next(self, opened, blocked):
+        if blocked:
+            return None
+        for d in self.center_pairs:
+            if d not in opened:
+                return "open", d, None
+        for d in self.center_pairs:
+            if opened[d] == self.high:
+                return "match", d, self.high
+        return None
 
 
-class IterateCopiesStrategy(_StrategyBase):
+class IterateCopiesStrategy(DecisionRunner):
     """Star policy: probe copies leaf-side first, fall back to the outside edge.
 
     For each copy in edge order, open the leaf-side box; if it shows the
@@ -132,54 +114,28 @@ class IterateCopiesStrategy(_StrategyBase):
     def __init__(self, inst: MatchingInstance, center: str, outside: str,
                  success_value: Fraction):
         super().__init__(inst)
-        self.center = center
-        self.outside_edge = tuple(sorted((center, outside)))
+        self.outside = (center, outside)
         self.success = Fraction(success_value)
+        outside_edge = tuple(sorted(self.outside))
+        self.copies = [(e.j if e.i == center else e.i, center) for e in inst.edges
+                       if e.id != outside_edge]
 
-    def run(self, realization, record_steps=False) -> RunTrace:
-        inspected = set()
-        costs = ZERO
-        for eid in self.inst.edge_ids:
-            if eid == self.outside_edge:
+    def _next(self, opened, blocked):
+        if blocked:
+            return None
+        for leaf_pair in self.copies:
+            if leaf_pair not in opened:
+                return "open", leaf_pair, None
+            if opened[leaf_pair] != 0:
                 continue
-            e = self.inst.edge(eid)
-            leaf = e.j if e.i == self.center else e.i
-            o = self._outcome(realization, eid)
-            leaf_value = o.v_i if e.i == leaf else o.v_j
-            center_value = o.v_i if e.i == self.center else o.v_j
-            inspected.add((leaf, self.center))
-            costs += e.cost((leaf, self.center))
-            if leaf_value != 0:
-                continue
-            inspected.add((self.center, leaf))
-            costs += e.cost((self.center, leaf))
-            if center_value == self.success:
-                return RunTrace(inspected, frozenset([eid]), costs, o.total,
-                                o.total - costs)
-        e = self.inst.edge(self.outside_edge)
-        o = self._outcome(realization, self.outside_edge)
-        for d in e.directions():
-            inspected.add(d)
-            costs += e.cost(d)
-        return RunTrace(inspected, frozenset([self.outside_edge]), costs, o.total,
-                        o.total - costs)
-
-
-class OpenAllFirstStagesStrategy(_StrategyBase):
-    """Deliberately exposed: open the first box of every oriented edge, stop."""
-
-    def __init__(self, inst: MatchingInstance, orientation: Orientation):
-        super().__init__(inst)
-        self.orientation = orientation
-
-    def run(self, realization, record_steps=False) -> RunTrace:
-        inspected = set()
-        costs = ZERO
-        for eid in self.inst.edge_ids:
-            d = self.orientation.direction_of(eid)
-            inspected.add(d)
-            costs += self.inst.edge(eid).cost(d)
-        return RunTrace(inspected, frozenset(), costs, ZERO, -costs)
+            center_pair = (leaf_pair[1], leaf_pair[0])
+            if center_pair not in opened:
+                return "open", center_pair, None
+            if opened[center_pair] == self.success:
+                return "match", center_pair, self.success
+        if self.outside not in opened:
+            return "open", self.outside, None
+        return "match", self.outside, opened[self.outside]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from pandora_matching.algorithms import DecisionRunner
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.distributions import DiscreteDistribution
-from pandora_matching.instance import EdgeSpec, MatchingInstance
+from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation
 from pandora_matching.rng import SplitMix64
 
 VERTEX_POOL = ("a", "b", "c", "d", "e", "f")
@@ -143,6 +144,20 @@ def positive_batch(count: int, base_seed: int = 5000) -> list[MatchingInstance]:
 
 def joint_batch(count: int, base_seed: int = 9000) -> list[MatchingInstance]:
     return [rand_joint_instance(SplitMix64(base_seed + k)) for k in range(count)]
+
+
+class OpenAllFirstStagesStrategy(DecisionRunner):
+    """Deliberately exposed: open the first box of every oriented edge, stop."""
+
+    def __init__(self, inst: MatchingInstance, orientation: Orientation):
+        super().__init__(inst)
+        self.first = [orientation.direction_of(eid) for eid in inst.edge_ids]
+
+    def _next(self, opened, blocked):
+        for d in self.first:
+            if d not in opened:
+                return "open", d, None
+        return None
 
 
 def reference_max_weight_matching(weights, zero=Fraction(0)):

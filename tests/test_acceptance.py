@@ -31,14 +31,13 @@ from pandora_matching.repro import (
     InspectIFirstStrategy,
     InspectJOnlyStrategy,
     InspectJThenIStrategy,
-    OpenAllFirstStagesStrategy,
     bundled_star,
     indistinguishable_edge,
     no_dessert_edge,
     no_dessert_star,
 )
 
-from support import general_batch, joint_batch, positive_batch
+from support import OpenAllFirstStagesStrategy, general_batch, joint_batch, positive_batch
 
 ALPHAS = (F(1, 2), F(1, 4), F(1, 8))
 

@@ -286,6 +286,9 @@ class TestInputErrors:
           "--trials", "10"], "--trials applies only to --mode montecarlo"),
         (["run", "--instance", "{missing}", "--policy", "bundled", "--trace-seed", "3",
           "--format", "csv"], "--trace-seed needs --format json"),
+        (["repro", "--only", "bundled-star", "--n", "25"],
+         "needs 33554432 weighted outcomes, above the bound of 2000000; "
+         "raise the bound (PANDORA_ENUM_BOUND)"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
@@ -294,7 +297,8 @@ class TestInputErrors:
             "run-bundled-orientation", "run-best-of-two-orientation",
             "run-randomized-trace-seed", "oracle-bundled-orientation",
             "oracle-free-orientation", "exact-seed", "exact-seed-trials-zero",
-            "exact-trials-negative", "exact-trials", "trace-seed-csv"])
+            "exact-trials-negative", "exact-trials", "trace-seed-csv",
+            "repro-enum-bound"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge")}
@@ -307,6 +311,23 @@ class TestInputErrors:
         lines = err.strip().splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error:") and expected in lines[0]
+
+    @pytest.mark.parametrize("command, advice", [
+        (["run", "--policy", "bundled"],
+         "raise the bound (--enum-bound / PANDORA_ENUM_BOUND) or use Monte Carlo mode"),
+        (["run", "--policy", "randomized"],
+         "raise the bound (--enum-bound / PANDORA_ENUM_BOUND) or use Monte Carlo mode"),
+        (["run", "--policy", "best-of-two"],
+         "raise the bound (--enum-bound / PANDORA_ENUM_BOUND)"),
+        (["check"], "raise the bound (--enum-bound / PANDORA_ENUM_BOUND)"),
+    ], ids=["run", "randomized", "best-of-two", "check"])
+    def test_enum_bound_advice_names_only_remedies_the_command_has(
+            self, edge_file, capsys, command, advice):
+        code, out, err = run_cli(capsys, *command, "--instance", edge_file, "--enum-bound", "1")
+        lines = err.strip().splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: exact enumeration needs ")
+        assert lines[0].endswith(f"above the bound of 1; {advice}")
 
     @pytest.mark.parametrize("env, expected", [
         ("-5", "PANDORA_ENUM_BOUND must be at least 1, got -5"),

@@ -3,8 +3,21 @@ from fractions import Fraction as F
 import pytest
 
 from pandora_matching import repro
+from pandora_matching.algorithms import (
+    UnsupportedModelError,
+    assert_valid_trace,
+    enumerate_runs,
+    expected_welfare_exact,
+)
+from pandora_matching.distributions import ZERO
+from pandora_matching.instance import EdgeSpec, MatchingInstance, canonical_orientation
 from pandora_matching.oracle import optimal_welfare
 from pandora_matching.repro import (
+    InspectAllCentersStrategy,
+    InspectIFirstStrategy,
+    InspectJOnlyStrategy,
+    InspectJThenIStrategy,
+    IterateCopiesStrategy,
     NamedInstance,
     ReportRow,
     bundled_star,
@@ -13,6 +26,8 @@ from pandora_matching.repro import (
     no_dessert_star,
     report,
 )
+
+from support import OpenAllFirstStagesStrategy, general_batch
 
 
 class TestNamedInstances:
@@ -49,6 +64,47 @@ class TestNamedInstances:
         inst = no_dessert_star(F(1, 2), 3).instance
         assert len(inst.edges) == 4
         assert all("i" in e.id for e in inst.edges)
+
+
+def strategy_cases():
+    """(label, instance, strategy) for every single-box strategy the tables use."""
+    for n in range(1, 9):
+        inst = bundled_star(n).instance
+        yield f"all-centers n={n}", inst, InspectAllCentersStrategy(inst, "u", F(n))
+    inst = indistinguishable_edge().instance
+    for cls in (InspectIFirstStrategy, InspectJThenIStrategy, InspectJOnlyStrategy):
+        yield cls.__name__, inst, cls(inst)
+    for alpha in (F(1, 2), F(1, 4), F(1, 8)):
+        for m in range(4):
+            inst = no_dessert_star(alpha, m).instance
+            yield (f"iterate-copies alpha={alpha} m={m}", inst,
+                   IterateCopiesStrategy(inst, "i", "k", alpha ** -3))
+    for k, inst in enumerate(general_batch(40)):
+        o = canonical_orientation(inst)
+        yield f"open-first {k}", inst, OpenAllFirstStagesStrategy(inst, o)
+        yield f"open-first-reverse {k}", inst, OpenAllFirstStagesStrategy(inst, o.reverse())
+
+
+class TestDecisionRunnerStrategies:
+    """Each strategy's decision-tree expansion against its run on every realization."""
+
+    def test_exact_welfare_equals_every_run(self):
+        for label, inst, strategy in strategy_cases():
+            simulated = ZERO
+            for realization, prob, trace in enumerate_runs(inst, strategy):
+                assert_valid_trace(trace, inst, realization)
+                simulated += prob * trace.welfare
+            assert expected_welfare_exact(inst, strategy) == simulated, label
+
+    def test_joint_form_rejected(self):
+        inst = MatchingInstance("ik", [EdgeSpec.joint("i", "k", 1, 1, [("x", "y", F(2), F(1))])])
+        builders = [InspectIFirstStrategy, InspectJThenIStrategy, InspectJOnlyStrategy,
+                    lambda inst: InspectAllCentersStrategy(inst, "i", F(2)),
+                    lambda inst: IterateCopiesStrategy(inst, "i", "k", F(2)),
+                    lambda inst: OpenAllFirstStagesStrategy(inst, canonical_orientation(inst))]
+        for build in builders:
+            with pytest.raises(UnsupportedModelError, match="independent endpoint boxes"):
+                build(inst)
 
 
 class TestReport:
