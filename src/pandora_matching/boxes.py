@@ -7,11 +7,12 @@ inspection cost; the capped value of an outcome is min(value, index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import DiscreteDistribution, ZERO
-from .rationals import format_rational, parse_rational
+from .distributions import DiscreteDistribution
+from .rationals import as_fraction, format_rational, json_object, parse_rational
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,8 @@ class PandoraBox:
     cost: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", Fraction(self.cost))
-        if self.cost < 0:
+        object.__setattr__(self, "cost", as_fraction(self.cost))
+        if self.cost.numerator < 0:
             raise ValueError(f"inspection cost must be >= 0, got {self.cost}")
 
     def to_json_obj(self) -> dict:
@@ -31,6 +32,7 @@ class PandoraBox:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PandoraBox":
+        obj = json_object(obj)
         return cls(DiscreteDistribution.from_json_obj(obj["dist"]), parse_rational(obj["cost"]))
 
 
@@ -42,17 +44,27 @@ def weitzman_index(box: PandoraBox) -> Fraction:
     linear piece that brackets the cost.  For cost == 0 the solution set is
     [max support, infinity); the smallest solution (max support) is returned.
     """
-    atoms_desc = tuple(reversed(box.dist.atoms))
-    if box.cost == 0:
-        return atoms_desc[0][0]
-    head_prob = ZERO
-    head_mass = ZERO  # sum of value * prob over the atoms above the piece
-    n = len(atoms_desc)
-    for k, (value, prob) in enumerate(atoms_desc):
-        head_prob += prob
-        head_mass += value * prob
-        # On the piece below this atom, surplus(t) = head_mass - t * head_prob.
-        t = (head_mass - box.cost) / head_prob
-        if k + 1 == n or t >= atoms_desc[k + 1][0]:
-            return t
+    atoms = box.dist.atoms
+    cost = box.cost
+    if cost.numerator == 0:
+        return atoms[-1][0]
+    # Exact integer arithmetic: values are scaled by their common denominator
+    # vden (shared with the cost), probabilities by theirs, pden, and the
+    # cost by both.
+    vden = math.lcm(cost.denominator, *(v.denominator for v, _ in atoms))
+    pden = math.lcm(*(p.denominator for _, p in atoms))
+    c = cost.numerator * (vden // cost.denominator) * pden
+    head_prob = 0  # sum of the atoms' probabilities above the piece, times pden
+    head_mass = 0  # sum of value * prob over those atoms, times vden * pden
+    values = [v.numerator * (vden // v.denominator) for v, _ in atoms]
+    for k in range(len(atoms) - 1, -1, -1):
+        p = atoms[k][1]
+        w = p.numerator * (pden // p.denominator)
+        head_prob += w
+        head_mass += values[k] * w
+        # On the piece below this atom, surplus(t) = head_mass - t * head_prob,
+        # so t = (head_mass - c) / (vden * head_prob); it is the solution if
+        # it lies at or above the next atom down.
+        if k == 0 or head_mass - c >= values[k - 1] * head_prob:
+            return Fraction(head_mass - c, vden * head_prob)
     raise AssertionError("unreachable: surplus is unbounded below")

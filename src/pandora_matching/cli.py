@@ -71,7 +71,9 @@ def _load(path: str, what: str, from_json_obj):
     """Read a JSON file into an object; any failure becomes one CliError."""
     try:
         return from_json_obj(load_json(path))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise CliError(f"cannot read {what} {path}: missing key {exc.args[0]!r}") from exc
+    except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -6,10 +6,11 @@ sorted, so two distributions are equal iff they describe the same law.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .rationals import format_rational, parse_rational
+from .rationals import as_fraction, common_sum, exact_sum, format_rational, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -29,26 +30,45 @@ class DiscreteDistribution:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[Tuple[Fraction, Fraction]]):
-        merged: dict[Fraction, Fraction] = {}
+        # Equal values are merged under their (numerator, denominator) key,
+        # which is cheaper to hash than the Fraction and unique because
+        # Fractions are kept in lowest terms.
+        merged: dict[tuple[int, int], list] = {}
         for value, prob in atoms:
-            value = Fraction(value)
-            prob = Fraction(prob)
-            if prob <= 0:
+            value = as_fraction(value)
+            prob = as_fraction(prob)
+            if prob.numerator <= 0:
                 raise DistributionError(f"probability must be positive, got {prob}")
-            merged[value] = merged.get(value, ZERO) + prob
+            key = (value.numerator, value.denominator)
+            slot = merged.get(key)
+            if slot is None:
+                merged[key] = [value, prob]
+            else:
+                slot[1] += prob
         if not merged:
             raise DistributionError("distribution needs at least one atom")
-        total = sum(merged.values())
-        if total != 1:
-            raise DistributionError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        num, den = common_sum([p for _, p in merged.values()])
+        if num != den:
+            raise DistributionError(
+                f"probabilities sum to {Fraction(num, den)}, expected 1")
+        # Sort on integer numerators over the values' common denominator.
+        scale = math.lcm(*[d for _, d in merged])
+        rows = sorted([(n * (scale // d), slot) for (n, d), slot in merged.items()])
+        object.__setattr__(self, "atoms", tuple((v, p) for _, (v, p) in rows))
+
+    @classmethod
+    def _from_sorted(cls, atoms: tuple) -> "DiscreteDistribution":
+        """Wrap atoms already merged, sorted and summing to 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", atoms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
 
     @classmethod
     def point(cls, value) -> "DiscreteDistribution":
-        return cls([(Fraction(value), ONE)])
+        return cls._from_sorted(((as_fraction(value), ONE),))
 
     def min_value(self) -> Fraction:
         return self.atoms[0][0]
@@ -68,9 +88,27 @@ class DiscreteDistribution:
     def expected_positive_part(self) -> Fraction:
         return self.surplus(ZERO)
 
-    def map_values(self, fn) -> "DiscreteDistribution":
-        """Pushforward under a value transformation (atoms re-merged)."""
-        return DiscreteDistribution((fn(v), p) for v, p in self.atoms)
+    def capped(self, t) -> "DiscreteDistribution":
+        """Law of min(v, t): the atoms at or above t merge into one atom at t."""
+        t = as_fraction(t)
+        atoms = self.atoms
+        k = len(atoms)
+        while k and atoms[k - 1][0] >= t:
+            k -= 1
+        if k == len(atoms):
+            return self
+        return self._from_sorted(atoms[:k] + ((t, exact_sum([p for _, p in atoms[k:]])),))
+
+    def floored(self, t) -> "DiscreteDistribution":
+        """Law of max(v, t): the atoms at or below t merge into one atom at t."""
+        t = as_fraction(t)
+        atoms = self.atoms
+        k = 0
+        while k < len(atoms) and atoms[k][0] <= t:
+            k += 1
+        if k == 0:
+            return self
+        return self._from_sorted(((t, exact_sum([p for _, p in atoms[:k]])),) + atoms[k:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):

@@ -14,12 +14,20 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .boxes import PandoraBox
 from .distributions import DiscreteDistribution, ZERO
 from .nested import AnnotatedBasket, OutcomeNode, PathInfo, annotate
-from .rationals import format_rational, parse_rational
+from .rationals import (
+    as_fraction,
+    common_sum,
+    exact_sum,
+    format_rational,
+    json_object,
+    parse_rational,
+)
 
 EdgeId = tuple[str, str]
 DirectedPair = tuple[str, str]
@@ -62,13 +70,20 @@ class DirectionTable:
 class EdgeBasket:
     """An edge compiled for one direction (or bundled), as runners read it.
 
-    path_of: outcome index -> realized path through the basket.
     opened: the directed pairs inspected, indexed by the stages opened.
+    path_of (built on first use): outcome index -> realized path through
+    the basket; ``path_labels`` gives each outcome's branch labels.
     """
 
     basket: AnnotatedBasket
-    path_of: dict[int, PathInfo]
     opened: tuple[tuple[DirectedPair, ...], ...]
+    path_labels: Callable[[JointOutcome], tuple[str, ...]]
+    outcomes: tuple[JointOutcome, ...]
+
+    @functools.cached_property
+    def path_of(self) -> dict[int, PathInfo]:
+        by_labels = {p.labels: p for p in self.basket.paths}
+        return {k: by_labels[self.path_labels(o)] for k, o in enumerate(self.outcomes)}
 
     @functools.cached_property
     def kappa_law(self) -> DiscreteDistribution:
@@ -77,7 +92,7 @@ class EdgeBasket:
         Greedy never takes a weight <= 0, so the merge leaves every greedy
         total unchanged while it shrinks the profile space.
         """
-        return self.basket.kappa1_distribution().map_values(lambda v: max(v, ZERO))
+        return self.basket.kappa1_distribution().floored(ZERO)
 
 
 class EdgeSpec:
@@ -98,8 +113,8 @@ class EdgeSpec:
             raise InstanceError("endpoints must be passed in sorted order")
         self.i = i
         self.j = j
-        self.cost_ij = Fraction(cost_ij)
-        self.cost_ji = Fraction(cost_ji)
+        self.cost_ij = as_fraction(cost_ij)
+        self.cost_ji = as_fraction(cost_ji)
         self.box_ij = box_ij
         self.box_ji = box_ji
         self.outcomes = tuple(sorted(outcomes, key=lambda o: (o.label_i, o.label_j)))
@@ -116,22 +131,22 @@ class EdgeSpec:
         return self.box_ij is not None
 
     def _check(self):
-        if self.cost_ij < 0 or self.cost_ji < 0:
+        if self.cost_ij.numerator < 0 or self.cost_ji.numerator < 0:
             raise InstanceError(f"edge {self.id}: costs must be >= 0")
         if not self.outcomes:
             raise InstanceError(f"edge {self.id}: empty outcome table")
-        total = ZERO
         seen = set()
         for o in self.outcomes:
-            if o.prob <= 0:
+            if o.prob.numerator <= 0:
                 raise InstanceError(f"edge {self.id}: outcome probability {o.prob} not positive")
             key = (o.label_i, o.label_j)
             if key in seen:
                 raise InstanceError(f"edge {self.id}: duplicate signal pair {key}")
             seen.add(key)
-            total += o.prob
-        if total != 1:
-            raise InstanceError(f"edge {self.id}: outcome probabilities sum to {total}")
+        num, den = common_sum([o.prob for o in self.outcomes])
+        if num != den:
+            raise InstanceError(
+                f"edge {self.id}: outcome probabilities sum to {Fraction(num, den)}")
 
     @classmethod
     def independent(cls, i: str, j: str, box_ij: PandoraBox, box_ji: PandoraBox) -> "EdgeSpec":
@@ -155,7 +170,8 @@ class EdgeSpec:
             i, j = j, i
             cost_ij, cost_ji = cost_ji, cost_ij
             rows = [(lj, li, t, p) for li, lj, t, p in rows]
-        outcomes = [JointOutcome(str(li), str(lj), Fraction(t), Fraction(p)) for li, lj, t, p in rows]
+        outcomes = [JointOutcome(str(li), str(lj), as_fraction(t), as_fraction(p))
+                    for li, lj, t, p in rows]
         return cls(i, j, cost_ij, cost_ji, outcomes)
 
     def endpoints(self) -> tuple[str, str]:
@@ -195,7 +211,7 @@ class EdgeSpec:
             second_laws = {}
             for label in sorted(groups):
                 rows = sorted(groups[label])
-                marginal = sum((p for _, p, _ in rows), ZERO)
+                marginal = exact_sum([p for _, p, _ in rows])
                 first_law.append((label, marginal))
                 second_laws[label] = tuple((s, p / marginal, k) for s, p, k in rows)
             self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
@@ -234,10 +250,11 @@ class EdgeSpec:
 
     @classmethod
     def from_json_obj(cls, obj) -> "EdgeSpec":
+        obj = json_object(obj)
         i, j = str(obj["i"]), str(obj["j"])
         if "joint" in obj:
             rows = [(r["si"], r["sj"], parse_rational(r["total"]), parse_rational(r["p"]))
-                    for r in obj["joint"]]
+                    for r in map(json_object, obj["joint"])]
             return cls.joint(i, j, parse_rational(obj["c_ij"]), parse_rational(obj["c_ji"]), rows)
         return cls.independent(i, j,
                                PandoraBox.from_json_obj(obj["box_ij"]),
@@ -264,22 +281,19 @@ def edge_to_basket(edge: EdgeSpec, direction: DirectedPair) -> OutcomeNode:
 
 def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
     """Two-stage basket for a direction: first endpoint, then both."""
-    basket = annotate(edge_to_basket(edge, direction))
-    # paths are enumerated in tree order, which is the table's order
-    table = edge.table(direction)
-    order = [k for label, _ in table.first for _, _, k in table.second[label]]
-    return EdgeBasket(basket, dict(zip(order, basket.paths)),
-                      ((), (direction,), edge.directions()))
+    forward = direction == (edge.i, edge.j)
+    labels = attrgetter("label_i", "label_j") if forward else attrgetter("label_j", "label_i")
+    return EdgeBasket(annotate(edge_to_basket(edge, direction)),
+                      ((), (direction,), edge.directions()), labels, edge.outcomes)
 
 
 def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
     """Single-stage basket over the edge total (both costs paid at once)."""
     box = edge.bundled_box()
     branches = [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in box.dist.atoms]
-    basket = annotate(OutcomeNode.stage(box.cost, branches))
-    by_label = {p.labels[0]: p for p in basket.paths}
-    lookup = {k: by_label[format_rational(o.total)] for k, o in enumerate(edge.outcomes)}
-    return EdgeBasket(basket, lookup, ((), edge.directions()))
+    return EdgeBasket(annotate(OutcomeNode.stage(box.cost, branches)),
+                      ((), edge.directions()), lambda o: (format_rational(o.total),),
+                      edge.outcomes)
 
 
 class MatchingInstance:
@@ -329,7 +343,7 @@ class MatchingInstance:
 
     @classmethod
     def from_json_obj(cls, obj) -> "MatchingInstance":
-        edges = [EdgeSpec.from_json_obj(e) for e in obj["edges"]]
+        edges = [EdgeSpec.from_json_obj(e) for e in json_object(obj)["edges"]]
         vertices = set(obj.get("vertices", []))
         for e in edges:
             vertices.update(e.endpoints())

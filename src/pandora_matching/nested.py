@@ -18,6 +18,7 @@ kappa^(l+1) > gamma^(l); non-exposed runs attain the amortization identity
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,14 @@ from typing import Iterator, Sequence, Union
 
 from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution, ZERO
-from .rationals import format_rational, parse_rational, rational_json
+from .rationals import (
+    as_fraction,
+    common_sum,
+    format_rational,
+    json_object,
+    parse_rational,
+    rational_json,
+)
 
 
 class BasketError(ValueError):
@@ -52,12 +60,12 @@ class OutcomeNode:
 
     @classmethod
     def leaf(cls, value) -> "OutcomeNode":
-        return cls(value=Fraction(value))
+        return cls(value=as_fraction(value))
 
     @classmethod
     def stage(cls, cost, branches) -> "OutcomeNode":
-        branches = tuple((str(l), Fraction(p), c) for l, p, c in branches)
-        return cls(cost=Fraction(cost), branches=branches)
+        branches = tuple((str(l), as_fraction(p), c) for l, p, c in branches)
+        return cls(cost=as_fraction(cost), branches=branches)
 
     @property
     def is_leaf(self) -> bool:
@@ -70,20 +78,20 @@ class OutcomeNode:
             return
         if self.cost is None or self.branches is None or not self.branches:
             raise BasketError("internal node needs a cost and at least one branch")
-        if self.cost < 0:
+        if self.cost.numerator < 0:
             raise BasketError(f"stage cost must be >= 0, got {self.cost}")
-        total = ZERO
         seen = set()
         for label, prob, child in self.branches:
-            if prob <= 0:
+            if prob.numerator <= 0:
                 raise BasketError(f"branch probability must be positive, got {prob}")
             if label in seen:
                 raise BasketError(f"duplicate branch label {label!r}")
             seen.add(label)
-            total += prob
             child.validate()
-        if total != 1:
-            raise BasketError(f"branch probabilities sum to {total}, expected 1")
+        num, den = common_sum([p for _, p, _ in self.branches])
+        if num != den:
+            raise BasketError(
+                f"branch probabilities sum to {Fraction(num, den)}, expected 1")
 
     def to_json_obj(self):
         if self.is_leaf:
@@ -98,11 +106,11 @@ class OutcomeNode:
 
     @classmethod
     def from_json_obj(cls, obj) -> "OutcomeNode":
-        if "value" in obj:
+        if "value" in json_object(obj):
             return cls.leaf(parse_rational(obj["value"]))
         branches = [
             (str(b["label"]), parse_rational(b["p"]), cls.from_json_obj(b["node"]))
-            for b in obj["branches"]
+            for b in map(json_object, obj["branches"])
         ]
         return cls.stage(parse_rational(obj["cost"]), branches)
 
@@ -114,11 +122,14 @@ class OutcomeNode:
 @dataclass(frozen=True)
 class AnnotatedLeaf:
     value: Fraction
-    kappa_dist: DiscreteDistribution
 
     @property
     def is_leaf(self) -> bool:
         return True
+
+    @property
+    def kappa_dist(self) -> DiscreteDistribution:
+        return DiscreteDistribution.point(self.value)
 
 
 @dataclass(frozen=True)
@@ -141,20 +152,22 @@ class AnnotatedStage:
         return False
 
 
-def _annotate_node(node: OutcomeNode) -> AnnotatedStage | AnnotatedLeaf:
-    if node.is_leaf:
-        return AnnotatedLeaf(node.value, DiscreteDistribution.point(node.value))
-    branches = tuple(
-        (label, prob, _annotate_node(child)) for label, prob, child in node.branches
-    )
+def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
+    branches = []
     mixture = []
-    for _, prob, child in branches:
-        for v, p in child.kappa_dist.atoms:
-            mixture.append((v, p * prob))
+    for label, prob, child in node.branches:
+        if child.is_leaf:
+            # a leaf's capped value is its value, with probability one
+            annotated = AnnotatedLeaf(child.value)
+            mixture.append((child.value, prob))
+        else:
+            annotated = _annotate_stage(child)
+            mixture.extend((v, p * prob) for v, p in annotated.kappa_dist.atoms)
+        branches.append((label, prob, annotated))
     kappa_next = DiscreteDistribution(mixture)
     sigma = weitzman_index(PandoraBox(kappa_next, node.cost))
-    kappa = kappa_next.map_values(lambda v: min(v, sigma))
-    return AnnotatedStage(node.cost, sigma, branches, kappa_next, kappa)
+    return AnnotatedStage(node.cost, sigma, tuple(branches), kappa_next,
+                          kappa_next.capped(sigma))
 
 
 @dataclass(frozen=True)
@@ -175,11 +188,14 @@ class PathInfo:
 
 
 class AnnotatedBasket:
-    """An annotated outcome tree plus its enumerated path table."""
+    """An annotated outcome tree plus its path table, enumerated on first use."""
 
     def __init__(self, root: AnnotatedStage):
         self.root = root
-        self.paths: tuple[PathInfo, ...] = tuple(self._enumerate_paths())
+
+    @functools.cached_property
+    def paths(self) -> tuple[PathInfo, ...]:
+        return tuple(self._enumerate_paths())
 
     @property
     def sigma1(self) -> Fraction:
@@ -222,8 +238,7 @@ def annotate(root: OutcomeNode) -> AnnotatedBasket:
     root.validate()
     if root.is_leaf:
         raise BasketError("a basket needs at least one stage of inspection")
-    annotated = _annotate_node(root)
-    return AnnotatedBasket(annotated)
+    return AnnotatedBasket(_annotate_stage(root))
 
 
 def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):

@@ -9,8 +9,9 @@ All quantities in this package (values, costs, probabilities, welfare) are
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 
 class RationalParseError(ValueError):
@@ -40,6 +41,28 @@ def parse_rational(obj: Any) -> Fraction:
     raise RationalParseError(f"not a rational: {obj!r}")
 
 
+def as_fraction(x) -> Fraction:
+    """``x`` itself if it is a Fraction, else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def common_sum(fracs: Sequence[Fraction]) -> tuple[int, int]:
+    """(numerator, denominator) of an exact sum, over the lcm of the denominators.
+
+    One integer sum instead of a normalizing Fraction addition per term; the
+    sum is 1 iff the two integers are equal.
+    """
+    den = math.lcm(*[f.denominator for f in fracs])
+    return sum([f.numerator * (den // f.denominator) for f in fracs]), den
+
+
+def exact_sum(fracs: Sequence[Fraction]) -> Fraction:
+    """The exact sum of Fractions, as a Fraction."""
+    if len(fracs) == 1:
+        return fracs[0]
+    return Fraction(*common_sum(fracs))
+
+
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "num/den" (or "num" for integers)."""
     if x.denominator == 1:
@@ -50,6 +73,13 @@ def format_rational(x: Fraction) -> str:
 def rational_json(x: Fraction) -> dict:
     """JSON object carrying both the exact value and a float rendering."""
     return {"exact": format_rational(x), "float": float(x)}
+
+
+def json_object(obj: Any) -> dict:
+    """``obj`` itself if it is a JSON object, else a TypeError naming the shape."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def load_json(path: str) -> Any:

@@ -9,11 +9,14 @@ outcome space so exact enumeration stays fast.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from pandora_matching.algorithms import DecisionRunner
 from pandora_matching.boxes import PandoraBox
-from pandora_matching.distributions import DiscreteDistribution
+from pandora_matching.distributions import ONE, ZERO, DiscreteDistribution, DistributionError
 from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation
+from pandora_matching.nested import OutcomeNode, PathInfo
+from pandora_matching.rationals import format_rational
 from pandora_matching.rng import SplitMix64
 
 VERTEX_POOL = ("a", "b", "c", "d", "e", "f")
@@ -115,8 +118,6 @@ def rand_joint_instance(rng: SplitMix64, max_edges: int = 3,
 
 def rand_tree(rng: SplitMix64, depth: int | None = None, max_branch: int = 3):
     """Random outcome tree with small rational costs and values."""
-    from pandora_matching.nested import OutcomeNode
-
     if depth is None:
         depth = 1 + rng.next_below(3)
 
@@ -232,3 +233,148 @@ def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
 
     value(tuple((-1, -1) for _ in ids))
     return memo, best_action
+
+
+# ---------------------------------------------------------------------------
+# Reference compile: the original recursive annotation on Fraction-dict laws
+# ---------------------------------------------------------------------------
+
+def reference_law(atoms) -> tuple:
+    """A law's atoms as the original ``DiscreteDistribution`` constructor built them.
+
+    Every value and probability goes through ``Fraction()``, equal values
+    merge in a Fraction-keyed dict, the total is a Fraction sum, and the
+    errors are the constructor's.
+    """
+    merged: dict = {}
+    for value, prob in atoms:
+        value = Fraction(value)
+        prob = Fraction(prob)
+        if prob <= 0:
+            raise DistributionError(f"probability must be positive, got {prob}")
+        merged[value] = merged.get(value, ZERO) + prob
+    if not merged:
+        raise DistributionError("distribution needs at least one atom")
+    total = sum(merged.values())
+    if total != 1:
+        raise DistributionError(f"probabilities sum to {total}, expected 1")
+    return tuple(sorted(merged.items()))
+
+
+def reference_weitzman_index(atoms, cost) -> Fraction:
+    """The index by a top-down scan in Fraction arithmetic."""
+    atoms_desc = tuple(reversed(atoms))
+    if cost == 0:
+        return atoms_desc[0][0]
+    head_prob = ZERO
+    head_mass = ZERO
+    n = len(atoms_desc)
+    for k, (value, prob) in enumerate(atoms_desc):
+        head_prob += prob
+        head_mass += value * prob
+        t = (head_mass - cost) / head_prob
+        if k + 1 == n or t >= atoms_desc[k + 1][0]:
+            return t
+    raise AssertionError("unreachable: surplus is unbounded below")
+
+
+def reference_annotate(node):
+    """Backward induction by plain recursion, every node's laws built whole.
+
+    Returns namespaces with ``value`` and ``kappa`` on leaves, and ``cost``,
+    ``sigma``, ``branches``, ``kappa_next`` and ``kappa`` (atom tuples) on
+    stages.
+    """
+    if node.is_leaf:
+        return SimpleNamespace(is_leaf=True, value=node.value,
+                               kappa=reference_law([(node.value, ONE)]))
+    branches = tuple(
+        (label, prob, reference_annotate(child)) for label, prob, child in node.branches
+    )
+    mixture = []
+    for _, prob, child in branches:
+        for v, p in child.kappa:
+            mixture.append((v, p * prob))
+    kappa_next = reference_law(mixture)
+    sigma = reference_weitzman_index(kappa_next, node.cost)
+    kappa = reference_law((min(v, sigma), p) for v, p in kappa_next)
+    return SimpleNamespace(is_leaf=False, cost=node.cost, sigma=sigma, branches=branches,
+                           kappa_next=kappa_next, kappa=kappa)
+
+
+def reference_paths(root) -> list[PathInfo]:
+    """Every root-to-leaf path of a reference tree, in tree order."""
+    out = []
+
+    def walk(node, idxs, labels, sigmas, costs, prob):
+        if node.is_leaf:
+            out.append(PathInfo(tuple(idxs), tuple(labels), tuple(sigmas), tuple(costs),
+                                node.value, prob, min(min(sigmas), node.value)))
+            return
+        for bi, (label, p, child) in enumerate(node.branches):
+            walk(child, idxs + [bi], labels + [label], sigmas + [node.sigma],
+                 costs + [node.cost], prob * p)
+
+    walk(root, [], [], [], [], Fraction(1))
+    return out
+
+
+def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
+    """An edge compiled for a direction (None: bundled) from its outcome rows.
+
+    Groups the rows by first signal with Fraction sums, annotates with
+    ``reference_annotate`` and returns ``root``, ``paths``, ``path_of``,
+    ``opened`` and ``kappa_law`` as ``EdgeSpec.basket`` would.
+    """
+    if direction is None:
+        law = reference_law((o.total, o.prob) for o in edge.outcomes)
+        tree = OutcomeNode.stage(edge.cost_ij + edge.cost_ji,
+                                 [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in law])
+        root = reference_annotate(tree)
+        paths = reference_paths(root)
+        by_label = {p.labels[0]: p for p in paths}
+        path_of = {k: by_label[format_rational(o.total)] for k, o in enumerate(edge.outcomes)}
+        opened = ((), edge.directions())
+    else:
+        forward = direction == (edge.i, edge.j)
+        groups: dict = {}
+        for k, o in enumerate(edge.outcomes):
+            first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
+            groups.setdefault(first, []).append((second, o.prob, k))
+        branches, order = [], []
+        for label in sorted(groups):
+            rows = sorted(groups[label])
+            marginal = sum((p for _, p, _ in rows), ZERO)
+            branches.append((label, marginal, OutcomeNode.stage(
+                edge.cost((direction[1], direction[0])),
+                [(s, p / marginal, OutcomeNode.leaf(edge.outcomes[k].total))
+                 for s, p, k in rows])))
+            order += [k for _, _, k in rows]
+        root = reference_annotate(OutcomeNode.stage(edge.cost(direction), branches))
+        paths = reference_paths(root)
+        path_of = dict(zip(order, paths))
+        opened = ((), (direction,), edge.directions())
+    kappa_law = reference_law((max(v, ZERO), p) for v, p in root.kappa)
+    return SimpleNamespace(root=root, paths=paths, path_of=path_of, opened=opened,
+                           kappa_law=kappa_law)
+
+
+def exact_atoms(law) -> tuple:
+    """A law's atoms, checked to be Fraction pairs (ints would compare equal)."""
+    assert all(type(x) is Fraction for atom in law.atoms for x in atom)
+    return law.atoms
+
+
+def assert_matches_reference(node, ref) -> None:
+    """Node for node: cost, sigma, branch labels and probabilities, and laws."""
+    assert node.is_leaf == ref.is_leaf
+    assert exact_atoms(node.kappa_dist) == ref.kappa
+    if ref.is_leaf:
+        assert node.value == ref.value and type(node.value) is Fraction
+        return
+    assert (node.cost, node.sigma) == (ref.cost, ref.sigma)
+    assert type(node.sigma) is Fraction
+    assert exact_atoms(node.kappa_next_dist) == ref.kappa_next
+    assert [(l, p) for l, p, _ in node.branches] == [(l, p) for l, p, _ in ref.branches]
+    for (_, _, child), (_, _, ref_child) in zip(node.branches, ref.branches):
+        assert_matches_reference(child, ref_child)

@@ -25,6 +25,7 @@ from pandora_matching.algorithms import (
     sample_realization,
 )
 from pandora_matching.boxes import PandoraBox
+from pandora_matching.checks import summarize
 from pandora_matching.distributions import ZERO
 from pandora_matching.instance import (
     EdgeSpec,
@@ -413,6 +414,31 @@ def tied_path(vertex_order: str) -> MatchingInstance:
     edges = [EdgeSpec.independent(min(u, v), max(u, v), box, box)
              for u, v in zip(vertex_order, vertex_order[1:])]
     return MatchingInstance(vertex_order, edges)
+
+
+class TestPathTablesAreLazy:
+    """Exact policies read only sigma^1 and the kappa^1 laws of each basket."""
+
+    @staticmethod
+    def built_tables(inst):
+        baskets = [e.basket(d) for e in inst.edges for d in (*e.directions(), None)]
+        return [c for c in baskets if "path_of" in vars(c) or "paths" in vars(c.basket)]
+
+    @pytest.mark.parametrize("named", [bundled_star(4), no_dessert_star(F(1, 4), 2),
+                                       indistinguishable_edge()], ids=lambda n: n.name)
+    def test_exact_policies_build_no_path_table(self, named):
+        inst = named.instance
+        randomized_matching(inst)
+        best_of_two(inst)
+        for policy in ("bundled", "edge-based"):
+            expected_welfare_exact(inst, make_runner(inst, policy))
+        assert self.built_tables(inst) == []
+        for runner in (DescendingRunner(inst), DescendingRunner(inst, canonical_orientation(inst)),
+                       DescendingRunner(inst, canonical_orientation(inst).reverse())):
+            s = summarize(inst, runner)
+            assert s.traces_valid and s.non_exposed and s.greedy_equal
+            assert s.welfare == expected_welfare_exact(inst, runner)
+        assert len(self.built_tables(inst)) == 3 * len(inst.edges)
 
 
 class TestKappaProfileWelfare:

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pandora_matching.boxes import PandoraBox, weitzman_index
+from pandora_matching.distributions import DiscreteDistribution
 from pandora_matching.instance import EdgeSpec
 
-from test_distributions import dist, distributions
+from support import reference_weitzman_index
+from test_distributions import BIG_PRIMES, dist, distributions
 
 
 def box(d, c):
@@ -61,8 +63,19 @@ class TestWeitzmanIndex:
     @given(boxes, st.fractions(min_value=-3, max_value=3, max_denominator=4))
     @settings(deadline=None)
     def test_value_shift_shifts_index(self, b, k):
-        shifted = PandoraBox(b.dist.map_values(lambda v: v + k), b.cost)
+        shifted = PandoraBox(DiscreteDistribution((v + k, p) for v, p in b.dist.atoms), b.cost)
         assert weitzman_index(shifted) == weitzman_index(b) + k
+
+    @given(boxes)
+    def test_matches_fraction_scan(self, b):
+        assert weitzman_index(b) == reference_weitzman_index(b.dist.atoms, b.cost)
+
+    @given(distributions(), st.sampled_from(BIG_PRIMES), st.integers(1, 10**7))
+    def test_matches_fraction_scan_on_large_denominators(self, d, den, num):
+        b = box(d, F(num, den))
+        index = weitzman_index(b)
+        assert type(index) is F
+        assert index == reference_weitzman_index(b.dist.atoms, b.cost)
 
 
 def bundle(a, b):

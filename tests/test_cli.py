@@ -245,8 +245,20 @@ class TestCheckCommand:
 class TestInputErrors:
     @pytest.mark.parametrize("argv, expected", [
         (["index", "--instance", "{missing}"], "cannot read box"),
-        (["index", "--instance", "{no_cost}"], "cannot read box"),
+        (["index", "--instance", "{no_cost}"], "cannot read box {no_cost}: missing key 'cost'"),
         (["nested-index", "--instance", "{not_tree}"], "cannot read tree"),
+        (["index", "--instance", "{atoms}"],
+         "cannot read box {atoms}: expected a JSON object, got list"),
+        (["run", "--instance", "{half_edge}", "--policy", "bundled"],
+         "cannot read instance {half_edge}: missing key 'box_ji'"),
+        (["run", "--instance", "{atoms}", "--policy", "bundled"],
+         "cannot read instance {atoms}: expected a JSON object, got list"),
+        (["check", "--instance", "{no_cost}"],
+         "cannot read instance {no_cost}: missing key 'edges'"),
+        (["check", "--instance", "{edge_as_list}"],
+         "cannot read instance {edge_as_list}: expected a JSON object, got list"),
+        (["check", "--instance", "{short_box}"],
+         "cannot read instance {short_box}: probabilities sum to 999/1000, expected 1"),
         (["run", "--instance", "{missing}", "--policy", "oriented-desc",
           "--mode", "montecarlo", "--seed", "1", "--trials", "0"], "--trials"),
         (["run", "--instance", "{missing}", "--policy", "oriented-desc",
@@ -290,6 +302,8 @@ class TestInputErrors:
          "needs 33554432 weighted outcomes, above the bound of 2000000; "
          "raise the bound (PANDORA_ENUM_BOUND)"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
+            "index-list", "run-missing-key", "run-list",
+            "check-missing-key", "check-edge-list", "check-box-short-of-one",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
             "orientation-pair-too-short", "orientation-directory",
             "check-enum-bound-negative", "run-enum-bound-zero",
@@ -301,16 +315,26 @@ class TestInputErrors:
             "repro-enum-bound"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
-                 for name in ("missing", "no_cost", "not_tree", "edge")}
+                 for name in ("missing", "no_cost", "not_tree", "edge", "atoms", "half_edge",
+                              "edge_as_list", "short_box")}
         files["dir"] = str(tmp_path)
-        (tmp_path / "no_cost.json").write_text(json.dumps({"dist": [{"v": "1", "p": "1"}]}))
+        atoms = [{"v": "1", "p": "1"}]
+        (tmp_path / "no_cost.json").write_text(json.dumps({"dist": atoms}))
+        (tmp_path / "atoms.json").write_text(json.dumps(atoms))
+        (tmp_path / "half_edge.json").write_text(json.dumps(
+            {"edges": [{"i": "a", "j": "b", "box_ij": {"dist": atoms, "cost": "0"}}]}))
+        (tmp_path / "edge_as_list.json").write_text(json.dumps({"edges": [["a", "b"]]}))
+        short = {"dist": [{"v": "1", "p": "1/2"}, {"v": "2", "p": "499/1000"}], "cost": "0"}
+        (tmp_path / "short_box.json").write_text(json.dumps(
+            {"edges": [{"i": "a", "j": "b", "box_ij": short, "box_ji": short}]}))
         (tmp_path / "not_tree.json").write_text(json.dumps({"children": []}))
         (tmp_path / "edge.json").write_text(
             json.dumps(no_dessert_edge(F(1, 2)).instance.to_json_obj()))
         code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
         lines = err.strip().splitlines()
         assert code == 2 and out == ""
-        assert len(lines) == 1 and lines[0].startswith("error:") and expected in lines[0]
+        assert (len(lines) == 1 and lines[0].startswith("error:")
+                and expected.format(**files) in lines[0])
 
     @pytest.mark.parametrize("command, advice", [
         (["run", "--policy", "bundled"],

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from pandora_matching.distributions import DiscreteDistribution, DistributionError
 
+from support import exact_atoms, reference_law
+
 
 def dist(*atoms):
     return DiscreteDistribution([(F(v), F(p)) for v, p in atoms])
@@ -79,3 +81,58 @@ class TestConstruction:
     def test_json_round_trip(self):
         d = dist((F(-3, 2), F(1, 3)), (9, F(2, 3)))
         assert DiscreteDistribution.from_json_obj(d.to_json_obj()) == d
+
+
+# Values that collide across types (1, F(2, 2), F(4, 4)) and large coprime
+# denominators, so the merge key and the integer sums are both exercised.
+BIG_PRIMES = (1_000_003, 999_983, 1_000_033)
+values = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.sampled_from([F(2, 2), F(4, 4), F(-6, 3)]
+                    + [F(k, p) for k in (1, -7, 10**6) for p in BIG_PRIMES]),
+)
+
+
+class TestConstructorMatchesReference:
+    """The constructor's atoms equal a plain Fraction-dict merge."""
+
+    @given(st.lists(st.tuples(values, st.integers(1, 10**7)), min_size=1, max_size=8))
+    def test_weighted_atoms(self, pairs):
+        total = sum(w for _, w in pairs)
+        atoms = [(v, F(w, total)) for v, w in pairs]
+        assert exact_atoms(DiscreteDistribution(atoms)) == reference_law(atoms)
+
+    @given(st.lists(st.tuples(values, st.sampled_from(BIG_PRIMES)), min_size=1, max_size=3),
+           values)
+    def test_coprime_denominators(self, heads, last_value):
+        atoms = [(v, F(1, p)) for v, p in heads]
+        atoms.append((last_value, 1 - sum(p for _, p in atoms)))
+        assert exact_atoms(DiscreteDistribution(atoms)) == reference_law(atoms)
+
+    def test_int_and_fraction_of_equal_value_merge(self):
+        atoms = [(1, F(1, 4)), (F(2, 2), F(1, 4)), (F(4, 4), F(1, 2))]
+        d = DiscreteDistribution(atoms)
+        assert exact_atoms(d) == ((F(1), F(1)),) == reference_law(atoms)
+        assert exact_atoms(DiscreteDistribution([(2, 1)])) == ((F(2), F(1)),)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([(1, 0), (2, 1)], "probability must be positive, got 0"),
+        ([(1, F(-1, 2)), (2, F(3, 2))], "probability must be positive, got -1/2"),
+        ([(1, F(999, 1000))], "probabilities sum to 999/1000, expected 1"),
+        ([(1, F(1, 2)), (1, F(1, 3))], "probabilities sum to 5/6, expected 1"),
+        ([(F(1, 3), F(1, 1_000_003)), (2, F(1, 999_983))],
+         f"probabilities sum to {F(1, 1_000_003) + F(1, 999_983)}, expected 1"),
+        ([], "distribution needs at least one atom"),
+    ], ids=["zero", "negative", "short", "short-merged", "coprime", "empty"])
+    def test_errors_match_reference(self, atoms, message):
+        with pytest.raises(DistributionError) as ref:
+            reference_law(atoms)
+        with pytest.raises(DistributionError) as new:
+            DiscreteDistribution(atoms)
+        assert str(new.value) == str(ref.value) == message
+
+    @given(distributions(), st.fractions(min_value=-6, max_value=7, max_denominator=4))
+    def test_clips_match_pushforward(self, d, t):
+        assert exact_atoms(d.capped(t)) == reference_law((min(v, t), p) for v, p in d.atoms)
+        assert exact_atoms(d.floored(t)) == reference_law((max(v, t), p) for v, p in d.atoms)

@@ -15,9 +15,21 @@ from pandora_matching.instance import (
     validate,
 )
 from pandora_matching.nested import annotate
-from pandora_matching.repro import bundled_star, indistinguishable_edge, no_dessert_edge
+from pandora_matching.repro import (
+    bundled_star,
+    indistinguishable_edge,
+    no_dessert_edge,
+    no_dessert_star,
+)
 
-from support import general_batch, joint_batch
+from support import (
+    assert_matches_reference,
+    exact_atoms,
+    general_batch,
+    joint_batch,
+    positive_batch,
+    reference_edge_basket,
+)
 from test_distributions import dist
 
 
@@ -175,6 +187,37 @@ class TestEdgeToBasket:
         for k, o in enumerate(e.outcomes):
             assert lookup[k].value == o.total
             assert lookup[k].depth == 1
+
+
+class TestCompileMatchesReference:
+    """Every compiled basket equals the original recursive annotation."""
+
+    @staticmethod
+    def check(instances):
+        for inst in instances:
+            for e in inst.edges:
+                for direction in (*e.directions(), None):
+                    compiled = e.basket(direction)
+                    ref = reference_edge_basket(e, direction)
+                    assert_matches_reference(compiled.basket.root, ref.root)
+                    assert list(compiled.basket.paths) == ref.paths
+                    assert compiled.path_of == ref.path_of
+                    assert compiled.opened == ref.opened
+                    assert exact_atoms(compiled.kappa_law) == ref.kappa_law
+
+    def test_general_batch(self):
+        self.check(general_batch(200))
+
+    def test_positive_batch(self):
+        self.check(positive_batch(100))
+
+    def test_joint_batch(self):
+        self.check(joint_batch(50))
+
+    def test_named_stars(self):
+        self.check([bundled_star(n).instance for n in range(1, 7)])
+        self.check([no_dessert_star(alpha, m).instance
+                    for alpha in (F(1, 2), F(1, 4), F(1, 8)) for m in (1, 2, 3)])
 
 
 class TestDirectionTable:

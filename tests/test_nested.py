@@ -19,7 +19,7 @@ from pandora_matching.nested import (
 )
 from pandora_matching.rng import SplitMix64
 
-from support import rand_tree
+from support import assert_matches_reference, rand_tree, reference_annotate, reference_paths
 from test_distributions import dist
 
 
@@ -395,3 +395,14 @@ class TestAnnotationInvariants:
                         assert gamma <= adv_gamma
                         if bid != step.basket_id:
                             assert gamma == sigma
+
+
+class TestAnnotateMatchesReference:
+    def test_random_deeper_trees(self):
+        rng = SplitMix64(558)
+        for _ in range(150):
+            tree = rand_tree(rng, depth=1 + rng.next_below(4))
+            basket = annotate(tree)
+            ref = reference_annotate(tree)
+            assert_matches_reference(basket.root, ref)
+            assert list(basket.paths) == reference_paths(ref)
