@@ -30,8 +30,6 @@ from .nested import (
     annotate,
     check_non_exposure,
     descending_run,
-    gamma_sequence,
-    kappa_sequence,
 )
 from .oracle import PolicyValue, greedy_matching, max_weight_matching, optimal_welfare
 

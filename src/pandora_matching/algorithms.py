@@ -2,8 +2,8 @@
 
 Every policy is a runner object with ``run(realization) -> RunTrace`` and
 ``exact_welfare()``; a realization assigns each edge one row of its joint
-outcome table.  Descending runners sum greedy totals over the product of
-the per-edge capped-value laws; ``DecisionRunner`` subclasses (vertex-based
+outcome table.  Descending runners sweep the per-edge capped-value laws
+for the expected greedy total; ``DecisionRunner`` subclasses (vertex-based
 descending and the single-box policies of ``repro``) expand their own
 decision tree over the endpoint-box laws.  Monte Carlo draws seeded samples
 from the splitmix64 stream, tallies them, and runs each distinct sample once.
@@ -30,7 +30,6 @@ from .instance import (
     orientation_from_bits,
 )
 from .nested import check_non_exposure, descending_run
-from .oracle import greedy_matching
 from .rng import SplitMix64, weighted_cuts
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -161,12 +160,12 @@ class DescendingRunner:
         return {eid: p.kappa1 for eid, p in self.paths_for(realization).items()}
 
     def kappa_laws(self) -> dict:
-        """Each edge's ``EdgeBasket.kappa_law``."""
-        return {eid: c.kappa_law for eid, c in self.baskets.items()}
+        """Each edge's law of the terminal capped value kappa^(1)."""
+        return {eid: c.basket.kappa1_distribution() for eid, c in self.baskets.items()}
 
     def exact_welfare(self) -> Fraction:
-        """Greedy totals over the product of the baskets' capped-value laws."""
-        return kappa_welfare(self.inst, self.kappa_laws())
+        """The expected greedy total on the baskets' capped-value laws."""
+        return kappa_welfare(self.kappa_laws())
 
     def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
         return all(check_non_exposure(nt, self.baskets[eid].basket)
@@ -344,21 +343,44 @@ def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
         yield realization, prob, runner.run(realization, record_steps=record_steps)
 
 
-def kappa_welfare(inst: MatchingInstance, laws: dict) -> Fraction:
-    """Expected greedy total over the product of per-edge capped-value laws.
+def kappa_welfare(laws: dict) -> Fraction:
+    """Expected greedy total over independent per-key capped-value laws.
 
-    Amortization (expected welfare equals expected claimed kappa^(1)) and
-    greedy equivalence (descending claims the greedy matching on kappa^(1),
-    heavier first, ties to the smaller edge id) make this the exact welfare
-    of a descending run whose baskets have these laws.
+    A key is the vertex pair that taking it claims: an edge id, or
+    ``("*", name)`` for single selection.  By amortization and greedy
+    equivalence (heavier first, ties to the smaller key) this is the exact
+    welfare of a descending run whose baskets have these laws.
+
+    The sweep scans the positive (key, atom) pairs in greedy order over
+    {claimed vertices: probability}.  A state claiming neither vertex of the
+    key has passed its higher atoms untaken, so it takes this one with
+    probability p / (the key's mass at or below it), alike in every state
+    as keys are independent.  A vertex leaves the states after its last
+    pair, merging the states that become equal.
     """
-    ids = inst.edge_ids
+    pairs = []
+    for key, law in laws.items():
+        mass = ZERO   # the key's mass at or below v
+        for v, p in law.atoms:
+            mass += p
+            if v > 0:
+                pairs.append((v, key, p / mass))
+    pairs.sort(key=lambda t: (-t[0], t[1]))
+    last = {u: k for k, (_, key, _) in enumerate(pairs) for u in key}
+    states = {frozenset(): ONE}
     total = ZERO
-    for combo in itertools.product(*(laws[eid].atoms for eid in ids)):
-        prob = ONE
-        for _, p in combo:
-            prob *= p
-        total += prob * greedy_matching(dict(zip(ids, (v for v, _ in combo))))[1]
+    for k, (v, key, q) in enumerate(pairs):
+        gone = {u for u in key if last[u] == k}
+        nxt = Counter()
+        for claimed, prob in states.items():
+            if claimed.isdisjoint(key):
+                take = prob * q
+                total += take * v
+                nxt[claimed.union(key).difference(gone)] += take
+                prob -= take
+            if prob:
+                nxt[claimed.difference(gone)] += prob
+        states = nxt
     return total
 
 
@@ -438,8 +460,8 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     """Uniform-random orientation, then oriented descending.
 
     Exact mode is the average over all 2^|E| orientations.  Each edge's
-    direction is an independent fair coin, so that average is the greedy
-    profile sum over the half/half mixture of each edge's two directed
+    direction is an independent fair coin, so that average is the expected
+    greedy total on the half/half mixture of each edge's two directed
     capped-value laws; the bound still counts 2^|E| times the realizations.
     Monte Carlo mode returns a seeded (mean, stderr) estimate: each trial
     draws a fresh orientation (one bit per edge in edge order, as
@@ -447,9 +469,9 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     """
     if mode == "exact":
         _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
-        return kappa_welfare(inst, {
+        return kappa_welfare({
             e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
-                                       for v, p in e.basket(d).kappa_law.atoms)
+                                       for v, p in e.basket(d).basket.kappa1_distribution().atoms)
             for e in inst.edges
         })
     if mode == "montecarlo":

@@ -155,6 +155,8 @@ def cmd_run(args) -> int:
             args.trials = DEFAULT_TRIALS
         if args.trials < 1:
             raise CliError(f"--trials must be at least 1, got {args.trials}")
+        if args.enum_bound is not None:
+            raise CliError("--enum-bound applies only to --mode exact")
         _require_seed(args)
     else:
         for flag, given in (("--seed", args.seed), ("--trials", args.trials)):
@@ -165,7 +167,7 @@ def cmd_run(args) -> int:
     report = validate(inst)
     if not report.ok:
         raise CliError("invalid instance: " + "; ".join(report.errors))
-    orientation_desc = ""
+    orientation_desc = stderr = ""
     doc: dict = {"instance": args.instance, "policy": args.policy, "mode": args.mode}
 
     if args.policy == "randomized":
@@ -216,9 +218,9 @@ def cmd_run(args) -> int:
     exact_str = format_rational(value) if isinstance(value, Fraction) else ""
     _emit(doc, args.format,
           csv_rows=[[args.instance, args.policy, orientation_desc, args.mode,
-                     exact_str, float(value), ratio]],
+                     exact_str, float(value), ratio, stderr]],
           csv_header=["instance", "policy", "orientation", "mode",
-                      "value_exact", "value_float", "ratio_to_opt"])
+                      "value_exact", "value_float", "ratio_to_opt", "stderr"])
     return 0
 
 

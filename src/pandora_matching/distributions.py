@@ -99,17 +99,6 @@ class DiscreteDistribution:
             return self
         return self._from_sorted(atoms[:k] + ((t, exact_sum([p for _, p in atoms[k:]])),))
 
-    def floored(self, t) -> "DiscreteDistribution":
-        """Law of max(v, t): the atoms at or below t merge into one atom at t."""
-        t = as_fraction(t)
-        atoms = self.atoms
-        k = 0
-        while k < len(atoms) and atoms[k][0] <= t:
-            k += 1
-        if k == 0:
-            return self
-        return self._from_sorted(((t, exact_sum([p for _, p in atoms[:k]])),) + atoms[k:])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented

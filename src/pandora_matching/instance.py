@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .boxes import PandoraBox
-from .distributions import DiscreteDistribution, ZERO
+from .distributions import DiscreteDistribution
 from .nested import AnnotatedBasket, OutcomeNode, PathInfo, annotate
 from .rationals import (
     as_fraction,
@@ -84,15 +84,6 @@ class EdgeBasket:
     def path_of(self) -> dict[int, PathInfo]:
         by_labels = {p.labels: p for p in self.basket.paths}
         return {k: by_labels[self.path_labels(o)] for k, o in enumerate(self.outcomes)}
-
-    @functools.cached_property
-    def kappa_law(self) -> DiscreteDistribution:
-        """Law of the terminal capped value, non-positive atoms merged at 0.
-
-        Greedy never takes a weight <= 0, so the merge leaves every greedy
-        total unchanged while it shrinks the profile space.
-        """
-        return self.basket.kappa1_distribution().floored(ZERO)
 
 
 class EdgeSpec:

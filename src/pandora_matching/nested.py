@@ -19,7 +19,6 @@ kappa^(l+1) > gamma^(l); non-exposed runs attain the amortization identity
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -259,27 +258,6 @@ def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):
 
 
 # ---------------------------------------------------------------------------
-# Index sequences
-# ---------------------------------------------------------------------------
-
-def gamma_sequence(sigmas: Sequence[Fraction]) -> list[Fraction]:
-    """Running minima of a stage-index sequence (weakly decreasing)."""
-    if not sigmas:
-        raise ValueError("need at least one index")
-    return list(itertools.accumulate(sigmas, min))
-
-
-def kappa_sequence(sigmas: Sequence[Fraction]) -> list[Fraction]:
-    """Suffix minima: the capped value seen from each stage onward."""
-    if not sigmas:
-        raise ValueError("need at least one index")
-    out = list(sigmas)
-    for i in range(len(out) - 2, -1, -1):
-        out[i] = min(out[i], out[i + 1])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Traces and exposure
 # ---------------------------------------------------------------------------
 
@@ -427,21 +405,3 @@ def descending_run(
     return DescendingResult(
         traces, claimed, total_costs, claimed_value, claimed_value - total_costs, steps
     )
-
-
-def enumerate_joint_paths(baskets: dict) -> Iterator[tuple[dict, Fraction]]:
-    """All joint realizations of independent baskets with their probability."""
-    ids = sorted(baskets)
-    for combo in itertools.product(*(baskets[i].paths for i in ids)):
-        prob = Fraction(1)
-        for p in combo:
-            prob *= p.prob
-        yield dict(zip(ids, combo)), prob
-
-
-def expected_select_welfare(baskets: dict) -> Fraction:
-    """Exact expected welfare of the single-selection descending run."""
-    total = ZERO
-    for paths, prob in enumerate_joint_paths(baskets):
-        total += prob * descending_run(baskets, paths).welfare
-    return total

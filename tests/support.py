@@ -8,6 +8,7 @@ outcome space so exact enumeration stays fast.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from pandora_matching.algorithms import DecisionRunner
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.distributions import ONE, ZERO, DiscreteDistribution, DistributionError
 from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation
-from pandora_matching.nested import OutcomeNode, PathInfo
+from pandora_matching.nested import OutcomeNode, PathInfo, descending_run
+from pandora_matching.oracle import greedy_matching
 from pandora_matching.rationals import format_rational
 from pandora_matching.rng import SplitMix64
 
@@ -185,6 +187,58 @@ def reference_max_weight_matching(weights, zero=Fraction(0)):
     return best[0], best[1]
 
 
+def reference_kappa_welfare(laws: dict) -> Fraction:
+    """Expected greedy total over the product of independent per-key laws.
+
+    Every profile of one atom per key, times its probability, times the
+    greedy total on its values: the evaluator that ``kappa_welfare``'s
+    threshold sweep replaced, kept as its reference.
+    """
+    ids = list(laws)
+    total = ZERO
+    for combo in itertools.product(*(laws[key].atoms for key in ids)):
+        prob = ONE
+        for _, p in combo:
+            prob *= p
+        total += prob * greedy_matching(dict(zip(ids, (v for v, _ in combo))))[1]
+    return total
+
+
+def enumerate_joint_paths(baskets: dict):
+    """All joint realizations of independent baskets with their probability."""
+    ids = sorted(baskets)
+    for combo in itertools.product(*(baskets[i].paths for i in ids)):
+        prob = Fraction(1)
+        for p in combo:
+            prob *= p.prob
+        yield dict(zip(ids, combo)), prob
+
+
+def reference_expected_select_welfare(baskets: dict) -> Fraction:
+    """Single-selection descending welfare, simulated on every joint realization."""
+    total = ZERO
+    for paths, prob in enumerate_joint_paths(baskets):
+        total += prob * descending_run(baskets, paths).welfare
+    return total
+
+
+def gamma_sequence(sigmas) -> list[Fraction]:
+    """Running minima of a stage-index sequence (weakly decreasing)."""
+    if not sigmas:
+        raise ValueError("need at least one index")
+    return list(itertools.accumulate(sigmas, min))
+
+
+def kappa_sequence(sigmas) -> list[Fraction]:
+    """Suffix minima: the capped value seen from each stage onward."""
+    if not sigmas:
+        raise ValueError("need at least one index")
+    out = list(sigmas)
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = min(out[i], out[i + 1])
+    return out
+
+
 def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                               orientation=None) -> tuple[dict, dict]:
     """The oracle's DP evaluated in Fractions by memoized recursion.
@@ -323,8 +377,8 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
     """An edge compiled for a direction (None: bundled) from its outcome rows.
 
     Groups the rows by first signal with Fraction sums, annotates with
-    ``reference_annotate`` and returns ``root``, ``paths``, ``path_of``,
-    ``opened`` and ``kappa_law`` as ``EdgeSpec.basket`` would.
+    ``reference_annotate`` and returns ``root``, ``paths``, ``path_of`` and
+    ``opened`` as ``EdgeSpec.basket`` would.
     """
     if direction is None:
         law = reference_law((o.total, o.prob) for o in edge.outcomes)
@@ -354,9 +408,7 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
         paths = reference_paths(root)
         path_of = dict(zip(order, paths))
         opened = ((), (direction,), edge.directions())
-    kappa_law = reference_law((max(v, ZERO), p) for v, p in root.kappa)
-    return SimpleNamespace(root=root, paths=paths, path_of=path_of, opened=opened,
-                           kappa_law=kappa_law)
+    return SimpleNamespace(root=root, paths=paths, path_of=path_of, opened=opened)
 
 
 def exact_atoms(law) -> tuple:

@@ -26,7 +26,7 @@ from pandora_matching.algorithms import (
 )
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.checks import summarize
-from pandora_matching.distributions import ZERO
+from pandora_matching.distributions import ZERO, DiscreteDistribution
 from pandora_matching.instance import (
     EdgeSpec,
     MatchingInstance,
@@ -43,7 +43,13 @@ from pandora_matching.repro import (
 )
 from pandora_matching.rng import SplitMix64
 
-from support import general_batch, joint_batch, positive_batch, rand_instance
+from support import (
+    general_batch,
+    joint_batch,
+    positive_batch,
+    rand_instance,
+    reference_kappa_welfare,
+)
 from test_distributions import dist
 
 
@@ -101,7 +107,7 @@ class TestOrientedDescending:
             for e in inst.edges:
                 d = None if orientation is None else orientation.direction_of(e.id)
                 assert first.baskets[e.id] is second.baskets[e.id] is e.basket(d)
-                assert first.kappa_laws()[e.id] is e.basket(d).kappa_law
+                assert first.kappa_laws()[e.id] is e.basket(d).basket.kappa1_distribution()
 
     def test_conflicts_are_the_edges_sharing_an_endpoint(self):
         for inst in general_batch(30) + [no_dessert_star(F(1, 2), 3).instance]:
@@ -477,13 +483,6 @@ class TestKappaProfileWelfare:
             assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner) == 0
         assert randomized_matching(inst) == 0
 
-    def test_laws_merge_non_positive_values_at_zero(self, profile_inputs):
-        for inst in profile_inputs[:50]:
-            for make in DESCENDING_RUNNERS.values():
-                for law in make(inst).kappa_laws().values():
-                    assert law.min_value() >= 0
-                    assert [v for v, _ in law.atoms].count(ZERO) <= 1
-
     def test_bound_counts_realizations(self):
         inst = no_dessert_star(F(1, 2), 2).instance
         size = inst.realization_count()
@@ -495,6 +494,62 @@ class TestKappaProfileWelfare:
         with pytest.raises(EnumerationBoundError) as exc:
             randomized_matching(inst, enum_bound=2 ** len(inst.edges) * size - 1)
         assert exc.value.size == 2 ** len(inst.edges) * size
+
+
+def mixture_laws(inst) -> dict:
+    """Each edge's half/half mixture of its two directed capped-value laws."""
+    return {e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
+                                       for v, p in e.basket(d).basket.kappa1_distribution().atoms)
+            for e in inst.edges}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(profile_inputs) -> list:
+    """The profile inputs plus bundled-star n=7, 8 and the four-copy no-dessert stars."""
+    return (profile_inputs + [bundled_star(n).instance for n in (7, 8)]
+            + [no_dessert_star(F(a), 4).instance for a in ("1/2", "1/4", "1/8")])
+
+
+class TestSweepMatchesProduct:
+    """The threshold sweep equals the product of the per-edge kappa^1 laws."""
+
+    @pytest.mark.parametrize("variant", sorted(DESCENDING_RUNNERS))
+    def test_descending_laws(self, sweep_inputs, variant):
+        for inst in sweep_inputs:
+            runner = DESCENDING_RUNNERS[variant](inst)
+            assert runner.exact_welfare() == reference_kappa_welfare(runner.kappa_laws())
+
+    def test_randomized_mixture_laws(self, sweep_inputs):
+        for inst in sweep_inputs:
+            assert randomized_matching(inst) == reference_kappa_welfare(mixture_laws(inst))
+
+
+def star_selection_value(law: DiscreteDistribution, n: int) -> F:
+    """E[max(0, max of n iid draws)]: sum over v > 0 of v (F(v)^n - F(v-)^n)."""
+    total = cdf = ZERO
+    for v, p in law.atoms:
+        below, cdf = cdf, cdf + p
+        if v > 0:
+            total += v * (cdf ** n - below ** n)
+    return total
+
+
+class TestStarIsSelection:
+    """A matching on a star has one edge, so the greedy total is the top kappa^1."""
+
+    @pytest.mark.parametrize("policy", ["oriented-desc", "bundled"])
+    def test_bundled_star_64_closed_form(self, policy):
+        inst = bundled_star(64).instance
+        runner = make_runner(inst, policy)
+        laws = set(runner.kappa_laws().values())
+        assert len(laws) == 1
+        assert expected_welfare_exact(inst, runner, enum_bound=2 ** 64) == \
+            star_selection_value(laws.pop(), 64)
+
+    def test_bundled_star_20_oriented_pinned(self):
+        inst = bundled_star(20).instance
+        assert expected_welfare_exact(inst, make_runner(inst, "oriented-desc")) == \
+            F("1278084904306626794326243581/104857600000000000000000000")
 
 
 def vertex_tie_instances() -> list:

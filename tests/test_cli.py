@@ -86,10 +86,26 @@ class TestRunCommand:
                                "--policy", "oriented-desc", "--format", "csv",
                                "--with-opt")
         lines = out.strip().splitlines()
-        assert lines[0] == "instance,policy,orientation,mode,value_exact,value_float,ratio_to_opt"
+        assert lines[0] == ("instance,policy,orientation,mode,value_exact,value_float,"
+                            "ratio_to_opt,stderr")
         fields = lines[1].split(",")
         assert fields[1] == "oriented-desc"
         assert fields[4] == "1/2" and fields[5] == "0.5" and fields[6] == "1"
+        assert fields[7] == ""
+
+    @pytest.mark.parametrize("policy", ["bundled", "randomized", "oriented-desc"])
+    def test_montecarlo_csv_stderr_equals_json(self, edge_file, capsys, policy):
+        args = ("run", "--instance", edge_file, "--policy", policy,
+                "--mode", "montecarlo", "--seed", "11", "--trials", "3000")
+        _, out_json, _ = run_cli(capsys, *args)
+        code, out_csv, _ = run_cli(capsys, *args, "--format", "csv")
+        welfare = json.loads(out_json)["welfare"]
+        header, row = out_csv.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert code == 0 and welfare["stderr"] > 0
+        assert fields["value_exact"] == ""
+        assert float(fields["value_float"]) == welfare["float"]
+        assert float(fields["stderr"]) == welfare["stderr"]
 
     def test_montecarlo_deterministic(self, edge_file, capsys):
         args = ("run", "--instance", edge_file, "--policy", "oriented-desc",
@@ -298,6 +314,8 @@ class TestInputErrors:
           "--trials", "10"], "--trials applies only to --mode montecarlo"),
         (["run", "--instance", "{missing}", "--policy", "bundled", "--trace-seed", "3",
           "--format", "csv"], "--trace-seed needs --format json"),
+        (["run", "--instance", "{missing}", "--policy", "bundled", "--mode", "montecarlo",
+          "--seed", "1", "--enum-bound", "5"], "--enum-bound applies only to --mode exact"),
         (["repro", "--only", "bundled-star", "--n", "25"],
          "needs 33554432 weighted outcomes, above the bound of 2000000; "
          "raise the bound (PANDORA_ENUM_BOUND)"),
@@ -312,7 +330,7 @@ class TestInputErrors:
             "run-randomized-trace-seed", "oracle-bundled-orientation",
             "oracle-free-orientation", "exact-seed", "exact-seed-trials-zero",
             "exact-trials-negative", "exact-trials", "trace-seed-csv",
-            "repro-enum-bound"])
+            "montecarlo-enum-bound", "repro-enum-bound"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge", "atoms", "half_edge",

@@ -135,4 +135,3 @@ class TestConstructorMatchesReference:
     @given(distributions(), st.fractions(min_value=-6, max_value=7, max_denominator=4))
     def test_clips_match_pushforward(self, d, t):
         assert exact_atoms(d.capped(t)) == reference_law((min(v, t), p) for v, p in d.atoms)
-        assert exact_atoms(d.floored(t)) == reference_law((max(v, t), p) for v, p in d.atoms)

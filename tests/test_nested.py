@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pandora_matching.algorithms import kappa_welfare
 from pandora_matching.boxes import PandoraBox, weitzman_index
 from pandora_matching.distributions import DiscreteDistribution, ZERO
 from pandora_matching.nested import (
@@ -11,16 +12,26 @@ from pandora_matching.nested import (
     annotate,
     check_non_exposure,
     descending_run,
-    enumerate_joint_paths,
-    expected_select_welfare,
-    gamma_sequence,
-    kappa_sequence,
     make_trace,
 )
 from pandora_matching.rng import SplitMix64
 
-from support import assert_matches_reference, rand_tree, reference_annotate, reference_paths
+from support import (
+    assert_matches_reference,
+    enumerate_joint_paths,
+    gamma_sequence,
+    kappa_sequence,
+    rand_tree,
+    reference_annotate,
+    reference_expected_select_welfare,
+    reference_paths,
+)
 from test_distributions import dist
+
+
+def selection_sweep(baskets: dict) -> F:
+    """The matching sweep as single selection: every key claims the vertex "*"."""
+    return kappa_welfare({("*", i): b.kappa1_distribution() for i, b in baskets.items()})
 
 
 def edge_tree(alpha, direction="ij"):
@@ -269,11 +280,11 @@ class TestRaggedDepth:
         assert {p.depth for p in basket.paths} == {1, 2}
         assert basket.kappa1_distribution() == DiscreteDistribution(
             (p.kappa1, p.prob) for p in basket.paths)
-        got = expected_select_welfare({"b": basket})
+        got = reference_expected_select_welfare({"b": basket})
         expected = ZERO
         for p in basket.paths:
             expected += p.prob * max(p.kappa1, ZERO)
-        assert got == expected
+        assert got == expected == selection_sweep({"b": basket})
 
 
 class TestDescendingSelect:
@@ -309,7 +320,15 @@ class TestDescendingSelect:
             expected_max = ZERO
             for paths, prob in enumerate_joint_paths(baskets):
                 expected_max += prob * max(max(p.kappa1, ZERO) for p in paths.values())
-            assert expected_select_welfare(baskets) == expected_max
+            assert reference_expected_select_welfare(baskets) == expected_max
+            assert selection_sweep(baskets) == expected_max
+
+    def test_sweep_on_tied_baskets(self):
+        # equal capped-value laws tie on every atom; selection claims one basket
+        tree = OutcomeNode.stage(1, [("hi", F(1, 2), OutcomeNode.leaf(5)),
+                                     ("lo", F(1, 2), OutcomeNode.leaf(-1))])
+        baskets = {f"b{k}": annotate(tree) for k in range(3)}
+        assert selection_sweep(baskets) == reference_expected_select_welfare(baskets)
 
 
 def brute_select_value(trees: dict) -> F:
@@ -339,14 +358,16 @@ class TestOptimality:
             trees = {f"b{k}": rand_tree(rng, depth=1 + rng.next_below(2), max_branch=2)
                      for k in range(1 + rng.next_below(2))}
             baskets = {i: annotate(t) for i, t in trees.items()}
-            assert expected_select_welfare(baskets) == brute_select_value(trees)
+            assert reference_expected_select_welfare(baskets) == brute_select_value(trees)
+            assert selection_sweep(baskets) == brute_select_value(trees)
 
     def test_deeper_tree_against_brute_force(self):
         rng = SplitMix64(31337)
         for _ in range(6):
             trees = {"b0": rand_tree(rng, depth=3, max_branch=2)}
             baskets = {i: annotate(t) for i, t in trees.items()}
-            assert expected_select_welfare(baskets) == brute_select_value(trees)
+            assert reference_expected_select_welfare(baskets) == brute_select_value(trees)
+            assert selection_sweep(baskets) == brute_select_value(trees)
 
 
 class TestAnnotationInvariants:

@@ -16,7 +16,6 @@ from pandora_matching.instance import (
     canonical_orientation,
     oriented_basket,
 )
-from pandora_matching.nested import expected_select_welfare
 from pandora_matching.oracle import (
     StateBoundError,
     greedy_matching,
@@ -38,6 +37,7 @@ from support import (
     positive_batch,
     rand_box,
     rand_instance,
+    reference_expected_select_welfare,
     reference_max_weight_matching,
     reference_optimal_welfare,
 )
@@ -196,7 +196,8 @@ class TestOptimalWelfare:
             baskets = {e.id: oriented_basket(e, o.direction_of(e.id)).basket
                        for e in inst.edges}
             assert optimal_welfare(inst, "oriented", o).value == \
-                expected_select_welfare(baskets)
+                reference_expected_select_welfare(baskets) == \
+                expected_welfare_exact(inst, DescendingRunner(inst, o))
 
     def test_state_bound_error(self):
         inst = bundled_star(8).instance
