@@ -27,7 +27,6 @@ from .instance import (
     Orientation,
     canonical_orientation,
     orientation_bits,
-    orientation_from_bits,
 )
 from .nested import check_non_exposure, descending_run
 from .rng import SplitMix64, weighted_cuts
@@ -172,12 +171,10 @@ class DescendingRunner:
                    for eid, nt in trace.nested_traces.items())
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
-        baskets = self.baskets
-        res = descending_run({eid: c.basket for eid, c in baskets.items()},
-                             self.paths_for(realization), self.conflicts, record_steps)
+        res = descending_run(self.paths_for(realization), self.conflicts, record_steps)
         inspected = set()
         for eid, tr in res.traces.items():
-            inspected.update(baskets[eid].opened[tr.stages_opened])
+            inspected.update(self.baskets[eid].opened[tr.stages_opened])
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
                         res.claimed_value, res.welfare, res.steps, res.traces)
 
@@ -391,22 +388,20 @@ def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> F
 
 
 # Distinct samples Monte Carlo keeps at a time (a chunk's tally, and the
-# welfare cache across chunks), and runners kept for randomized Monte Carlo:
-# together they cap its memory whatever the trial count.
+# welfare cache across chunks): this caps its memory whatever the trial count.
 MC_CHUNK = 1 << 12
-MC_RUNNERS = 256
 
 
 def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
-                runner_for) -> tuple[float, float]:
+                welfare_of) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded trials.
 
     Each trial takes ``key = draw(rng)``, then one realization from the same
-    stream, and is run by ``runner_for(key)``.  The welfare depends only on
-    the key and the realization, so each chunk of ``MC_CHUNK`` trials is
-    tallied and each distinct pair in it is looked up in a bounded cache,
-    run only on a miss.  The sums of count * w and count * w^2 are exact,
-    so they equal the sums over the trials one by one.
+    stream, and its welfare is ``welfare_of(key, realization)``.  So each
+    chunk of ``MC_CHUNK`` trials is tallied and each distinct pair in it is
+    looked up in a bounded cache, computed only on a miss.  The sums of
+    count * w and count * w^2 are exact, so they equal the sums over the
+    trials one by one.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -416,7 +411,7 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
 
     @functools.lru_cache(maxsize=MC_CHUNK)
     def welfare(key, sample):
-        return runner_for(key).run(dict(zip(ids, sample))).welfare
+        return welfare_of(key, dict(zip(ids, sample)))
 
     acc = acc_sq = ZERO
     for start in range(0, trials, MC_CHUNK):
@@ -435,7 +430,8 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
                                 trials: int) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded sampled runs."""
-    return _montecarlo(inst, seed, trials, lambda rng: None, lambda key: runner)
+    return _montecarlo(inst, seed, trials, lambda rng: None,
+                       lambda key, realization: runner.run(realization).welfare)
 
 
 def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
@@ -465,7 +461,8 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     capped-value laws; the bound still counts 2^|E| times the realizations.
     Monte Carlo mode returns a seeded (mean, stderr) estimate: each trial
     draws a fresh orientation (one bit per edge in edge order, as
-    ``random_orientation``) and then a realization; trials are keyed by the bits.
+    ``random_orientation``) and then a realization, and runs descending on
+    each edge's realized path through the basket its bit selects.
     """
     if mode == "exact":
         _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
@@ -477,10 +474,14 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     if mode == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo mode requires a seed")
-        runner_for = functools.lru_cache(maxsize=MC_RUNNERS)(
-            lambda bits: DescendingRunner(inst, orientation_from_bits(inst, bits)))
+
+        def welfare_of(bits, realization):
+            paths = {e.id: e.basket(e.directions()[bit]).path_of[k]
+                     for e, bit, k in zip(inst.edges, bits, realization.values())}
+            return descending_run(paths, inst.conflicts).welfare
+
         return _montecarlo(inst, seed, trials, lambda rng: orientation_bits(inst, rng),
-                           runner_for)
+                           welfare_of)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -28,7 +28,6 @@ from .algorithms import (
     ENUM_BOUND_ENV,
     POLICY_NAMES,
     EnumerationBoundError,
-    UnsupportedModelError,
     best_of_two,
     edge_based_orientation,
     expected_welfare,
@@ -41,17 +40,14 @@ from .algorithms import (
 from .boxes import PandoraBox, weitzman_index
 from .checks import run_all_checks
 from .instance import (
-    InstanceError,
     MatchingInstance,
     Orientation,
     canonical_orientation,
     random_orientation,
-    validate,
 )
 from .nested import OutcomeNode, annotate, annotated_to_json_obj
 from .oracle import StateBoundError, optimal_action_tree, optimal_welfare
 from .rationals import (
-    RationalParseError,
     format_rational,
     load_json,
     loads_json,
@@ -164,9 +160,6 @@ def cmd_run(args) -> int:
                 raise CliError(f"{flag} applies only to --mode montecarlo")
     bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
-    report = validate(inst)
-    if not report.ok:
-        raise CliError("invalid instance: " + "; ".join(report.errors))
     orientation_desc = stderr = ""
     doc: dict = {"instance": args.instance, "policy": args.policy, "mode": args.mode}
 
@@ -378,8 +371,7 @@ def main(argv=None) -> int:
     except EnumerationBoundError as exc:
         print(f"error: {exc}; {_bound_advice(args)}", file=sys.stderr)
         return 2
-    except (CliError, InstanceError, RationalParseError, UnsupportedModelError,
-            StateBoundError, ValueError) as exc:
+    except (CliError, StateBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -441,12 +441,7 @@ def orientation_bits(inst: MatchingInstance, rng) -> tuple[int, ...]:
     return tuple(rng.next_bit() for _ in inst.edge_ids)
 
 
-def orientation_from_bits(inst: MatchingInstance, bits) -> Orientation:
-    """Bit 0 keeps edge (i, j), bit 1 reverses it to (j, i)."""
-    return Orientation((j, i) if b else (i, j) for b, (i, j) in zip(bits, inst.edge_ids))
-
-
 def random_orientation(inst: MatchingInstance, rng) -> Orientation:
     """One bit of a SplitMix64 stream per edge, in edge order; 0 keeps (i, j)."""
-    return orientation_from_bits(inst, orientation_bits(inst, rng))
+    return Orientation(e.directions()[b] for e, b in zip(inst.edges, orientation_bits(inst, rng)))
 

@@ -106,6 +106,8 @@ class OutcomeNode:
     @classmethod
     def from_json_obj(cls, obj) -> "OutcomeNode":
         if "value" in json_object(obj):
+            if "cost" in obj or "branches" in obj:
+                raise BasketError("leaf node must not carry cost or branches")
             return cls.leaf(parse_rational(obj["value"]))
         branches = [
             (str(b["label"]), parse_rational(b["p"]), cls.from_json_obj(b["node"]))
@@ -310,21 +312,6 @@ def check_non_exposure(trace: NestedTrace, basket: AnnotatedBasket) -> bool:
 # Descending runs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StagePath:
-    """Mutable cursor of one basket during a descending run."""
-
-    basket_id: object
-    node: AnnotatedStage | AnnotatedLeaf
-    stage: int = 0
-    gamma: Fraction | None = None
-
-    def current_index(self) -> Fraction:
-        # index of the advance under consideration: next stage's sigma, or
-        # the revealed value when only the claim remains
-        return self.node.value if self.node.is_leaf else self.node.sigma
-
-
 @dataclass(frozen=True)
 class DescendingStep:
     time: int
@@ -345,63 +332,54 @@ class DescendingResult:
 
 
 def descending_run(
-    baskets: dict,
     paths: dict,
     conflicts=None,
     record_steps: bool = False,
 ) -> DescendingResult:
-    """Run the descending procedure on pre-drawn realizations.
+    """Run the descending procedure on realized paths, keyed by basket id.
 
     Repeatedly advance the eligible basket with the largest current index
-    (ties to the smallest basket id) while that index is positive.  Claiming
-    a basket removes the ids in ``conflicts[basket_id]`` from the eligible
-    set; with the default (all other ids) this is the single-selection
-    problem.
+    (ties to the smallest basket id) while that index is positive.  A
+    basket's current index is its next stage's sigma, or its value once
+    every stage is open and only the claim remains.  Claiming a basket
+    removes the ids in ``conflicts[basket_id]`` from the eligible set; with
+    the default (all other ids) this is the single-selection problem.
     """
-    ids = sorted(baskets)
-    cursors = {i: StagePath(i, baskets[i].root) for i in ids}
-    eligible = set(ids)
+    ids = sorted(paths)
+    stage = dict.fromkeys(ids, 0)
+    index = {i: p.sigmas[0] for i, p in paths.items()}   # every basket has a stage
+    gamma: dict = {}                  # running minimum of the opened indices
+    eligible = ids                    # in id order, so ties go to the smallest id
     claimed: list = []
     total_costs = ZERO
     claimed_value = ZERO
     steps: list[DescendingStep] = []
     time = 0
     while eligible:
-        best = None
-        best_idx = None
-        for i in sorted(eligible):
-            idx = cursors[i].current_index()
-            if best_idx is None or idx > best_idx:
-                best, best_idx = i, idx
+        best = max(eligible, key=index.__getitem__)
+        best_idx = index[best]
         if best_idx <= 0:
             break
-        cur = cursors[best]
+        path = paths[best]
+        s = stage[best]
+        opening = s < path.depth
         if record_steps:
-            view = []
-            for j in sorted(eligible):
-                sig = cursors[j].current_index()
-                g = cursors[j].gamma
-                gamma_t = sig if g is None else min(g, sig)
-                view.append((j, sig, gamma_t))
-            steps.append(
-                DescendingStep(time, best, "open" if not cur.node.is_leaf else "claim",
-                               best_idx, tuple(view))
-            )
-        if cur.node.is_leaf:
-            claimed.append(best)
-            claimed_value += cur.node.value
-            eligible.discard(best)
-            eligible.difference_update(ids if conflicts is None else conflicts[best])
+            view = tuple((j, index[j], min(gamma[j], index[j]) if j in gamma else index[j])
+                         for j in eligible)
+            steps.append(DescendingStep(time, best, "open" if opening else "claim",
+                                        best_idx, view))
+        if opening:
+            total_costs += path.costs[s]
+            gamma[best] = min(gamma[best], best_idx) if best in gamma else best_idx
+            stage[best] = s + 1
+            index[best] = path.sigmas[s + 1] if s + 1 < path.depth else path.value
         else:
-            total_costs += cur.node.cost
-            cur.gamma = cur.node.sigma if cur.gamma is None else min(cur.gamma, cur.node.sigma)
-            bi = paths[best].branch_indices[cur.stage]
-            cur.node = cur.node.branches[bi][2]
-            cur.stage += 1
+            claimed.append(best)
+            claimed_value += path.value
+            eligible = [] if conflicts is None else [
+                j for j in eligible if j != best and j not in conflicts[best]]
         time += 1
-    traces = {
-        i: make_trace(i, paths[i], cursors[i].stage, i in claimed) for i in ids
-    }
+    traces = {i: make_trace(i, paths[i], stage[i], i in claimed) for i in ids}
     return DescendingResult(
         traces, claimed, total_costs, claimed_value, claimed_value - total_costs, steps
     )

@@ -85,8 +85,12 @@ def json_object(obj: Any) -> dict:
 def load_json(path: str) -> Any:
     """Load a JSON file, decoding numbers exactly (decimal semantics)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return loads_json(fh.read())
 
 
 def loads_json(text: str) -> Any:
-    return json.loads(text, parse_float=Fraction)
+    """Decode JSON text as ``load_json`` does; nesting too deep is a ValueError."""
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None

@@ -218,7 +218,7 @@ def reference_expected_select_welfare(baskets: dict) -> Fraction:
     """Single-selection descending welfare, simulated on every joint realization."""
     total = ZERO
     for paths, prob in enumerate_joint_paths(baskets):
-        total += prob * descending_run(baskets, paths).welfare
+        total += prob * descending_run(paths).welfare
     return total
 
 

@@ -27,6 +27,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# Deeper than any Python's recursion limit lets the json decoder go.
+DEEP = 100_000
+LEAF = {"value": "1"}
+BOX = {"dist": [{"v": "1", "p": "1"}], "cost": "0"}
+
+
+def stage(cost, branches):
+    """A tree node as JSON, from (label, p, child) triples."""
+    return {"cost": cost, "branches": [{"label": l, "p": p, "node": c} for l, p, c in branches]}
+
+
+def deep_tree(stages: int) -> str:
+    """A path of ``stages`` single-branch stages, as JSON text."""
+    return ('{"cost": "0", "branches": [{"label": "x", "p": "1", "node": ' * stages
+            + '{"value": "1"}' + "}]}" * stages)
+
+
 class TestIndexCommands:
     def test_index(self, tmp_path, capsys):
         box = indistinguishable_edge().instance.edges[0].box(("i", "j"))
@@ -92,6 +109,27 @@ class TestRunCommand:
         assert fields[1] == "oriented-desc"
         assert fields[4] == "1/2" and fields[5] == "0.5" and fields[6] == "1"
         assert fields[7] == ""
+
+    def test_edge_based_reports_its_orientation(self, tmp_path, capsys):
+        from pandora_matching.algorithms import edge_based_orientation
+
+        inst = no_dessert_star(F(1, 4), 2).instance
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(inst.to_json_obj()))
+        pairs = edge_based_orientation(inst).to_json_obj()
+        assert pairs != [list(e.id) for e in inst.edges]   # not just the canonical one
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--policy", "edge-based")
+        doc = json.loads(out)
+        assert code == 0 and doc["orientation"] == pairs
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--policy", "edge-based",
+                               "--format", "csv")
+        header, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert code == 0 and fields["orientation"] == ";".join(f"{u}>{v}" for u, v in pairs)
+        assert fields["value_exact"] == doc["welfare"]["exact"]
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path),
+                               "--policy", "oriented-desc", "--orientation", "edge-based")
+        assert code == 0 and json.loads(out) == {**doc, "policy": "oriented-desc"}
 
     @pytest.mark.parametrize("policy", ["bundled", "randomized", "oriented-desc"])
     def test_montecarlo_csv_stderr_equals_json(self, edge_file, capsys, policy):
@@ -353,6 +391,67 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert (len(lines) == 1 and lines[0].startswith("error:")
                 and expected.format(**files) in lines[0])
+
+    @pytest.mark.parametrize("argv, doc, expected", [
+        (["run", "--instance", "{doc}", "--policy", "bundled"],
+         '{"edges": ' + "[" * DEEP + "]" * DEEP + "}",
+         "cannot read instance {doc}: JSON nested too deeply to decode"),
+        (["nested-index", "--instance", "{doc}"], deep_tree(DEEP // 3),
+         "cannot read tree {doc}: JSON nested too deeply to decode"),
+        (["oracle", "--instance", "{edge}", "--constraint", "oriented",
+          "--orientation", "{doc}"], "[" * DEEP + "]" * DEEP,
+         "cannot read orientation {doc}: JSON nested too deeply to decode"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc",
+          "--orientation", "[" * DEEP + "]" * DEEP], "", "JSON nested too deeply to decode"),
+        (["nested-index", "--instance", "{doc}"],
+         stage("1", [("x", "1/2", LEAF), ("x", "1/2", LEAF)]), "duplicate branch label 'x'"),
+        (["nested-index", "--instance", "{doc}"], stage("-1", [("x", "1", LEAF)]),
+         "stage cost must be >= 0, got -1"),
+        (["nested-index", "--instance", "{doc}"],
+         stage("1", [("x", "1", LEAF), ("y", "0", LEAF)]),
+         "branch probability must be positive, got 0"),
+        (["nested-index", "--instance", "{doc}"],
+         stage("1", [("x", "1", {"value": "1", "cost": "1"})]),
+         "cannot read tree {doc}: leaf node must not carry cost or branches"),
+        (["nested-index", "--instance", "{doc}"], stage("1", [("x", "1", stage("1", []))]),
+         "internal node needs a cost and at least one branch"),
+        (["index", "--instance", "{doc}"], '{"dist": [{"v": true, "p": 1}], "cost": 0}',
+         "cannot read box {doc}: not a rational: True"),
+        (["index", "--instance", "{doc}"], '{"dist": [{"v": null, "p": 1}], "cost": 0}',
+         "cannot read box {doc}: not a rational: None"),
+        (["index", "--instance", "{doc}"], '{"dist": [{"v": "1/0", "p": 1}], "cost": 0}',
+         "cannot read box {doc}: not a rational: '1/0'"),
+        (["index", "--instance", "{doc}"], '{"dist": {"v": 1, "p": 1}, "cost": 0}',
+         "cannot read box {doc}: distribution JSON must be a list of atoms"),
+        (["index", "--instance", "{doc}"], '{"dist": [{"v": 1}], "cost": 0}',
+         "cannot read box {doc}: bad atom {'v': 1}"),
+        (["run", "--instance", "{doc}", "--policy", "bundled"],
+         json.dumps({"edges": [{"i": "a", "j": "a", "box_ij": BOX, "box_ji": BOX}]}),
+         "cannot read instance {doc}: self-loop at vertex 'a'"),
+    ], ids=["deep-instance", "deep-tree", "deep-orientation-file", "deep-inline-orientation",
+            "tree-duplicate-label", "tree-negative-cost", "tree-zero-probability",
+            "tree-leaf-with-cost", "tree-stage-without-branches", "rational-true",
+            "rational-null", "rational-zero-denominator", "dist-not-list", "atom-without-p",
+            "self-loop"])
+    def test_malformed_document_exits_2(self, tmp_path, edge_file, capsys, argv, doc, expected):
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run_cli(capsys, *[a.replace("{doc}", str(path))
+                                           .replace("{edge}", edge_file) for a in argv])
+        lines = err.strip().splitlines()
+        assert code == 2 and out == ""
+        assert (len(lines) == 1 and lines[0].startswith("error:")
+                and expected.replace("{doc}", str(path)) in lines[0])
+
+    @pytest.mark.parametrize("box, sigma", [
+        ('{"dist": [{"v": 2, "p": 1}], "cost": 1}', "1"),
+        ('{"dist": [{"v": 0.1, "p": 1}], "cost": 0.05}', "1/20"),
+    ], ids=["json-integers", "json-decimals"])
+    def test_json_numbers_are_exact(self, tmp_path, capsys, box, sigma):
+        path = tmp_path / "box.json"
+        path.write_text(box)
+        code, out, _ = run_cli(capsys, "index", "--instance", str(path))
+        assert code == 0 and json.loads(out)["sigma"] == sigma
 
     @pytest.mark.parametrize("command, advice", [
         (["run", "--policy", "bundled"],

@@ -98,6 +98,11 @@ class TestAnnotate:
         with pytest.raises(BasketError):
             annotate(OutcomeNode.leaf(3))
 
+    def test_rejects_leaf_with_cost(self):
+        tree = OutcomeNode.stage(1, [("a", 1, OutcomeNode(value=F(1), cost=F(1)))])
+        with pytest.raises(BasketError, match="leaf node must not carry cost"):
+            annotate(tree)
+
 
 class TestKappa1Distribution:
     def test_forward_orientation(self):
@@ -176,7 +181,7 @@ class TestAmortization:
         welfare = ZERO
         bound = ZERO
         for paths, prob in enumerate_joint_paths({"b": basket}):
-            res = descending_run({"b": basket}, paths)
+            res = descending_run(paths)
             trace = res.traces["b"]
             w, k = trace.welfare, (trace.path.kappa1 if trace.claimed else 0)
             welfare += prob * w
@@ -292,7 +297,7 @@ class TestDescendingSelect:
         tree = OutcomeNode.stage(2, [("v", 1, OutcomeNode.leaf(-1))])
         basket = annotate(tree)
         assert basket.sigma1 < 0
-        res = descending_run({"b": basket}, {"b": basket.paths[0]})
+        res = descending_run({"b": basket.paths[0]})
         assert res.welfare == 0 and not res.claimed_ids
         assert res.traces["b"].stages_opened == 0
 
@@ -300,7 +305,7 @@ class TestDescendingSelect:
         tree = OutcomeNode.stage(1, [("v", 1, OutcomeNode.leaf(1))])
         basket = annotate(tree)
         assert basket.sigma1 == 0
-        res = descending_run({"b": basket}, {"b": basket.paths[0]})
+        res = descending_run({"b": basket.paths[0]})
         assert res.welfare == 0 and res.traces["b"].stages_opened == 0
 
     def test_claims_pointwise_max_capped_value(self):
@@ -308,7 +313,7 @@ class TestDescendingSelect:
         for _ in range(40):
             baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
             for paths, _ in enumerate_joint_paths(baskets):
-                res = descending_run(baskets, paths)
+                res = descending_run(paths)
                 best = max(max(p.kappa1, ZERO) for p in paths.values())
                 claimed = sum((paths[i].kappa1 for i in res.claimed_ids), ZERO)
                 assert claimed == best
@@ -408,7 +413,7 @@ class TestAnnotationInvariants:
         for _ in range(20):
             baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
             for paths, _ in enumerate_joint_paths(baskets):
-                res = descending_run(baskets, paths, record_steps=True)
+                res = descending_run(paths, record_steps=True)
                 for step in res.steps:
                     view = {bid: (s, g) for bid, s, g in step.eligible_view}
                     _, adv_gamma = view[step.basket_id]
