@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -63,10 +64,11 @@ class CliError(Exception):
     pass
 
 
-def _load(path: str, what: str, from_json_obj):
-    """Read a JSON file into an object; any failure becomes one CliError."""
+def _load(path: str, what: str, from_json_obj, text: str | None = None):
+    """Read the JSON file ``path``, or JSON ``text`` that errors call ``path``,
+    into an object; any failure becomes one CliError."""
     try:
-        return from_json_obj(load_json(path))
+        return from_json_obj(load_json(path) if text is None else loads_json(text))
     except KeyError as exc:
         raise CliError(f"cannot read {what} {path}: missing key {exc.args[0]!r}") from exc
     except (OSError, TypeError, ValueError) as exc:
@@ -94,7 +96,7 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
                            f"got {text!r}") from None
         return random_orientation(inst, SplitMix64(seed))
     if spec.strip().startswith("["):
-        o = Orientation.from_json_obj(loads_json(spec))
+        o = _load("from --orientation", "orientation", Orientation.from_json_obj, spec)
     elif os.path.exists(spec):
         o = _load(spec, "orientation", Orientation.from_json_obj)
     else:
@@ -353,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process; each parse_args call still makes a fresh Namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def _bound_advice(args) -> str:
     """The remedies for an exceeded enumeration bound that this command offers."""
     if args.command == "repro":
@@ -364,8 +370,7 @@ def _bound_advice(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except EnumerationBoundError as exc:

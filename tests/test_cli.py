@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pandora_matching import cli
+from pandora_matching.algorithms import POLICY_NAMES
 from pandora_matching.cli import main
-from pandora_matching.repro import indistinguishable_edge, no_dessert_edge, no_dessert_star
+from pandora_matching.repro import (ALL_NAMES, indistinguishable_edge, no_dessert_edge,
+                                    no_dessert_star)
 
 
 @pytest.fixture
@@ -319,6 +326,9 @@ class TestInputErrors:
           "--mode", "montecarlo", "--seed", "1", "--trials", "-5"], "--trials"),
         (["run", "--instance", "{edge}", "--policy", "oriented-desc",
           "--orientation", "[1]"], "list of [first, second] pairs"),
+        (["run", "--instance", "{edge}", "--policy", "oriented-desc",
+          "--orientation", '[["a", "b"]'],
+         "cannot read orientation from --orientation: Expecting ',' delimiter"),
         (["oracle", "--instance", "{edge}", "--constraint", "oriented",
           "--orientation", '[["a"]]'], "list of [first, second] pairs"),
         (["run", "--instance", "{edge}", "--policy", "oriented-desc",
@@ -361,7 +371,7 @@ class TestInputErrors:
             "index-list", "run-missing-key", "run-list",
             "check-missing-key", "check-edge-list", "check-box-short-of-one",
             "trials-zero", "trials-negative", "orientation-entry-not-pair",
-            "orientation-pair-too-short", "orientation-directory",
+            "orientation-inline-not-json", "orientation-pair-too-short", "orientation-directory",
             "check-enum-bound-negative", "run-enum-bound-zero",
             "orientation-random-seed-not-integer", "best-of-two-montecarlo",
             "run-bundled-orientation", "run-best-of-two-orientation",
@@ -402,7 +412,8 @@ class TestInputErrors:
           "--orientation", "{doc}"], "[" * DEEP + "]" * DEEP,
          "cannot read orientation {doc}: JSON nested too deeply to decode"),
         (["run", "--instance", "{edge}", "--policy", "oriented-desc",
-          "--orientation", "[" * DEEP + "]" * DEEP], "", "JSON nested too deeply to decode"),
+          "--orientation", "[" * DEEP + "]" * DEEP], "",
+         "cannot read orientation from --orientation: JSON nested too deeply to decode"),
         (["nested-index", "--instance", "{doc}"],
          stage("1", [("x", "1/2", LEAF), ("x", "1/2", LEAF)]), "duplicate branch label 'x'"),
         (["nested-index", "--instance", "{doc}"], stage("-1", [("x", "1", LEAF)]),
@@ -483,3 +494,98 @@ class TestInputErrors:
         lines = err.strip().splitlines()
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0] == f"error: {expected}"
+
+
+def _options(flag, *values):
+    """Argv fragments for ``flag``: one per value, plus the flag without a value."""
+    return [[flag, v] for v in values] + [[flag]]
+
+
+# Per subcommand, valid and invalid argv fragments; a required flag may be
+# left out, and every subcommand also sees an unknown flag and --help.
+FRAGMENTS = {
+    "index": _options("--instance", "box.json"),
+    "nested-index": _options("--instance", "tree.json"),
+    "run": (_options("--instance", "inst.json")
+            + _options("--policy", *POLICY_NAMES, "nope")
+            + _options("--orientation", "reverse", "random:3")
+            + _options("--mode", "exact", "montecarlo", "fast")
+            + _options("--seed", "1", "-3", "x")
+            + _options("--trials", "10", "1.5", "ten")
+            + _options("--enum-bound", "5", "a")
+            + _options("--trace-seed", "2", "z")
+            + _options("--format", "json", "csv", "xml")
+            + [["--with-opt"]]),
+    "oracle": (_options("--instance", "inst.json")
+               + _options("--constraint", "free", "oriented", "bundled", "nope")
+               + _options("--orientation", "canonical")
+               + [["--trace"]]),
+    "repro": (_options("--only", *ALL_NAMES, "nope")
+              + _options("--alpha", "1/8")
+              + _options("--n", "3", "x")
+              + _options("--m", "2", "2.5")
+              + _options("--format", "csv", "xml")),
+    "check": (_options("--instance", "inst.json")
+              + _options("--orientation", "edge-based")
+              + _options("--enum-bound", "7", "many")),
+}
+ANY = [["--bogus"], ["--help"], ["-h"], ["stray"]]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*FRAGMENTS, "nope", None]))
+    pool = FRAGMENTS.get(command, []) + ANY
+    fragments = draw(st.lists(st.sampled_from(pool), max_size=6))
+    return [command] * (command is not None) + [a for f in fragments for a in f]
+
+
+def parse_outcome(parser, argv):
+    """``vars`` of the parsed namespace, or the exit code, with captured output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(argvs(), min_size=1, max_size=6))
+    def test_parses_as_a_fresh_parser(self, calls):
+        for argv in calls:
+            assert parse_outcome(cli._shared_parser(), argv) == parse_outcome(
+                cli.build_parser(), argv)
+
+    def test_good_call_after_a_failed_one(self, edge_file, capsys):
+        good = ["run", "--instance", edge_file, "--policy", "bundled"]
+        assert parse_outcome(cli._shared_parser(), good[:-1] + ["nope"])[0] == 2
+        assert parse_outcome(cli._shared_parser(), good) == parse_outcome(
+            cli.build_parser(), good)
+        with pytest.raises(SystemExit) as exc:
+            main(good[:-1] + ["nope"])
+        assert exc.value.code == 2 and "invalid choice: 'nope'" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *good)
+        assert code == 0 and err == "" and json.loads(out)["welfare"]["exact"] == "1/4"
+
+    def test_default_trials_do_not_leak_into_the_next_call(self, edge_file, capsys):
+        run = ["run", "--instance", edge_file, "--policy", "bundled"]
+        code, out, _ = run_cli(capsys, *run, "--mode", "montecarlo", "--seed", "4")
+        assert code == 0 and json.loads(out)["welfare"]["trials"] == 100_000
+        assert cli._shared_parser().parse_args(run).trials is None
+        code, out, err = run_cli(capsys, *run)
+        assert code == 0 and err == "" and json.loads(out)["mode"] == "exact"
+
+    def test_main_builds_no_parser_per_call(self, edge_file, capsys, monkeypatch):
+        calls = [["repro", "--only", "no-dessert-edge"],
+                 ["run", "--instance", edge_file, "--policy", "oriented-desc"]]
+        before = [run_cli(capsys, *argv) for argv in calls]
+
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        after = [run_cli(capsys, *argv) for argv in calls]
+        assert after == before and all(code == 0 for code, _, _ in after)
