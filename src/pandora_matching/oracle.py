@@ -12,11 +12,16 @@ constraint can reach, so the state space is the product of those key sets.
 
 The DP runs bottom-up over that product.  Each edge's evidences are ordered
 so that every move goes to a later one, and a state is the mixed-radix index
-of its edges' positions, so filling flat value and move lists from the last
-index down sees every child first.  Values are integers in a per-state scale
-(the common denominator of totals and costs, times each edge's probability
-denominator raised to the moves left on that edge), so options compare, and
-ties break, exactly as in Fractions; only the root value becomes a Fraction.
+of its edges' positions.  A move raises one edge's position, so visiting
+each edge's positions last to first, nested in any order, sees every child
+first: the loop runs over prefixes (every edge but the one with the most
+evidences) and within each over that inner edge's positions, so a prefix's
+index, scale, terminal index and options are found once.  Values are
+integers in a per-state scale (the common denominator of totals and costs,
+times each edge's probability denominator raised to the moves left on that
+edge), so options compare, and ties break, exactly as in Fractions; only the
+root value becomes a Fraction.  Terminal values are read from one table over
+per-edge weight classes, filled by the matching recurrence.
 """
 
 from __future__ import annotations
@@ -248,7 +253,7 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
     # that one scale.
     q = math.lcm(*(x.denominator for m, t in tables
                    for x in [*t.values(), *(mv.cost for mvs in m.values() for mv in mvs)]))
-    powers, options, weights = [], [], []
+    powers, options, classes, ranked = [], [], [], []
     for (moves, totals), evs, position, stride in zip(tables, evidences, positions, strides):
         d = math.lcm(*(p.denominator for mvs in moves.values() for mv in mvs
                        for _, p, _ in mv.branches))
@@ -262,35 +267,60 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                 (_scaled(p, d ** (left[x] - left[position[c]])), (position[c] - x) * stride)
                 for c, p, _ in mv.branches))
             for mv in moves[e]) for x, e in enumerate(evs)])
-        weights.append([_scaled(totals[e], q) if totals.get(e, 0) > 0 else 0 for e in evs])
+        weights = [_scaled(totals[e], q) if totals.get(e, 0) > 0 else 0 for e in evs]
+        ranked.append(sorted(set(weights) - {0}))
+        classes.append([[0, *ranked[-1]].index(w) for w in weights])
+    terminal, tstrides = _matching_table(inst.edge_ids, ranked)
 
-    ids = inst.edge_ids
-    terminal_cache: dict = {}
-    val = [0] * states
-    act = [STOP] * states
-    index = states
-    for pos in itertools.product(*(range(len(evs) - 1, -1, -1) for evs in evidences)):
-        index -= 1
-        scale = math.prod(map(getitem, powers, pos))
-        key = tuple(map(getitem, weights, pos))
-        best = terminal_cache.get(key)
-        if best is None:
-            best = terminal_cache[key] = max_weight_matching(
-                {eid: w for eid, w in zip(ids, key) if w}, zero=0)[1]
-        best *= scale
-        chosen = STOP
-        for opts in map(getitem, options, pos):
-            for move, cost, branches in opts:
+    # (index offset, scale factor, terminal offset, options) per edge, last position first
+    val, act = [0] * states, [STOP] * states
+    rows = [[(x * stride, pw[x], cl[x] * tstride, op[x]) for x in reversed(range(len(op)))]
+            for stride, pw, cl, tstride, op in zip(strides, powers, classes, tstrides, options)]
+    m = max(reversed(range(len(rows))), key=lambda k: len(rows[k]), default=-1)
+    inner = rows.pop(m) if rows else [(0, 1, 0, ())]
+    for pre in itertools.product(*rows):
+        offsets, scales, tclasses, opts = zip((0, 1, 0, ()), *pre)  # neutral row first
+        base, pscale, tbase = sum(offsets), math.prod(scales), sum(tclasses)
+        before, after = sum(opts[:m + 1], ()), sum(opts[m + 1:], ())
+        for offset, power, tclass, own in inner:
+            index = base + offset
+            scale = pscale * power
+            best = terminal[tbase + tclass] * scale
+            chosen = STOP
+            for move, cost, branches in before + own + after:
                 ev = -cost * scale
                 for coef, delta in branches:
                     ev += coef * val[index + delta]
                 if ev > best:
                     best, chosen = ev, move
-        val[index] = best
-        act[index] = chosen
+            val[index] = best
+            act[index] = chosen
 
     table = StateTable(positions, strides, q, powers, val, act)
     return PolicyValue(table.value(tuple(evs[0] for evs in evidences)), table)
+
+
+def _matching_table(ids: list[EdgeId], weights: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Best matching total for each choice of one weight class per edge.
+
+    ``weights[k]`` is edge k's positive weights, ascending; class 0 leaves
+    edge k out and class r gives it ``weights[k][r - 1]``.  Returns the table,
+    indexed by sum(class_k * strides[k]), and the strides.  With k the first
+    edge of nonzero class in c, T[c] = max(T[c without k], w_k + T[c without
+    k and its neighbours]), two entries filled before c.
+    """
+    sizes = [len(w) + 1 for w in weights]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    table = [0] * math.prod(sizes)
+    for k in reversed(range(len(sizes))):
+        # every class vector of the edges after k, with k's neighbours left out
+        free = [sum(t) for t in itertools.product(*(
+            [0 if set(ids[j]) & set(ids[k]) else x * strides[j] for x in range(sizes[j])]
+            for j in range(k + 1, len(sizes))))]
+        for r, w in enumerate(weights[k], 1):
+            table[r * strides[k]:(r + 1) * strides[k]] = [
+                max(t, w + table[f]) for t, f in zip(table[:strides[k]], free)]
+    return table, strides
 
 
 def _scaled(x: Fraction, scale: int) -> int:

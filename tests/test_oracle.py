@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from pandora_matching.algorithms import DescendingRunner, expected_welfare_exact
 from pandora_matching.boxes import PandoraBox
+from pandora_matching.cli import main
+from pandora_matching.distributions import DiscreteDistribution
 from pandora_matching.instance import (
     EdgeSpec,
     MatchingInstance,
@@ -17,7 +21,10 @@ from pandora_matching.instance import (
     oriented_basket,
 )
 from pandora_matching.oracle import (
+    STOP,
     StateBoundError,
+    _edge_moves,
+    _matching_table,
     greedy_matching,
     max_weight_matching,
     optimal_action_tree,
@@ -368,3 +375,108 @@ class TestReferenceDP:
             with pytest.raises(KeyError):
                 table[state]
         assert set(table) == set(reference_optimal_welfare(inst, "bundled")[1])
+
+
+def point_edge(u, v, value, cost):
+    """An edge whose two boxes are point masses: value splits as value - 1 and 1."""
+    point = DiscreteDistribution.point
+    return EdgeSpec.independent(u, v, PandoraBox(point(value - 1), cost),
+                                PandoraBox(point(1), 0))
+
+
+class TestLoopEdgeCases:
+    """Instances at the edges of the prefix x inner-edge state loop."""
+
+    @pytest.mark.parametrize("variant", ["free", "oriented", "bundled"])
+    def test_no_edges(self, variant):
+        inst = MatchingInstance(["a"], [])
+        pv = optimal_welfare(inst, *variant_args(inst, variant))
+        assert type(pv.value) is F and pv.value == 0
+        assert len(pv.best_action) == 1 and pv.best_action[()] is STOP
+        assert pv.best_action.value(()) == 0
+        assert optimal_action_tree(inst, pv) == {"action": "stop"}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_edge_has_an_empty_prefix(self, variant):
+        rng = SplitMix64(4242)
+        for _ in range(6):
+            inst = MatchingInstance("ab", [EdgeSpec.independent(
+                "a", "b", rand_box(rng, positive=True), rand_box(rng))])
+            assert_matches_reference(inst, variant)
+
+    def test_bundled_point_masses_have_two_evidences_per_edge(self):
+        edges = [point_edge(u, v, w, F(1, 3)) for u, v, w in
+                 [("a", "b", 2), ("b", "c", 3), ("c", "d", 2), ("a", "c", F(5, 2)),
+                  ("d", "e", F(1, 3))]]
+        inst = MatchingInstance("abcde", edges)
+        pv = optimal_welfare(inst, "bundled")
+        assert {len(_edge_moves(k, e, "bundled", None)[0]) for k, e in enumerate(edges)} == {2}
+        assert pv.value == 2 + 2 - 2 * F(1, 3)
+        assert_matches_reference(inst, "bundled")
+
+    def test_check_on_the_empty_instance(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+        assert main(["check", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+
+class TestPastSixteenEdges:
+    """The DP reads terminal values from its table, so brute-force matching's
+    16-edge limit does not bound it."""
+
+    def test_bundled_star_of_point_masses(self):
+        leaves = [f"l{k:02d}" for k in range(1, 18)]
+        inst = MatchingInstance(["h", *leaves], [
+            point_edge("h", leaf, F(k, 3), F(k % 5, 4)) for k, leaf in enumerate(leaves, 1)])
+        pv = optimal_welfare(inst, "bundled")
+        assert len(pv.best_action) == 2 ** 17
+        assert pv.value == expected_welfare_exact(inst, DescendingRunner(inst)) == F(17, 3) - 2 * F(1, 4)
+
+    def test_bundled_path_of_point_masses(self):
+        rng = SplitMix64(17)
+        gains = [F(1 + rng.next_below(8), 1 + rng.next_below(3)) for _ in range(17)]
+        edges = [point_edge(f"v{k:02d}", f"v{k + 1:02d}", gain + F(1, 2), F(1, 2))
+                 for k, gain in enumerate(gains)]
+        inst = MatchingInstance([f"v{k:02d}" for k in range(18)], edges)
+        # best path matching of the (positive) gains: skip edge k, or take
+        # it and skip edge k - 1
+        best = [F(0), gains[0]]
+        for gain in gains[1:]:
+            best.append(max(best[-1], best[-2] + gain))
+        assert optimal_welfare(inst, "bundled").value == best[-1] > max(gains)
+
+
+def assert_table_matches_reference(ids, weights, zero):
+    """Every entry of _matching_table against the brute-force search."""
+    table, strides = _matching_table(ids, weights)
+    assert len(table) == math.prod(len(w) + 1 for w in weights)
+    for classes in itertools.product(*(range(len(w) + 1) for w in weights)):
+        chosen = {eid: w[c - 1] for eid, w, c in zip(ids, weights, classes) if c}
+        index = sum(c * stride for c, stride in zip(classes, strides))
+        assert table[index] == reference_max_weight_matching(chosen, zero)[1], chosen
+
+
+class TestMatchingTable:
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    def test_equals_recursion_on_shortcut_graphs(self, kind):
+        rng = SplitMix64(77)
+        values = [-1, 0, 1, 2, 2, 3] if kind == "int" else [F(-1), F(0), F(1, 2), F(2), F(7, 3)]
+        zero = 0 if kind == "int" else F(0)
+        for graph in matching_graphs(rng):
+            for _ in range(30):
+                draws = [values[rng.next_below(len(values))] for _ in graph]
+                assert_table_matches_reference(graph, [[w] if w > 0 else [] for w in draws], zero)
+
+    def test_disjoint_edges_ties_and_zero_weights(self):
+        graph = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]
+        assert_table_matches_reference(graph, [[1, 2], [], [2, 3], [2], [1, 3, 4]], 0)
+        table, _ = _matching_table(graph, [[2], [4], [2], [], []])
+        assert table[-1] == 4
+
+    def test_equals_recursion_on_per_state_weights(self):
+        # every state's terminal weights are one class vector of these lists
+        for inst in general_batch(40):
+            totals = [_edge_moves(k, e, "free", None)[1] for k, e in enumerate(inst.edges)]
+            weights = [sorted({w for w in t.values() if w > 0}) for t in totals]
+            assert_table_matches_reference(inst.edge_ids, weights, F(0))
