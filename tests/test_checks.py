@@ -1,6 +1,8 @@
 """The invariant suite reports false when a runner or its step list breaks a rule."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,9 @@ from pandora_matching import checks
 from pandora_matching.algorithms import DescendingRunner
 from pandora_matching.nested import make_trace
 from pandora_matching.repro import bundled_star
+
+from support import general_batch, joint_batch, positive_batch
+from test_algorithms import named_instances
 
 ORIENTED = ("forward", "reverse")
 
@@ -76,3 +81,33 @@ def test_fault_fails_its_checks(inst, monkeypatch, fault):
     monkeypatch.setattr(checks, "DescendingRunner", Faulty)
     passed = {r.name: r.passed for r in checks.run_all_checks(inst)}
     assert [name for name in failing if passed[name]] == []
+
+
+def check_instances() -> dict:
+    """The named instances and the first 20 of each seeded batch."""
+    named = named_instances()
+    for batch in (general_batch, positive_batch, joint_batch):
+        named.update((f"{batch.__name__}[{k}]", inst) for k, inst in enumerate(batch(20)))
+    return named
+
+
+def check_results(inst) -> list:
+    """[name, passed, detail] of every row of ``run_all_checks``."""
+    return [[r.name, r.passed, r.detail] for r in checks.run_all_checks(inst)]
+
+
+class TestCheckResultsGolden:
+    """Every row of ``pandora check``, captured when the runs summed Fractions."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "check_results.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return check_instances()
+
+    def test_covers_every_instance(self, instances):
+        assert sorted(self.GOLDEN) == sorted(instances)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_rows_match_golden(self, instances, name):
+        assert check_results(instances[name]) == self.GOLDEN[name]
