@@ -18,6 +18,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator
 
 from .boxes import weitzman_index
@@ -27,8 +28,10 @@ from .instance import (
     Orientation,
     canonical_orientation,
     orientation_bits,
+    scaled_paths,
 )
 from .nested import check_non_exposure, descending_run
+from .rationals import scaled
 from .rng import SplitMix64, weighted_cuts
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -75,14 +78,20 @@ def _require_within_bound(size: int, enum_bound=None) -> None:
         raise EnumerationBoundError(size, bound)
 
 
-def enumerate_realizations(inst: MatchingInstance) -> Iterator[tuple[Realization, Fraction]]:
+def realization_weights(inst: MatchingInstance) -> tuple[int, list[list[int]]]:
+    """(D, per edge its outcome probabilities times D's factor for that edge)."""
+    dens = [math.lcm(*(o.prob.denominator for o in e.outcomes)) for e in inst.edges]
+    return math.prod(dens), [[scaled(o.prob, d) for o in e.outcomes]
+                             for e, d in zip(inst.edges, dens)]
+
+
+def enumerate_realizations(inst: MatchingInstance, enum_bound=None) -> Iterator[tuple]:
+    """Every realization and its probability times ``realization_weights(inst)[0]``."""
+    _require_within_bound(inst.realization_count(), enum_bound)
     ids = inst.edge_ids
-    tables = [inst.edge(eid).outcomes for eid in ids]
-    for combo in itertools.product(*(range(len(t)) for t in tables)):
-        prob = Fraction(1)
-        for tab, k in zip(tables, combo):
-            prob *= tab[k].prob
-        yield dict(zip(ids, combo)), prob
+    weights = realization_weights(inst)[1]
+    for combo in itertools.product(*(range(len(w)) for w in weights)):
+        yield dict(zip(ids, combo)), math.prod([w[k] for w, k in zip(weights, combo)])
 
 
 def outcome_cuts(inst: MatchingInstance) -> list:
@@ -101,17 +110,19 @@ class RunTrace:
 
     inspected: set            # directed pairs with the box opened
     matched: frozenset        # edge ids in the matching
-    costs_paid: Fraction
-    matched_value: Fraction
-    welfare: Fraction
+    costs_paid: int           # these three, and a descending run's step
+    matched_value: int        # indices, are integers times scale
+    welfare: int
+    scale: int
     steps: list = field(default_factory=list)
     nested_traces: dict = field(default_factory=dict)   # basket id -> NestedTrace
 
 
 def assert_valid_trace(trace: RunTrace, inst: MatchingInstance, realization: Realization) -> None:
     """Matching legality, obligatory inspection, and welfare accounting."""
+    q = trace.scale
     used = set()
-    value = ZERO
+    value = 0
     for eid in trace.matched:
         e = inst.edge(eid)
         if e.i in used or e.j in used:
@@ -120,11 +131,11 @@ def assert_valid_trace(trace: RunTrace, inst: MatchingInstance, realization: Rea
         for d in e.directions():
             if d not in trace.inspected:
                 raise AssertionError(f"matched edge {eid} not fully inspected")
-        value += e.outcomes[realization[eid]].total
-    costs = ZERO
+        value += scaled(e.outcomes[realization[eid]].total, q)
+    costs = 0
     for (u, v) in trace.inspected:
         eid = (u, v) if u < v else (v, u)
-        costs += inst.edge(eid).cost((u, v))
+        costs += scaled(inst.edge(eid).cost((u, v)), q)
     if costs != trace.costs_paid or value != trace.matched_value:
         raise AssertionError("trace cost or value accounting is off")
     if trace.welfare != value - costs:
@@ -137,7 +148,7 @@ class DescendingRunner:
     With an orientation each edge is its oriented two-stage basket; without
     one, each edge is its bundled one-stage basket (both boxes at once).
     The runner only picks each edge's cached ``EdgeSpec.basket`` entry and
-    reads the instance's conflict sets.
+    reads the instance's conflict sets; ``run`` reads their paths times Q.
     """
 
     def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
@@ -150,13 +161,14 @@ class DescendingRunner:
                         for e in inst.edges}
         self.conflicts = inst.conflicts
 
-    def paths_for(self, realization: Realization) -> dict:
-        baskets = self.baskets
-        return {eid: baskets[eid].path_of[k] for eid, k in realization.items()}
+    @functools.cached_property
+    def scaled(self) -> tuple[int, dict]:
+        """``scaled_paths`` of the baskets, built on the first run."""
+        return scaled_paths(self.inst, self.baskets)
 
     def kappa_weights(self, realization: Realization) -> dict:
         """Realized terminal capped value per edge (the greedy weights)."""
-        return {eid: p.kappa1 for eid, p in self.paths_for(realization).items()}
+        return {eid: self.baskets[eid].path_of[k].kappa1 for eid, k in realization.items()}
 
     def kappa_laws(self) -> dict:
         """Each edge's law of the terminal capped value kappa^(1)."""
@@ -171,12 +183,14 @@ class DescendingRunner:
                    for eid, nt in trace.nested_traces.items())
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
-        res = descending_run(self.paths_for(realization), self.conflicts, record_steps)
+        q, paths = self.scaled
+        res = descending_run({eid: paths[eid][k] for eid, k in realization.items()},
+                             self.conflicts, record_steps)
         inspected = set()
         for eid, tr in res.traces.items():
             inspected.update(self.baskets[eid].opened[tr.stages_opened])
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
-                        res.claimed_value, res.welfare, res.steps, res.traces)
+                        res.claimed_value, res.welfare, q, res.steps, res.traces)
 
 
 class DecisionRunner:
@@ -216,34 +230,34 @@ class DecisionRunner:
         return vals
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
+        q = self.inst.denominator
         vals = self.endpoint_values(realization)
         opened: dict = {}
         matched: set = set()
         blocked: set = set()
-        costs = ZERO
-        value = ZERO
+        costs = value = 0
         steps: list = []
         time = 0
         while (step := self._next(opened, blocked)) is not None:
             kind, pair, key = step
             if kind == "open":
-                costs += self.cost[pair]
+                costs += scaled(self.cost[pair], q)
                 opened[pair] = vals[pair]
                 if record_steps:
                     steps.append((time, "open", pair, key))
             else:
                 partner = (pair[1], pair[0])
                 if partner not in opened:
-                    costs += self.cost[partner]
+                    costs += scaled(self.cost[partner], q)
                     opened[partner] = vals[partner]
                 eid = pair if pair[0] < pair[1] else partner
                 matched.add(eid)
                 blocked.update(eid)
-                value += vals[pair] + vals[partner]
+                value += scaled(vals[pair], q) + scaled(vals[partner], q)
                 if record_steps:
                     steps.append((time, "match", eid, key))
             time += 1
-        return RunTrace(set(opened), frozenset(matched), costs, value, value - costs, steps)
+        return RunTrace(set(opened), frozenset(matched), costs, value, value - costs, q, steps)
 
     def exact_welfare(self) -> Fraction:
         """Exact expected welfare by expanding the policy's decision tree.
@@ -335,9 +349,9 @@ class VertexBasedDescendingRunner(DecisionRunner):
 def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
                    record_steps: bool = False):
     """Yield (realization, prob, trace) over the whole outcome space."""
-    _require_within_bound(inst.realization_count(), enum_bound)
-    for realization, prob in enumerate_realizations(inst):
-        yield realization, prob, runner.run(realization, record_steps=record_steps)
+    den = realization_weights(inst)[0]
+    for realization, weight in enumerate_realizations(inst, enum_bound):
+        yield realization, Fraction(weight, den), runner.run(realization, record_steps=record_steps)
 
 
 def kappa_welfare(laws: dict) -> Fraction:
@@ -397,11 +411,11 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
     """(mean, standard error) of the welfare over seeded trials.
 
     Each trial takes ``key = draw(rng)``, then one realization from the same
-    stream, and its welfare is ``welfare_of(key, realization)``.  So each
-    chunk of ``MC_CHUNK`` trials is tallied and each distinct pair in it is
-    looked up in a bounded cache, computed only on a miss.  The sums of
-    count * w and count * w^2 are exact, so they equal the sums over the
-    trials one by one.
+    stream, and its welfare is w / q for ``(w, q) = welfare_of(key,
+    realization)``, one q for all.  So each chunk of ``MC_CHUNK`` trials is
+    tallied and each distinct pair in it is looked up in a bounded cache,
+    computed only on a miss.  The integer sums of count * w and count * w^2
+    are exact, so they equal the sums over the trials one by one.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -413,25 +427,26 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
     def welfare(key, sample):
         return welfare_of(key, dict(zip(ids, sample)))
 
-    acc = acc_sq = ZERO
+    acc = acc_sq = 0
     for start in range(0, trials, MC_CHUNK):
         tally = Counter((draw(rng), tuple(sample_realization(cuts, rng).values()))
                         for _ in range(min(MC_CHUNK, trials - start)))
         for (key, sample), count in tally.items():
-            w = welfare(key, sample)
+            w, q = welfare(key, sample)
             cw = count * w
             acc += cw
             acc_sq += cw * w
-    mean = acc / trials
-    var = acc_sq / trials - mean * mean
+    mean = Fraction(acc, trials * q)
+    var = Fraction(acc_sq, trials * q * q) - mean * mean
     return float(mean), math.sqrt(max(0.0, float(var)) / trials)
 
 
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
                                 trials: int) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded sampled runs."""
+    scaled_welfare = attrgetter("welfare", "scale")
     return _montecarlo(inst, seed, trials, lambda rng: None,
-                       lambda key, realization: runner.run(realization).welfare)
+                       lambda key, realization: scaled_welfare(runner.run(realization)))
 
 
 def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
@@ -475,10 +490,13 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
         if seed is None:
             raise ValueError("montecarlo mode requires a seed")
 
+        q, tables = scaled_paths(inst, {(e.id, bit): e.basket(d) for e in inst.edges
+                                        for bit, d in enumerate(e.directions())})
+
         def welfare_of(bits, realization):
-            paths = {e.id: e.basket(e.directions()[bit]).path_of[k]
+            paths = {e.id: tables[e.id, bit][k]
                      for e, bit, k in zip(inst.edges, bits, realization.values())}
-            return descending_run(paths, inst.conflicts).welfare
+            return descending_run(paths, inst.conflicts).welfare, q
 
         return _montecarlo(inst, seed, trials, lambda rng: orientation_bits(inst, rng),
                            welfare_of)

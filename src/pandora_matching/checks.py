@@ -5,10 +5,12 @@ properties need: trace validity, non-exposure, the greedy-matching identity,
 the amortization identity, and the step-level index bookkeeping of the
 descending run.  On top of those sit the oracle comparisons (half and
 quarter approximation factors and the orientation-pair bound on the optimum).
+A failed per-realization row names its first failing realization, {edge: signal labels}.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,10 +19,10 @@ from .algorithms import (
     VertexBasedDescendingRunner,
     assert_valid_trace,
     best_of_two,
-    enumerate_runs,
+    enumerate_realizations,
     randomized_matching,
+    realization_weights,
 )
-from .distributions import ZERO
 from .instance import MatchingInstance, Orientation, canonical_orientation, validate
 from .oracle import greedy_matching, optimal_welfare
 
@@ -38,7 +40,7 @@ class Summary:
 
     claimed_kappa_sum and greedy_equal need capped edge weights, so they are
     None for the vertex-based runner; gamma_steps_ok is only checked when
-    steps are recorded.
+    steps are recorded.  ``witnesses``: false flag -> first failing realization.
     """
 
     welfare: Fraction
@@ -47,33 +49,38 @@ class Summary:
     non_exposed: bool
     greedy_equal: bool | None
     gamma_steps_ok: bool
+    witnesses: dict
 
 
 def summarize(inst: MatchingInstance, runner, enum_bound=None,
               record_steps: bool = False) -> Summary:
-    """Enumerate every realization once and check each run."""
+    """Enumerate every realization once and check each run, summing integers."""
     weighted = isinstance(runner, DescendingRunner)
-    welfare = kappa_sum = ZERO
-    traces_valid = non_exposed = greedy_equal = gamma_ok = True
-    for realization, prob, trace in enumerate_runs(inst, runner, enum_bound,
-                                                   record_steps=record_steps):
-        welfare += prob * trace.welfare
+    welfare = kappa_sum = 0
+    witnesses: dict = {}
+    for realization, weight in enumerate_realizations(inst, enum_bound):
+        trace = runner.run(realization, record_steps=record_steps)
+        welfare += weight * trace.welfare
         try:
             assert_valid_trace(trace, inst, realization)
         except AssertionError:
-            traces_valid = False
+            witnesses.setdefault("traces_valid", realization)
         if not runner.non_exposed(realization, trace):
-            non_exposed = False
+            witnesses.setdefault("non_exposed", realization)
         if weighted:
-            weights = runner.kappa_weights(realization)
-            kappa_sum += prob * sum((weights[eid] for eid in trace.matched), ZERO)
-            if trace.matched != greedy_matching(weights)[0]:
-                greedy_equal = False
+            kappa = {eid: nt.path.kappa1 for eid, nt in trace.nested_traces.items()}
+            kappa_sum += weight * sum([kappa[eid] for eid in trace.matched])
+            if trace.matched != greedy_matching(kappa)[0]:
+                witnesses.setdefault("greedy_equal", realization)
         if record_steps and not _gamma_steps_ok(trace.steps):
-            gamma_ok = False
+            witnesses.setdefault("gamma_steps_ok", realization)
+    den = realization_weights(inst)[0] * trace.scale
+    flags = {flag: flag not in witnesses
+             for flag in ("traces_valid", "non_exposed", "greedy_equal", "gamma_steps_ok")}
     if not weighted:
-        kappa_sum = greedy_equal = None
-    return Summary(welfare, kappa_sum, traces_valid, non_exposed, greedy_equal, gamma_ok)
+        flags["greedy_equal"] = None
+    return Summary(Fraction(welfare, den), Fraction(kappa_sum, den) if weighted else None,
+                   witnesses=witnesses, **flags)
 
 
 def _gamma_steps_ok(steps) -> bool:
@@ -92,35 +99,38 @@ def _gamma_steps_ok(steps) -> bool:
 def run_all_checks(inst: MatchingInstance, orientation: Orientation | None = None,
                    enum_bound=None) -> list[CheckResult]:
     """The full invariant suite for one instance; all exact comparisons."""
-    results: list[CheckResult] = []
-    report = validate(inst)
-    results.append(CheckResult("instance-valid", report.ok, "; ".join(report.errors)))
-    if not report.ok:
-        return results
+    def row(name: str, s: Summary, flag: str) -> CheckResult:
+        if flag not in s.witnesses:
+            return CheckResult(name, getattr(s, flag))
+        outcomes = {eid: inst.edge(eid).outcomes[k] for eid, k in s.witnesses[flag].items()}
+        return CheckResult(name, False, "first failing realization " + json.dumps(
+            {f"{i}-{j}": [o.label_i, o.label_j] for (i, j), o in outcomes.items()}))
 
+    report = validate(inst)
+    results = [CheckResult("instance-valid", report.ok, "; ".join(report.errors))]
     o = orientation or canonical_orientation(inst)
     o_rev = o.reverse()
     fwd = summarize(inst, DescendingRunner(inst, o), enum_bound, record_steps=True)
     rev = summarize(inst, DescendingRunner(inst, o_rev), enum_bound, record_steps=True)
 
     for label, s in (("forward", fwd), ("reverse", rev)):
-        results.append(CheckResult(f"trace-validity-{label}", s.traces_valid))
-        results.append(CheckResult(f"non-exposure-oriented-{label}", s.non_exposed))
-        results.append(CheckResult(f"greedy-equivalence-{label}", s.greedy_equal))
+        results.append(row(f"trace-validity-{label}", s, "traces_valid"))
+        results.append(row(f"non-exposure-oriented-{label}", s, "non_exposed"))
+        results.append(row(f"greedy-equivalence-{label}", s, "greedy_equal"))
         results.append(CheckResult(
             f"amortization-equality-{label}", s.welfare == s.claimed_kappa_sum,
             f"welfare {s.welfare} vs claimed capped sum {s.claimed_kappa_sum}"))
-        results.append(CheckResult(f"descending-step-indices-{label}", s.gamma_steps_ok))
+        results.append(row(f"descending-step-indices-{label}", s, "gamma_steps_ok"))
 
     bundled = summarize(inst, DescendingRunner(inst), enum_bound)
-    results.append(CheckResult("trace-validity-bundled", bundled.traces_valid))
-    results.append(CheckResult("non-exposure-bundled", bundled.non_exposed))
-    results.append(CheckResult("greedy-equivalence-bundled", bundled.greedy_equal))
+    results.append(row("trace-validity-bundled", bundled, "traces_valid"))
+    results.append(row("non-exposure-bundled", bundled, "non_exposed"))
+    results.append(row("greedy-equivalence-bundled", bundled, "greedy_equal"))
 
     if inst.all_independent():
         vertex = summarize(inst, VertexBasedDescendingRunner(inst), enum_bound)
-        results.append(CheckResult("trace-validity-vertex-based", vertex.traces_valid))
-        results.append(CheckResult("non-exposure-vertex-based", vertex.non_exposed))
+        results.append(row("trace-validity-vertex-based", vertex, "traces_valid"))
+        results.append(row("non-exposure-vertex-based", vertex, "non_exposed"))
 
     opt_free = optimal_welfare(inst).value
     opt_fwd = optimal_welfare(inst, "oriented", o).value

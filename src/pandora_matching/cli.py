@@ -237,8 +237,8 @@ def _trace_doc(inst, realization, trace) -> dict:
         "realization": {f"{i}-{j}": k for (i, j), k in realization.items()},
         "inspected": sorted(f"{u}>{v}" for u, v in trace.inspected),
         "matched": sorted(f"{i}-{j}" for i, j in trace.matched),
-        "costs_paid": format_rational(trace.costs_paid),
-        "welfare": format_rational(trace.welfare),
+        "costs_paid": format_rational(Fraction(trace.costs_paid, trace.scale)),
+        "welfare": format_rational(Fraction(trace.welfare, trace.scale)),
     }
 
 

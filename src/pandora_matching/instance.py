@@ -12,6 +12,7 @@ that need them separately.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -82,8 +83,8 @@ class EdgeBasket:
 
     @functools.cached_property
     def path_of(self) -> dict[int, PathInfo]:
-        by_labels = {p.labels: p for p in self.basket.paths}
-        return {k: by_labels[self.path_labels(o)] for k, o in enumerate(self.outcomes)}
+        return {k: self.basket.by_labels[self.path_labels(o)]
+                for k, o in enumerate(self.outcomes)}
 
 
 class EdgeSpec:
@@ -109,19 +110,6 @@ class EdgeSpec:
         self.box_ij = box_ij
         self.box_ji = box_ji
         self.outcomes = tuple(sorted(outcomes, key=lambda o: (o.label_i, o.label_j)))
-        self._check()
-        self._tables: dict[DirectedPair, DirectionTable] = {}
-        self._baskets: dict = {}
-
-    @property
-    def id(self) -> EdgeId:
-        return (self.i, self.j)
-
-    @property
-    def is_independent(self) -> bool:
-        return self.box_ij is not None
-
-    def _check(self):
         if self.cost_ij.numerator < 0 or self.cost_ji.numerator < 0:
             raise InstanceError(f"edge {self.id}: costs must be >= 0")
         if not self.outcomes:
@@ -138,6 +126,16 @@ class EdgeSpec:
         if num != den:
             raise InstanceError(
                 f"edge {self.id}: outcome probabilities sum to {Fraction(num, den)}")
+        self._tables: dict[DirectedPair, DirectionTable] = {}
+        self._baskets: dict = {}
+
+    @property
+    def id(self) -> EdgeId:
+        return (self.i, self.j)
+
+    @property
+    def is_independent(self) -> bool:
+        return self.box_ij is not None
 
     @classmethod
     def independent(cls, i: str, j: str, box_ij: PandoraBox, box_ji: PandoraBox) -> "EdgeSpec":
@@ -278,6 +276,15 @@ def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
                       ((), (direction,), edge.directions()), labels, edge.outcomes)
 
 
+def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
+    """(Q, key -> each outcome's realized path times Q): with Q the lcm of every
+    denominator a run or its checks read, all their numbers are ints times Q."""
+    tables = {key: c.path_of.values() for key, c in baskets.items()}
+    q = math.lcm(inst.denominator, *(s.denominator for paths in tables.values()
+                                     for p in paths for s in p.sigmas))
+    return q, {key: [p.scaled(q) for p in paths] for key, paths in tables.items()}
+
+
 def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
     """Single-stage basket over the edge total (both costs paid at once)."""
     box = edge.bundled_box()
@@ -322,6 +329,12 @@ class MatchingInstance:
     def all_independent(self) -> bool:
         return all(e.is_independent for e in self.edges)
 
+    @functools.cached_property
+    def denominator(self) -> int:
+        """The lcm of the denominators of every cost, outcome total and endpoint value."""
+        return math.lcm(*(x.denominator for e in self.edges for o in e.outcomes
+                          for x in (e.cost_ij, e.cost_ji, o.total, o.v_i or 0, o.v_j or 0)))
+
     def realization_count(self) -> int:
         n = 1
         for e in self.edges:
@@ -352,28 +365,16 @@ class ValidationReport:
 
 
 def validate(inst: MatchingInstance) -> ValidationReport:
-    """Re-check instance invariants and classify the value regime.
+    """Classify the value regime; the constructors have checked every edge.
 
     positive_values is True iff every edge is in independent form with
     nonnegative support and expectation at least the inspection cost on
     both endpoints (so every index and capped value is nonnegative).
     """
-    errors: list[str] = []
-    positive = True
-    for e in inst.edges:
-        try:
-            e._check()
-        except InstanceError as exc:
-            errors.append(str(exc))
-            continue
-        if not e.is_independent:
-            positive = False
-            continue
-        for direction in e.directions():
-            box = e.box(direction)
-            if box.dist.min_value() < 0 or box.dist.expectation() < box.cost:
-                positive = False
-    return ValidationReport(tuple(errors), positive)
+    positive = all(e.is_independent and all(
+        box.dist.min_value() >= 0 and box.dist.expectation() >= box.cost
+        for box in (e.box_ij, e.box_ji)) for e in inst.edges)
+    return ValidationReport((), positive)
 
 
 class Orientation:

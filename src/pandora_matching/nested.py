@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .boxes import PandoraBox, weitzman_index
-from .distributions import DiscreteDistribution, ZERO
+from .distributions import DiscreteDistribution
 from .rationals import (
     as_fraction,
     common_sum,
@@ -32,6 +32,7 @@ from .rationals import (
     json_object,
     parse_rational,
     rational_json,
+    scaled,
 )
 
 
@@ -173,7 +174,7 @@ def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
 
 @dataclass(frozen=True)
 class PathInfo:
-    """One realized root-to-leaf path with everything a run needs."""
+    """One realized root-to-leaf path with everything a run needs; ``scaled`` makes it ints."""
 
     branch_indices: tuple[int, ...]
     labels: tuple[str, ...]
@@ -187,6 +188,13 @@ class PathInfo:
     def depth(self) -> int:
         return len(self.sigmas)
 
+    def scaled(self, q: int) -> "PathInfo":
+        """This path with its indices, costs, value and kappa^1 times ``q``, as ints."""
+        return PathInfo(self.branch_indices, self.labels,
+                        tuple(scaled(s, q) for s in self.sigmas),
+                        tuple(scaled(c, q) for c in self.costs),
+                        scaled(self.value, q), self.prob, scaled(self.kappa1, q))
+
 
 class AnnotatedBasket:
     """An annotated outcome tree plus its path table, enumerated on first use."""
@@ -197,6 +205,10 @@ class AnnotatedBasket:
     @functools.cached_property
     def paths(self) -> tuple[PathInfo, ...]:
         return tuple(self._enumerate_paths())
+
+    @functools.cached_property
+    def by_labels(self) -> dict[tuple[str, ...], PathInfo]:
+        return {p.labels: p for p in self.paths}
 
     @property
     def sigma1(self) -> Fraction:
@@ -226,12 +238,6 @@ class AnnotatedBasket:
                 )
 
         yield from walk(self.root, [], [], [], [], Fraction(1))
-
-    def node_at(self, branch_indices: Sequence[int]):
-        node = self.root
-        for bi in branch_indices:
-            node = node.branches[bi][2]
-        return node
 
 
 def annotate(root: OutcomeNode) -> AnnotatedBasket:
@@ -284,8 +290,8 @@ def make_trace(basket_id, path: PathInfo, stages_opened: int, claimed: bool) -> 
         raise BasketError("claiming requires opening every stage first")
     if stages_opened > path.depth:
         raise BasketError("opened more stages than the basket has")
-    costs = sum(path.costs[:stages_opened], ZERO)
-    welfare = (path.value if claimed else ZERO) - costs
+    costs = sum(path.costs[:stages_opened])
+    welfare = (path.value if claimed else 0) - costs
     return NestedTrace(basket_id, path, stages_opened, claimed, costs, welfare)
 
 
@@ -297,7 +303,8 @@ def check_non_exposure(trace: NestedTrace, basket: AnnotatedBasket) -> bool:
     minimum gamma^(l).  Claimed or untouched baskets are never exposed.
     """
     path = trace.path
-    if basket.node_at(path.branch_indices).value != path.value:
+    own = basket.by_labels.get(path.labels)   # a scaled path keeps its labels and prob
+    if own is None or (own.prob is not path.prob and own.prob != path.prob):
         raise BasketError("trace path does not belong to this basket")
     if trace.claimed or trace.stages_opened == 0:
         return True
@@ -351,8 +358,7 @@ def descending_run(
     gamma: dict = {}                  # running minimum of the opened indices
     eligible = ids                    # in id order, so ties go to the smallest id
     claimed: list = []
-    total_costs = ZERO
-    claimed_value = ZERO
+    total_costs = claimed_value = 0   # an int or Fraction sum, as the paths' numbers
     steps: list[DescendingStep] = []
     time = 0
     while eligible:

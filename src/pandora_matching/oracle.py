@@ -98,12 +98,12 @@ def max_weight_matching(weights: Mapping[EdgeId, Fraction | int],
     return best_set, best_total
 
 
-def greedy_matching(weights: dict[EdgeId, Fraction]) -> tuple[frozenset, Fraction]:
+def greedy_matching(weights: dict[EdgeId, Fraction | int]) -> tuple[frozenset, Fraction | int]:
     """Repeatedly take the heaviest positive feasible edge; ties by edge id."""
     order = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
     used: set = set()
     chosen = []
-    total = ZERO
+    total = 0
     for eid, w in order:
         if w <= 0:
             break

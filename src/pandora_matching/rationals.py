@@ -46,6 +46,11 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def scaled(x: Fraction, q: int) -> int:
+    """``x * q`` as an int; ``q`` must be a multiple of x's denominator."""
+    return x.numerator * (q // x.denominator)
+
+
 def common_sum(fracs: Sequence[Fraction]) -> tuple[int, int]:
     """(numerator, denominator) of an exact sum, over the lcm of the denominators.
 

@@ -219,7 +219,8 @@ class TestRandomizedMatching:
         for seed in range(20):
             rng = SplitMix64(seed)
             o = random_orientation(inst, rng)
-            w = DescendingRunner(inst, o).run(sample_realization(outcome_cuts(inst), rng)).welfare
+            trace = DescendingRunner(inst, o).run(sample_realization(outcome_cuts(inst), rng))
+            w = F(trace.welfare, trace.scale)
             assert randomized_matching(inst, "montecarlo", seed=seed, trials=1) == (float(w), 0.0)
 
     def test_montecarlo_within_four_standard_errors(self):
@@ -310,7 +311,7 @@ class TestVertexBasedDescending:
         welfare = ZERO
         for realization, prob, trace in enumerate_runs(inst, runner):
             assert trace.matched == {("i", "j")}
-            welfare += prob * trace.welfare
+            welfare += prob * F(trace.welfare, trace.scale)
         assert welfare == F(-3, 2)
 
     def test_welfare_equals_claimed_capped_sum(self):
@@ -402,7 +403,8 @@ def profile_inputs() -> list:
 
 def simulated_welfare(inst, runner):
     """Expected welfare by running the descending simulation on every realization."""
-    return sum((prob * trace.welfare for _, prob, trace in enumerate_runs(inst, runner)), ZERO)
+    return sum((prob * F(trace.welfare, trace.scale)
+                for _, prob, trace in enumerate_runs(inst, runner)), ZERO)
 
 
 DESCENDING_RUNNERS = {
@@ -642,7 +644,7 @@ class TestVertexBasedExact:
         runner = VertexBasedDescendingRunner(inst)
         trace = runner.run({eid: 0 for eid in inst.edge_ids})
         assert len(trace.matched) == 250
-        assert expected_welfare_exact(inst, runner) == trace.welfare == 250 * F(3, 2)
+        assert expected_welfare_exact(inst, runner) == F(trace.welfare, trace.scale) == 250 * F(3, 2)
 
 
 class TestExactWelfareGolden:

@@ -1,13 +1,15 @@
-"""The invariant suite reports false when a runner or its step list breaks a rule."""
+"""The invariant suite reports false, naming a realization, when a runner or its
+step list breaks a rule; its rows and its work counts are pinned."""
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from pandora_matching import checks
-from pandora_matching.algorithms import DescendingRunner
+from pandora_matching import algorithms, checks
+from pandora_matching.algorithms import DescendingRunner, enumerate_realizations
 from pandora_matching.nested import make_trace
 from pandora_matching.repro import bundled_star
 
@@ -79,8 +81,54 @@ def test_fault_fails_its_checks(inst, monkeypatch, fault):
             return trace
 
     monkeypatch.setattr(checks, "DescendingRunner", Faulty)
-    passed = {r.name: r.passed for r in checks.run_all_checks(inst)}
-    assert [name for name in failing if passed[name]] == []
+    rows = {r.name: r for r in checks.run_all_checks(inst)}
+    assert [name for name in failing if rows[name].passed] == []
+    for name in failing:
+        if name.startswith(PER_REALIZATION):
+            assert names_a_realization(rows[name].detail, inst), name
+    if fault == "cost":   # every run misreports, so the first realization is named
+        first = next(enumerate_realizations(inst))[0]
+        assert json.loads(rows["trace-validity-forward"].detail.removeprefix(WITNESS)) == {
+            f"{i}-{j}": [inst.edge((i, j)).outcomes[k].label_i,
+                         inst.edge((i, j)).outcomes[k].label_j]
+            for (i, j), k in first.items()}
+
+
+PER_REALIZATION = ("trace-validity-", "non-exposure-", "greedy-equivalence-",
+                   "descending-step-indices-")
+WITNESS = "first failing realization "
+
+
+def names_a_realization(detail: str, inst) -> bool:
+    """True iff ``detail`` names one outcome's signal labels per edge of ``inst``."""
+    if not detail.startswith(WITNESS):
+        return False
+    named = json.loads(detail.removeprefix(WITNESS))
+    return sorted(named) == sorted(f"{e.i}-{e.j}" for e in inst.edges) and all(
+        tuple(named[f"{e.i}-{e.j}"]) in {(o.label_i, o.label_j) for o in e.outcomes}
+        for e in inst.edges)
+
+
+def test_work_counts_ci_reads(inst, monkeypatch):
+    """One descending run, one trace and one greedy matching per realization and
+    descending runner (forward, reverse, bundled), counted at the names the
+    benchmark's traced layers wrap."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algorithms, "descending_run",
+                        counting("descending_run", algorithms.descending_run))
+    monkeypatch.setattr(checks, "greedy_matching",
+                        counting("greedy_matching", checks.greedy_matching))
+    monkeypatch.setattr(DescendingRunner, "run", counting("run", DescendingRunner.run))
+    checks.run_all_checks(inst)
+    runs = 3 * inst.realization_count()
+    assert calls == {"descending_run": runs, "greedy_matching": runs, "run": runs}
 
 
 def check_instances() -> dict:

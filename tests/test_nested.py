@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -168,6 +169,28 @@ class TestNonExposure:
         basket = annotate(edge_tree(F(1, 2)))
         p = path_by_labels(basket, "lo", "zero")
         assert check_non_exposure(make_trace("b", p, 1, False), basket)
+
+    @staticmethod
+    def scaled_copy(p):
+        """The path as integers times the lcm of its denominators."""
+        return p.scaled(math.lcm(*(x.denominator for x in (*p.sigmas, *p.costs, p.value))))
+
+    def test_scaled_paths_get_the_same_verdicts(self):
+        basket = annotate(edge_tree(F(1, 4)))
+        for p in basket.paths:
+            for stop, claimed in ((0, False), (1, False), (2, False), (2, True)):
+                assert (check_non_exposure(make_trace("b", self.scaled_copy(p), stop, claimed),
+                                           basket)
+                        == check_non_exposure(make_trace("b", p, stop, claimed), basket))
+
+    def test_path_of_another_basket_is_refused(self):
+        basket = annotate(edge_tree(F(1, 2)))
+        # other labels, and the same labels with other probabilities
+        for other in (annotate(edge_tree(F(1, 2), "ji")), annotate(edge_tree(F(1, 4)))):
+            for p in other.paths:
+                for path in (p, self.scaled_copy(p)):
+                    with pytest.raises(BasketError, match="does not belong"):
+                        check_non_exposure(make_trace("b", path, 1, False), basket)
 
 
 class TestAmortization:

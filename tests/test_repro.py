@@ -93,7 +93,7 @@ class TestDecisionRunnerStrategies:
             simulated = ZERO
             for realization, prob, trace in enumerate_runs(inst, strategy):
                 assert_valid_trace(trace, inst, realization)
-                simulated += prob * trace.welfare
+                simulated += prob * F(trace.welfare, trace.scale)
             assert expected_welfare_exact(inst, strategy) == simulated, label
 
     def test_joint_form_rejected(self):
