@@ -120,7 +120,7 @@ class RunTrace:
 
 def assert_valid_trace(trace: RunTrace, inst: MatchingInstance, realization: Realization) -> None:
     """Matching legality, obligatory inspection, and welfare accounting."""
-    q = trace.scale
+    cost, totals = inst.scaled_numbers(trace.scale)
     used = set()
     value = 0
     for eid in trace.matched:
@@ -131,11 +131,8 @@ def assert_valid_trace(trace: RunTrace, inst: MatchingInstance, realization: Rea
         for d in e.directions():
             if d not in trace.inspected:
                 raise AssertionError(f"matched edge {eid} not fully inspected")
-        value += scaled(e.outcomes[realization[eid]].total, q)
-    costs = 0
-    for (u, v) in trace.inspected:
-        eid = (u, v) if u < v else (v, u)
-        costs += scaled(inst.edge(eid).cost((u, v)), q)
+        value += totals[eid][realization[eid]]
+    costs = sum([cost[d] for d in trace.inspected])
     if costs != trace.costs_paid or value != trace.matched_value:
         raise AssertionError("trace cost or value accounting is off")
     if trace.welfare != value - costs:
@@ -231,6 +228,7 @@ class DecisionRunner:
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
         q = self.inst.denominator
+        cost, totals = self.inst.scaled_numbers(q)
         vals = self.endpoint_values(realization)
         opened: dict = {}
         matched: set = set()
@@ -241,19 +239,19 @@ class DecisionRunner:
         while (step := self._next(opened, blocked)) is not None:
             kind, pair, key = step
             if kind == "open":
-                costs += scaled(self.cost[pair], q)
+                costs += cost[pair]
                 opened[pair] = vals[pair]
                 if record_steps:
                     steps.append((time, "open", pair, key))
             else:
                 partner = (pair[1], pair[0])
                 if partner not in opened:
-                    costs += scaled(self.cost[partner], q)
+                    costs += cost[partner]
                     opened[partner] = vals[partner]
                 eid = pair if pair[0] < pair[1] else partner
                 matched.add(eid)
                 blocked.update(eid)
-                value += scaled(vals[pair], q) + scaled(vals[partner], q)
+                value += totals[eid][realization[eid]]   # independent: v_i + v_j
                 if record_steps:
                     steps.append((time, "match", eid, key))
             time += 1

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .rationals import as_fraction, common_sum, exact_sum, format_rational, parse_rational
+from .rationals import as_fraction, common_sum, format_rational, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -18,6 +18,27 @@ ZERO = Fraction(0)
 
 class DistributionError(ValueError):
     """Raised on malformed atom lists (bad probabilities, empty support)."""
+
+
+def merge_sorted(pairs) -> list:
+    """[value, amount] rows of (Fraction value, amount) pairs, equal values
+    merged by adding their amounts, sorted by value.
+
+    Values merge under their (numerator, denominator) key, cheaper to hash
+    than the Fraction and unique in lowest terms, and sort on integer
+    numerators over their common denominator.
+    """
+    merged: dict[tuple[int, int], list] = {}
+    for value, amount in pairs:
+        key = (value.numerator, value.denominator)
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [value, amount]
+        else:
+            slot[1] += amount
+    scale = math.lcm(*[d for _, d in merged])
+    return [slot for _, slot in sorted([(n * (scale // d), slot)
+                                        for (n, d), slot in merged.items()])]
 
 
 class DiscreteDistribution:
@@ -30,45 +51,37 @@ class DiscreteDistribution:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[Tuple[Fraction, Fraction]]):
-        # Equal values are merged under their (numerator, denominator) key,
-        # which is cheaper to hash than the Fraction and unique because
-        # Fractions are kept in lowest terms.
-        merged: dict[tuple[int, int], list] = {}
+        pairs = []
         for value, prob in atoms:
             value = as_fraction(value)
             prob = as_fraction(prob)
             if prob.numerator <= 0:
                 raise DistributionError(f"probability must be positive, got {prob}")
-            key = (value.numerator, value.denominator)
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [value, prob]
-            else:
-                slot[1] += prob
-        if not merged:
+            pairs.append((value, prob))
+        if not pairs:
             raise DistributionError("distribution needs at least one atom")
-        num, den = common_sum([p for _, p in merged.values()])
+        rows = merge_sorted(pairs)
+        num, den = common_sum([p for _, p in rows])
         if num != den:
             raise DistributionError(
                 f"probabilities sum to {Fraction(num, den)}, expected 1")
-        # Sort on integer numerators over the values' common denominator.
-        scale = math.lcm(*[d for _, d in merged])
-        rows = sorted([(n * (scale // d), slot) for (n, d), slot in merged.items()])
-        object.__setattr__(self, "atoms", tuple((v, p) for _, (v, p) in rows))
-
-    @classmethod
-    def _from_sorted(cls, atoms: tuple) -> "DiscreteDistribution":
-        """Wrap atoms already merged, sorted and summing to 1."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "atoms", atoms)
-        return self
+        object.__setattr__(self, "atoms", tuple([(v, p) for v, p in rows]))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
 
     @classmethod
+    def from_weights(cls, values, weights, total: int) -> "DiscreteDistribution":
+        """{values[k]: weights[k] / total}, for distinct values sorted ascending
+        and positive int weights summing to ``total``; nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", tuple([(v, Fraction(w, total))
+                                                 for v, w in zip(values, weights)]))
+        return self
+
+    @classmethod
     def point(cls, value) -> "DiscreteDistribution":
-        return cls._from_sorted(((as_fraction(value), ONE),))
+        return cls.from_weights((as_fraction(value),), (1,), 1)
 
     def min_value(self) -> Fraction:
         return self.atoms[0][0]
@@ -87,17 +100,6 @@ class DiscreteDistribution:
 
     def expected_positive_part(self) -> Fraction:
         return self.surplus(ZERO)
-
-    def capped(self, t) -> "DiscreteDistribution":
-        """Law of min(v, t): the atoms at or above t merge into one atom at t."""
-        t = as_fraction(t)
-        atoms = self.atoms
-        k = len(atoms)
-        while k and atoms[k - 1][0] >= t:
-            k -= 1
-        if k == len(atoms):
-            return self
-        return self._from_sorted(atoms[:k] + ((t, exact_sum([p for _, p in atoms[k:]])),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDistribution):

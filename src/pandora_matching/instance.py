@@ -16,18 +16,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .boxes import PandoraBox
 from .distributions import DiscreteDistribution
-from .nested import AnnotatedBasket, OutcomeNode, PathInfo, annotate
+from .nested import AnnotatedBasket, OutcomeNode, PathInfo
 from .rationals import (
     as_fraction,
     common_sum,
-    exact_sum,
     format_rational,
     json_object,
     parse_rational,
+    scaled,
 )
 
 EdgeId = tuple[str, str]
@@ -38,8 +38,7 @@ class InstanceError(ValueError):
     """Raised on malformed instances, edges, or orientations."""
 
 
-@dataclass(frozen=True)
-class JointOutcome:
+class JointOutcome(NamedTuple):
     """One atom of an edge's joint law.
 
     v_i and v_j are the separate endpoint values when the edge was given in
@@ -192,17 +191,20 @@ class EdgeSpec:
         if direction not in self._tables:
             self.cost(direction)  # direction check
             forward = direction == (self.i, self.j)
+            # int weights over one denominator: a conditional is Fraction(w, mass)
+            den = math.lcm(*[o.prob.denominator for o in self.outcomes])
             groups: dict[str, list] = {}
             for k, o in enumerate(self.outcomes):
                 first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
-                groups.setdefault(first, []).append((second, o.prob, k))
+                groups.setdefault(first, []).append(
+                    (second, o.prob.numerator * (den // o.prob.denominator), k))
             first_law = []
             second_laws = {}
             for label in sorted(groups):
                 rows = sorted(groups[label])
-                marginal = exact_sum([p for _, p, _ in rows])
-                first_law.append((label, marginal))
-                second_laws[label] = tuple((s, p / marginal, k) for s, p, k in rows)
+                mass = sum([w for _, w, _ in rows])
+                first_law.append((label, Fraction(mass, den)))
+                second_laws[label] = tuple([(s, Fraction(w, mass), k) for s, w, k in rows])
             self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
         return self._tables[direction]
 
@@ -258,21 +260,21 @@ def edge_to_basket(edge: EdgeSpec, direction: DirectedPair) -> OutcomeNode:
     """
     table = edge.table(direction)
     reverse_cost = edge.cost((direction[1], direction[0]))
-    branches = [
-        (label, marginal, OutcomeNode.stage(reverse_cost, [
-            (second, p, OutcomeNode.leaf(edge.outcomes[k].total))
+    branches = tuple([
+        (label, marginal, OutcomeNode(cost=reverse_cost, branches=tuple([
+            (second, p, OutcomeNode(edge.outcomes[k].total))
             for second, p, k in table.second[label]
-        ]))
+        ])))
         for label, marginal in table.first
-    ]
-    return OutcomeNode.stage(edge.cost(direction), branches)
+    ])
+    return OutcomeNode(cost=edge.cost(direction), branches=branches)
 
 
 def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
     """Two-stage basket for a direction: first endpoint, then both."""
     forward = direction == (edge.i, edge.j)
     labels = attrgetter("label_i", "label_j") if forward else attrgetter("label_j", "label_i")
-    return EdgeBasket(annotate(edge_to_basket(edge, direction)),
+    return EdgeBasket(AnnotatedBasket(edge_to_basket(edge, direction)),
                       ((), (direction,), edge.directions()), labels, edge.outcomes)
 
 
@@ -289,7 +291,7 @@ def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
     """Single-stage basket over the edge total (both costs paid at once)."""
     box = edge.bundled_box()
     branches = [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in box.dist.atoms]
-    return EdgeBasket(annotate(OutcomeNode.stage(box.cost, branches)),
+    return EdgeBasket(AnnotatedBasket(OutcomeNode.stage(box.cost, branches)),
                       ((), edge.directions()), lambda o: (format_rational(o.total),),
                       edge.outcomes)
 
@@ -309,6 +311,7 @@ class MatchingInstance:
             if e.i not in vset or e.j not in vset:
                 raise InstanceError(f"edge {e.id} uses a vertex not in the vertex set")
         self._by_id = {e.id: e for e in self.edges}
+        self._scaled: dict[int, tuple[dict, dict]] = {}
 
     def edge(self, edge_id: EdgeId) -> EdgeSpec:
         return self._by_id[edge_id]
@@ -334,6 +337,14 @@ class MatchingInstance:
         """The lcm of the denominators of every cost, outcome total and endpoint value."""
         return math.lcm(*(x.denominator for e in self.edges for o in e.outcomes
                           for x in (e.cost_ij, e.cost_ji, o.total, o.v_i or 0, o.v_j or 0)))
+
+    def scaled_numbers(self, q: int) -> tuple[dict, dict]:
+        """(directed pair -> its cost times q, edge id -> each outcome's total
+        times q) as ints, for a multiple q of ``denominator``; built once per q."""
+        if q not in self._scaled:
+            self._scaled[q] = ({d: scaled(e.cost(d), q) for e in self.edges for d in e.directions()},
+                               {e.id: [scaled(o.total, q) for o in e.outcomes] for e in self.edges})
+        return self._scaled[q]
 
     def realization_count(self) -> int:
         n = 1

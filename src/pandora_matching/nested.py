@@ -19,12 +19,13 @@ kappa^(l+1) > gamma^(l); non-exposed runs attain the amortization identity
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .boxes import PandoraBox, weitzman_index
-from .distributions import DiscreteDistribution
+from .boxes import index_of_weights
+from .distributions import DiscreteDistribution, merge_sorted
 from .rationals import (
     as_fraction,
     common_sum,
@@ -44,8 +45,7 @@ class BasketError(ValueError):
 # Outcome trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutcomeNode:
+class OutcomeNode(NamedTuple):
     """One node of an outcome tree.
 
     Internal nodes carry the stage cost paid to advance from here and a
@@ -121,8 +121,7 @@ class OutcomeNode:
 # Annotation (backward induction)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnotatedLeaf:
+class AnnotatedLeaf(NamedTuple):
     value: Fraction
 
     @property
@@ -134,46 +133,69 @@ class AnnotatedLeaf:
         return DiscreteDistribution.point(self.value)
 
 
-@dataclass(frozen=True)
-class AnnotatedStage:
-    """Internal node with its stage index and capped-value laws.
+class AnnotatedStage(NamedTuple):
+    """Internal node with its stage index and the law of the next capped value,
+    {next_values[k]: next_weights[k] / next_total} with values ascending.
 
-    kappa_next_dist is the conditional law of the next stage's capped value;
-    sigma solves surplus(kappa_next_dist, sigma) == cost; kappa_dist is the
-    law of min(sigma, next capped value).
+    sigma solves surplus(that law, sigma) == cost.  kappa_next_dist (that law)
+    and kappa_dist (the law of min(sigma, next capped value)) are built on access.
     """
 
     cost: Fraction
     sigma: Fraction
     branches: tuple[tuple[str, Fraction, Union["AnnotatedStage", AnnotatedLeaf]], ...]
-    kappa_next_dist: DiscreteDistribution
-    kappa_dist: DiscreteDistribution
+    next_values: tuple[Fraction, ...]
+    next_weights: tuple[int, ...]
+    next_total: int
 
     @property
     def is_leaf(self) -> bool:
         return False
 
+    def capped(self) -> tuple[tuple, tuple]:
+        """(values, weights) of min(sigma, next capped value), over next_total."""
+        values, sigma = self.next_values, self.sigma
+        k = len(values)
+        while k and values[k - 1] >= sigma:
+            k -= 1
+        return values[:k] + (sigma,), self.next_weights[:k] + (sum(self.next_weights[k:]),)
+
+    @property
+    def kappa_next_dist(self) -> DiscreteDistribution:
+        return DiscreteDistribution.from_weights(self.next_values, self.next_weights,
+                                                 self.next_total)
+
+    @property
+    def kappa_dist(self) -> DiscreteDistribution:
+        return DiscreteDistribution.from_weights(*self.capped(), self.next_total)
+
 
 def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
+    """Backward induction below ``node``, each law in int weights over one total."""
     branches = []
-    mixture = []
+    parts = []   # (branch probability, child's capped values, weights, total)
     for label, prob, child in node.branches:
-        if child.is_leaf:
-            # a leaf's capped value is its value, with probability one
+        if child.value is not None:   # a leaf
             annotated = AnnotatedLeaf(child.value)
-            mixture.append((child.value, prob))
+            parts.append((prob, (child.value,), (1,), 1))
         else:
             annotated = _annotate_stage(child)
-            mixture.extend((v, p * prob) for v, p in annotated.kappa_dist.atoms)
+            parts.append((prob, *annotated.capped(), annotated.next_total))
         branches.append((label, prob, annotated))
-    kappa_next = DiscreteDistribution(mixture)
-    sigma = weitzman_index(PandoraBox(kappa_next, node.cost))
-    return AnnotatedStage(node.cost, sigma, tuple(branches), kappa_next,
-                          kappa_next.capped(sigma))
+    # The mixture's total is the lcm of (probability denominator * child total).
+    total = math.lcm(*[p.denominator * t for p, _, _, t in parts])
+    pairs = []
+    for prob, values, weights, t in parts:
+        factor = prob.numerator * (total // (prob.denominator * t))
+        pairs.extend([(v, factor * w) for v, w in zip(values, weights)])
+    rows = merge_sorted(pairs)
+    values = tuple([v for v, _ in rows])
+    weights = tuple([w for _, w in rows])
+    return AnnotatedStage(node.cost, index_of_weights(values, weights, total, node.cost),
+                          tuple(branches), values, weights, total)
 
 
-@dataclass(frozen=True)
-class PathInfo:
+class PathInfo(NamedTuple):
     """One realized root-to-leaf path with everything a run needs; ``scaled`` makes it ints."""
 
     branch_indices: tuple[int, ...]
@@ -197,10 +219,13 @@ class PathInfo:
 
 
 class AnnotatedBasket:
-    """An annotated outcome tree plus its path table, enumerated on first use."""
+    """An outcome tree annotated by backward induction, plus its path table,
+    enumerated on first use.  The tree is not validated here (``annotate``
+    validates trees from outside; an edge's trees come from its checked law).
+    """
 
-    def __init__(self, root: AnnotatedStage):
-        self.root = root
+    def __init__(self, tree: OutcomeNode):
+        self.root = _annotate_stage(tree)
 
     @functools.cached_property
     def paths(self) -> tuple[PathInfo, ...]:
@@ -214,9 +239,13 @@ class AnnotatedBasket:
     def sigma1(self) -> Fraction:
         return self.root.sigma
 
-    def kappa1_distribution(self) -> DiscreteDistribution:
-        """Exact law of the terminal capped value kappa^(1)."""
+    @functools.cached_property
+    def _kappa1(self) -> DiscreteDistribution:
         return self.root.kappa_dist
+
+    def kappa1_distribution(self) -> DiscreteDistribution:
+        """Exact law of the terminal capped value kappa^(1), built once."""
+        return self._kappa1
 
     def _enumerate_paths(self) -> Iterator[PathInfo]:
         def walk(node, idxs, labels, sigmas, costs, prob):
@@ -245,7 +274,7 @@ def annotate(root: OutcomeNode) -> AnnotatedBasket:
     root.validate()
     if root.is_leaf:
         raise BasketError("a basket needs at least one stage of inspection")
-    return AnnotatedBasket(_annotate_stage(root))
+    return AnnotatedBasket(root)
 
 
 def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):
@@ -269,8 +298,7 @@ def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):
 # Traces and exposure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NestedTrace:
+class NestedTrace(NamedTuple):
     """How far one run advanced a basket on one realization.
 
     The path is the full realized path even beyond the last opened stage,
@@ -281,8 +309,14 @@ class NestedTrace:
     path: PathInfo
     stages_opened: int
     claimed: bool
-    costs_paid: Fraction
-    welfare: Fraction
+
+    @property
+    def costs_paid(self):
+        return sum(self.path.costs[:self.stages_opened])
+
+    @property
+    def welfare(self):
+        return (self.path.value if self.claimed else 0) - self.costs_paid
 
 
 def make_trace(basket_id, path: PathInfo, stages_opened: int, claimed: bool) -> NestedTrace:
@@ -290,9 +324,7 @@ def make_trace(basket_id, path: PathInfo, stages_opened: int, claimed: bool) -> 
         raise BasketError("claiming requires opening every stage first")
     if stages_opened > path.depth:
         raise BasketError("opened more stages than the basket has")
-    costs = sum(path.costs[:stages_opened])
-    welfare = (path.value if claimed else 0) - costs
-    return NestedTrace(basket_id, path, stages_opened, claimed, costs, welfare)
+    return NestedTrace(basket_id, path, stages_opened, claimed)
 
 
 def check_non_exposure(trace: NestedTrace, basket: AnnotatedBasket) -> bool:
@@ -319,8 +351,7 @@ def check_non_exposure(trace: NestedTrace, basket: AnnotatedBasket) -> bool:
 # Descending runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DescendingStep:
+class DescendingStep(NamedTuple):
     time: int
     basket_id: object
     action: str                       # "open" or "claim"

@@ -32,6 +32,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem, mul
+from typing import NamedTuple
 
 from .distributions import ZERO
 from .instance import EdgeId, EdgeSpec, InstanceError, MatchingInstance, Orientation
@@ -120,8 +121,7 @@ def greedy_matching(weights: dict[EdgeId, Fraction | int]) -> tuple[frozenset, F
 # Optimal-policy DP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One box, or for the bundled constraint one edge's pair of boxes, that
     may be opened from an edge's evidence.
 

@@ -25,6 +25,17 @@ def parse_rational(obj: Any) -> Fraction:
     and floats (converted via their shortest decimal repr, so only use
     decimals that are exactly what you mean).
     """
+    if isinstance(obj, str):   # first: JSON documents carry most values as strings
+        text = obj.strip()
+        num, slash, den = text.partition("/")
+        try:
+            # Plain "n/d" and integer strings skip Fraction's regex; ASCII
+            # only, since str.isdigit also accepts digits int() refuses.
+            if text.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RationalParseError(f"not a rational: {obj!r}") from exc
     if isinstance(obj, Fraction):
         return obj
     if isinstance(obj, bool):
@@ -33,11 +44,6 @@ def parse_rational(obj: Any) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, float):
         return Fraction(repr(obj))
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RationalParseError(f"not a rational: {obj!r}") from exc
     raise RationalParseError(f"not a rational: {obj!r}")
 
 
@@ -59,13 +65,6 @@ def common_sum(fracs: Sequence[Fraction]) -> tuple[int, int]:
     """
     den = math.lcm(*[f.denominator for f in fracs])
     return sum([f.numerator * (den // f.denominator) for f in fracs]), den
-
-
-def exact_sum(fracs: Sequence[Fraction]) -> Fraction:
-    """The exact sum of Fractions, as a Fraction."""
-    if len(fracs) == 1:
-        return fracs[0]
-    return Fraction(*common_sum(fracs))
 
 
 def format_rational(x: Fraction) -> str:

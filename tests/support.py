@@ -3,7 +3,8 @@
 Values, costs, and probabilities are small rationals so that ties and
 boundary cases (zero costs, equal indices) occur often.  Instances are
 capped at 3 edges and 3 support points per box, with a budget on the joint
-outcome space so exact enumeration stays fast.
+outcome space so exact enumeration stays fast; the cycles have up to 6
+edges of 2-atom boxes.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def rand_probs(rng: SplitMix64, k: int) -> list[Fraction]:
     return [Fraction(points[t + 1] - points[t], den) for t in range(k)]
 
 
-def rand_dist(rng: SplitMix64, positive: bool = False) -> DiscreteDistribution:
-    k = 1 + rng.next_below(3)
+def rand_dist(rng: SplitMix64, positive: bool = False, k: int | None = None) -> DiscreteDistribution:
+    if k is None:
+        k = 1 + rng.next_below(3)
     values: set[Fraction] = set()
     while len(values) < k:
         if positive:
@@ -54,8 +56,8 @@ def rand_dist(rng: SplitMix64, positive: bool = False) -> DiscreteDistribution:
     return DiscreteDistribution(zip(sorted(values), rand_probs(rng, k)))
 
 
-def rand_box(rng: SplitMix64, positive: bool = False) -> PandoraBox:
-    dist = rand_dist(rng, positive)
+def rand_box(rng: SplitMix64, positive: bool = False, k: int | None = None) -> PandoraBox:
+    dist = rand_dist(rng, positive, k)
     if positive:
         # keep the cost within the mean so the expectation condition holds
         den = 1 + rng.next_below(4)
@@ -91,6 +93,14 @@ def rand_instance(rng: SplitMix64, positive: bool = False, max_edges: int = 3,
         inst = MatchingInstance(vertices, edges)
         if inst.realization_count() <= budget:
             return inst
+
+
+def rand_cycle(rng: SplitMix64, n: int) -> MatchingInstance:
+    """A cycle on the first ``n`` pool vertices, two atoms in every endpoint box."""
+    pool = VERTEX_POOL[:n]
+    edges = [EdgeSpec.independent(u, v, rand_box(rng, k=2), rand_box(rng, k=2))
+             for u, v in zip(pool, pool[1:] + pool[:1])]
+    return MatchingInstance(pool, edges)
 
 
 def rand_joint_edge(rng: SplitMix64, i: str, j: str) -> EdgeSpec:
@@ -143,6 +153,12 @@ def general_batch(count: int, base_seed: int = 1000) -> list[MatchingInstance]:
 
 def positive_batch(count: int, base_seed: int = 5000) -> list[MatchingInstance]:
     return [rand_instance(SplitMix64(base_seed + k), positive=True) for k in range(count)]
+
+
+def cycle_batch(count: int = 6, base_seed: int = 13000) -> dict[str, MatchingInstance]:
+    """Cycles of 4, 5 and 6 edges in turn (the shapes of the benchmark's graphs), by name."""
+    return {f"cycle[{k}] n={4 + k % 3}": rand_cycle(SplitMix64(base_seed + k), 4 + k % 3)
+            for k in range(count)}
 
 
 def joint_batch(count: int, base_seed: int = 9000) -> list[MatchingInstance]:

@@ -1,7 +1,6 @@
 """The invariant suite reports false, naming a realization, when a runner or its
 step list breaks a rule; its rows and its work counts are pinned."""
 
-import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -38,7 +37,7 @@ def misreport_match(trace):
 def idle_view(fault):
     """A step-list fault that rewrites the (id, sigma, gamma) of each idle basket."""
     def apply(trace):
-        trace.steps = [dataclasses.replace(step, eligible_view=tuple(
+        trace.steps = [step._replace(eligible_view=tuple(
             view if view[0] == step.basket_id else fault(step, *view)
             for view in step.eligible_view)) for step in trace.steps]
     return apply

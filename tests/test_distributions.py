@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pandora_matching.distributions import DiscreteDistribution, DistributionError
+from pandora_matching.distributions import ZERO, DiscreteDistribution, DistributionError
+from pandora_matching.nested import AnnotatedStage
 
 from support import exact_atoms, reference_law
 
@@ -134,4 +136,10 @@ class TestConstructorMatchesReference:
 
     @given(distributions(), st.fractions(min_value=-6, max_value=7, max_denominator=4))
     def test_clips_match_pushforward(self, d, t):
-        assert exact_atoms(d.capped(t)) == reference_law((min(v, t), p) for v, p in d.atoms)
+        t = min(t, d.atoms[-1][0])   # an index never exceeds the top value
+        total = math.lcm(*(p.denominator for _, p in d.atoms))
+        stage = AnnotatedStage(ZERO, t, (), tuple(v for v, _ in d.atoms),
+                               tuple(p.numerator * (total // p.denominator) for _, p in d.atoms),
+                               total)
+        assert exact_atoms(stage.kappa_next_dist) == d.atoms
+        assert exact_atoms(stage.kappa_dist) == reference_law((min(v, t), p) for v, p in d.atoms)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pandora_matching.algorithms import DescendingRunner
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.instance import (
     EdgeSpec,
@@ -15,6 +16,7 @@ from pandora_matching.instance import (
     validate,
 )
 from pandora_matching.nested import annotate
+from pandora_matching.oracle import optimal_welfare
 from pandora_matching.repro import (
     bundled_star,
     indistinguishable_edge,
@@ -24,6 +26,7 @@ from pandora_matching.repro import (
 
 from support import (
     assert_matches_reference,
+    cycle_batch,
     general_batch,
     joint_batch,
     positive_batch,
@@ -212,10 +215,33 @@ class TestCompileMatchesReference:
     def test_joint_batch(self):
         self.check(joint_batch(50))
 
+    def test_cycles(self):
+        self.check(cycle_batch().values())
+
     def test_named_stars(self):
         self.check([bundled_star(n).instance for n in range(1, 7)])
         self.check([no_dessert_star(alpha, m).instance
                     for alpha in (F(1, 2), F(1, 4), F(1, 8)) for m in (1, 2, 3)])
+
+
+class TestCompiledRecordsAreImmutable:
+    """Every caller shares an edge's compiled basket, so its records are frozen."""
+
+    def test_records_refuse_assignment_and_hash(self):
+        inst = no_dessert_star(F(1, 4), 2).instance
+        e = inst.edges[0]
+        basket = e.basket(e.directions()[0]).basket
+        stage = basket.root.branches[0][2]
+        trace = DescendingRunner(inst, canonical_orientation(inst)).run(
+            {eid: 0 for eid in inst.edge_ids}, record_steps=True)
+        records = [basket.root, stage, stage.branches[0][2], basket.paths[0], e.outcomes[0],
+                   e.box_ij, edge_to_basket(e, e.directions()[0]), trace.steps[0],
+                   *trace.nested_traces.values(),
+                   *optimal_welfare(inst).best_action.values()]
+        for record in records:
+            hash(record)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
 
 
 class TestDirectionTable:
