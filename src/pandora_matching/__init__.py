@@ -21,7 +21,6 @@ from .instance import (
     canonical_orientation,
     edge_to_basket,
     random_orientation,
-    validate,
 )
 from .nested import (
     AnnotatedBasket,
@@ -31,7 +30,7 @@ from .nested import (
     check_non_exposure,
     descending_run,
 )
-from .oracle import PolicyValue, greedy_matching, max_weight_matching, optimal_welfare
+from .oracle import PolicyValue, greedy_matching, optimal_welfare
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -155,7 +155,8 @@ def cmd_run(args) -> int:
             raise CliError(f"--trials must be at least 1, got {args.trials}")
         if args.enum_bound is not None:
             raise CliError("--enum-bound applies only to --mode exact")
-        _require_seed(args)
+        if args.seed is None:
+            raise CliError("this mode requires --seed")
     else:
         for flag, given in (("--seed", args.seed), ("--trials", args.trials)):
             if given is not None:
@@ -221,11 +222,6 @@ def cmd_run(args) -> int:
 
 def _orientation_string(o: Orientation) -> str:
     return ";".join(f"{u}>{v}" for u, v in o.sorted_pairs())
-
-
-def _require_seed(args) -> None:
-    if args.seed is None:
-        raise CliError("this mode requires --seed")
 
 
 def _estimate_doc(args, mean: float, stderr: float) -> dict:

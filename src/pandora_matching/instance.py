@@ -222,10 +222,8 @@ class EdgeSpec:
 
     def bundled_box(self) -> PandoraBox:
         """Both inspections merged into one box over the edge total."""
-        return PandoraBox(self.total_dist(), self.cost_ij + self.cost_ji)
-
-    def total_dist(self) -> DiscreteDistribution:
-        return DiscreteDistribution((o.total, o.prob) for o in self.outcomes)
+        return PandoraBox(DiscreteDistribution((o.total, o.prob) for o in self.outcomes),
+                          self.cost_ij + self.cost_ji)
 
     def to_json_obj(self) -> dict:
         if self.is_independent:
@@ -333,6 +331,15 @@ class MatchingInstance:
         return all(e.is_independent for e in self.edges)
 
     @functools.cached_property
+    def positive_values(self) -> bool:
+        """True iff every edge is in independent form with nonnegative support
+        and expectation at least the inspection cost on both endpoints (so
+        every index and capped value is nonnegative)."""
+        return all(e.is_independent and all(
+            box.dist.min_value() >= 0 and box.dist.expectation() >= box.cost
+            for box in (e.box_ij, e.box_ji)) for e in self.edges)
+
+    @functools.cached_property
     def denominator(self) -> int:
         """The lcm of the denominators of every cost, outcome total and endpoint value."""
         return math.lcm(*(x.denominator for e in self.edges for o in e.outcomes
@@ -365,29 +372,6 @@ class MatchingInstance:
         return cls(vertices, edges)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    positive_values: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(inst: MatchingInstance) -> ValidationReport:
-    """Classify the value regime; the constructors have checked every edge.
-
-    positive_values is True iff every edge is in independent form with
-    nonnegative support and expectation at least the inspection cost on
-    both endpoints (so every index and capped value is nonnegative).
-    """
-    positive = all(e.is_independent and all(
-        box.dist.min_value() >= 0 and box.dist.expectation() >= box.cost
-        for box in (e.box_ij, e.box_ji)) for e in inst.edges)
-    return ValidationReport((), positive)
-
-
 class Orientation:
     """One inspected-first endpoint per edge."""
 
@@ -407,11 +391,8 @@ class Orientation:
         except KeyError:
             raise InstanceError(f"orientation does not cover edge {edge_id}") from None
 
-    def covers(self, inst: MatchingInstance) -> bool:
-        return set(self._by_edge) == set(inst.edge_ids)
-
     def require_covers(self, inst: MatchingInstance) -> None:
-        if not self.covers(inst):
+        if set(self._by_edge) != set(inst.edge_ids):
             raise InstanceError("orientation does not match the instance's edge set")
 
     def reverse(self) -> "Orientation":

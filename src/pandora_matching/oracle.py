@@ -35,10 +35,10 @@ from operator import getitem, mul
 from typing import NamedTuple
 
 from .distributions import ZERO
-from .instance import EdgeId, EdgeSpec, InstanceError, MatchingInstance, Orientation
+from .instance import EdgeId, EdgeSpec, MatchingInstance, Orientation
+from .rationals import scaled
 
 DEFAULT_STATE_BOUND = 500_000
-MATCHING_EDGE_LIMIT = 16
 
 
 class StateBoundError(RuntimeError):
@@ -51,53 +51,8 @@ class StateBoundError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Matchings on explicit edge weights
+# Greedy matching on explicit edge weights
 # ---------------------------------------------------------------------------
-
-def max_weight_matching(weights: Mapping[EdgeId, Fraction | int],
-                        zero: Fraction | int = ZERO) -> tuple[frozenset, Fraction | int]:
-    """Best matching by brute force; edges with weight <= 0 are never used.
-
-    Weights are Fractions or ints; ``zero`` is the empty matching's total,
-    so pass 0 with int weights to keep the total an int.  When no two
-    positive edges are disjoint (a star, or at most three vertices) the
-    best matching is the heaviest edge; the search below would keep the
-    largest edge id among equal weights, and so does the shortcut.
-    """
-    edges = sorted(eid for eid, w in weights.items() if w > 0)
-    if len(edges) > MATCHING_EDGE_LIMIT:
-        raise InstanceError(f"brute-force matching limited to {MATCHING_EDGE_LIMIT} edges")
-    if not edges:
-        return frozenset(), zero
-    u, v = edges[0]
-    if (all(u in e for e in edges) or all(v in e for e in edges)
-            or len({x for e in edges for x in e}) <= 3):
-        eid = max(edges, key=lambda e: (weights[e], e))
-        return frozenset((eid,)), zero + weights[eid]
-
-    best_set: frozenset = frozenset()
-    best_total = zero
-
-    def recurse(k: int, used: set, chosen: list, total: Fraction | int):
-        nonlocal best_set, best_total
-        if total > best_total:
-            best_total = total
-            best_set = frozenset(chosen)
-        if k == len(edges):
-            return
-        eid = edges[k]
-        recurse(k + 1, used, chosen, total)
-        u, v = eid
-        if u not in used and v not in used:
-            used.update(eid)
-            chosen.append(eid)
-            recurse(k + 1, used, chosen, total + weights[eid])
-            chosen.pop()
-            used.difference_update(eid)
-
-    recurse(0, set(), [], zero)
-    return best_set, best_total
-
 
 def greedy_matching(weights: dict[EdgeId, Fraction | int]) -> tuple[frozenset, Fraction | int]:
     """Repeatedly take the heaviest positive feasible edge; ties by edge id."""
@@ -263,11 +218,11 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                            for c, _, _ in mv.branches), default=0)
         powers.append([d ** r for r in left])
         options.append([tuple(
-            (mv, _scaled(mv.cost, q), tuple(
-                (_scaled(p, d ** (left[x] - left[position[c]])), (position[c] - x) * stride)
+            (mv, scaled(mv.cost, q), tuple(
+                (scaled(p, d ** (left[x] - left[position[c]])), (position[c] - x) * stride)
                 for c, p, _ in mv.branches))
             for mv in moves[e]) for x, e in enumerate(evs)])
-        weights = [_scaled(totals[e], q) if totals.get(e, 0) > 0 else 0 for e in evs]
+        weights = [scaled(totals[e], q) if totals.get(e, 0) > 0 else 0 for e in evs]
         ranked.append(sorted(set(weights) - {0}))
         classes.append([[0, *ranked[-1]].index(w) for w in weights])
     terminal, tstrides = _matching_table(inst.edge_ids, ranked)
@@ -321,11 +276,6 @@ def _matching_table(ids: list[EdgeId], weights: list[list[int]]) -> tuple[list[i
             table[r * strides[k]:(r + 1) * strides[k]] = [
                 max(t, w + table[f]) for t, f in zip(table[:strides[k]], free)]
     return table, strides
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * scale, for a scale that x's denominator divides."""
-    return x.numerator * (scale // x.denominator)
 
 
 def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int = 2000):

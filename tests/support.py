@@ -182,9 +182,9 @@ class OpenAllFirstStagesStrategy(DecisionRunner):
 def reference_max_weight_matching(weights, zero=Fraction(0)):
     """Best matching by plain recursion over the positive edges in id order.
 
-    The search ``oracle.max_weight_matching`` runs on graphs with two
-    disjoint positive edges, kept whole as the reference for its shortcut:
-    the first matching found with a strictly larger total wins.
+    The reference for the oracle's matching table and for the terminal
+    values of ``reference_optimal_welfare``: the first matching found with
+    a strictly larger total wins.
     """
     edges = sorted(eid for eid, w in weights.items() if w > 0)
     best = [frozenset(), zero]
@@ -260,10 +260,12 @@ def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
     """The oracle's DP evaluated in Fractions by memoized recursion.
 
     Reads the same per-edge move tables, in the same order and with the same
-    strict first-best tie-break, as ``oracle.optimal_welfare``.  Returns the
-    value and the best move (``oracle.STOP`` to stop) of every state.
+    strict first-best tie-break, as ``oracle.optimal_welfare``, and takes
+    terminal values from ``reference_max_weight_matching``, not from the
+    oracle's matching table.  Returns the value and the best move
+    (``oracle.STOP`` to stop) of every state.
     """
-    from pandora_matching.oracle import STOP, _edge_moves, max_weight_matching
+    from pandora_matching.oracle import STOP, _edge_moves
 
     tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
     moves = [m for m, _ in tables]
@@ -279,7 +281,7 @@ def reference_optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                 weights[eid] = w
         key = tuple(sorted(weights.items()))
         if key not in terminal_cache:
-            terminal_cache[key] = max_weight_matching(weights)[1]
+            terminal_cache[key] = reference_max_weight_matching(weights)[1]
         return terminal_cache[key]
 
     memo: dict = {}

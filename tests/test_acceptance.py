@@ -24,7 +24,7 @@ from pandora_matching.algorithms import (
 )
 from pandora_matching.checks import summarize
 from pandora_matching.distributions import ZERO
-from pandora_matching.instance import Orientation, canonical_orientation, validate
+from pandora_matching.instance import Orientation, canonical_orientation
 from pandora_matching.nested import check_non_exposure, make_trace
 from pandora_matching.oracle import optimal_welfare
 from pandora_matching.repro import (
@@ -200,7 +200,7 @@ def test_criterion_7_approximation_ratios(general_results):
 def test_criterion_8_positive_values_quarter():
     with criterion(8, "vertex-based quarter approximation on positive values"):
         for inst in positive_batch(100):
-            assert validate(inst).positive_values
+            assert inst.positive_values
             vertex = summarize(inst, VertexBasedDescendingRunner(inst))
             assert vertex.traces_valid and vertex.non_exposed
             assert 4 * vertex.welfare >= optimal_welfare(inst).value

@@ -13,7 +13,6 @@ from pandora_matching.instance import (
     canonical_orientation,
     edge_to_basket,
     oriented_basket,
-    validate,
 )
 from pandora_matching.nested import annotate
 from pandora_matching.oracle import optimal_welfare
@@ -74,7 +73,7 @@ class TestEdgeSpec:
     def test_bundled_box_merges_totals(self):
         e = fig_edge()
         assert e.bundled_box().cost == e.cost_ij + e.cost_ji
-        assert e.bundled_box().dist == e.total_dist()
+        assert e.bundled_box().dist == dist(*[(o.total, o.prob) for o in e.outcomes])
 
     def test_json_round_trip_independent(self):
         e = fig_edge()
@@ -90,17 +89,25 @@ class TestEdgeSpec:
 
 
 class TestValidate:
+    """The constructors refuse invalid instances; ``positive_values``
+    classifies the value regime of a valid one."""
+
     def test_indistinguishable_edge_not_positive(self):
-        report = validate(indistinguishable_edge().instance)
-        assert report.ok and not report.positive_values
+        assert not indistinguishable_edge().instance.positive_values
 
     def test_bundled_star_positive(self):
-        report = validate(bundled_star(4).instance)
-        assert report.ok and report.positive_values
+        assert bundled_star(4).instance.positive_values
 
     def test_joint_edges_not_positive_setting(self):
         e = EdgeSpec.joint("a", "b", 0, 0, [("x", "y", F(2), F(1))])
-        assert not validate(MatchingInstance("ab", [e])).positive_values
+        assert not MatchingInstance("ab", [e]).positive_values
+
+    def test_expectation_below_cost_not_positive(self):
+        # nonnegative support, but the (a, b) box's mean 1/2 is below its cost 1
+        cheap = PandoraBox(dist((0, F(1, 2)), (1, F(1, 2))), 1)
+        e = EdgeSpec.independent("a", "b", cheap, PandoraBox(dist((3, 1)), 0))
+        assert cheap.dist.min_value() >= 0
+        assert not MatchingInstance("ab", [e]).positive_values
 
     def test_duplicate_edge_rejected(self):
         e = fig_edge()

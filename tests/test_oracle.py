@@ -26,7 +26,6 @@ from pandora_matching.oracle import (
     _edge_moves,
     _matching_table,
     greedy_matching,
-    max_weight_matching,
     optimal_action_tree,
     optimal_welfare,
 )
@@ -51,39 +50,6 @@ from support import (
 from test_distributions import dist
 
 
-class TestMaxWeightMatching:
-    def test_single_edge(self):
-        m, total = max_weight_matching({("a", "b"): F(5)})
-        assert m == {("a", "b")} and total == 5
-
-    def test_triangle_takes_single_heaviest(self):
-        weights = {("a", "b"): F(3), ("b", "c"): F(3), ("a", "c"): F(5)}
-        m, total = max_weight_matching(weights)
-        assert m == {("a", "c")} and total == 5
-
-    def test_path_with_equal_weights(self):
-        weights = {("a", "b"): F(2), ("b", "c"): F(2)}
-        m, total = max_weight_matching(weights)
-        assert total == 2 and len(m) == 1
-
-    def test_negative_edges_ignored(self):
-        m, total = max_weight_matching({("a", "b"): F(-1)})
-        assert m == frozenset() and total == 0
-
-    def test_disjoint_edges_both_taken(self):
-        weights = {("a", "b"): F(1), ("c", "d"): F(2)}
-        assert max_weight_matching(weights)[1] == 3
-
-    def test_total_type_follows_the_weights(self):
-        assert type(max_weight_matching({})[1]) is F
-        assert type(max_weight_matching({("a", "b"): F(-1)})[1]) is F
-        weights = {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 5, ("c", "d"): -2}
-        for given in ({}, {("a", "b"): -1}, weights):
-            m, total = max_weight_matching(given, zero=0)
-            assert type(total) is int
-            assert (m, total) == max_weight_matching({e: F(w) for e, w in given.items()})
-
-
 def matching_graphs(rng: SplitMix64) -> list:
     """Stars (hub first or last in id order), triangles, paths and small graphs."""
     graphs = [[]]
@@ -98,28 +64,6 @@ def matching_graphs(rng: SplitMix64) -> list:
                  if u != v and rng.next_below(2)}
         graphs.append(sorted(edges))
     return graphs
-
-
-class TestMatchingShortcut:
-    """The heaviest-edge shortcut returns what the full search returns."""
-
-    @pytest.mark.parametrize("kind", ["int", "Fraction"])
-    def test_equals_recursion(self, kind):
-        rng = SplitMix64(77)
-        values = [-1, 0, 1, 2, 2, 3] if kind == "int" else [F(-1), F(0), F(1, 2), F(2), F(7, 3)]
-        zero = 0 if kind == "int" else F(0)
-        for graph in matching_graphs(rng):
-            for _ in range(30):
-                weights = {e: values[rng.next_below(len(values))] for e in graph}
-                got = max_weight_matching(weights, zero=zero)
-                assert got == reference_max_weight_matching(weights, zero=zero), weights
-                assert type(got[1]) is type(zero)
-
-    def test_ties_keep_the_largest_edge_id(self):
-        star = {("a", "h"): 2, ("b", "h"): 2, ("c", "h"): 1}
-        assert max_weight_matching(star, zero=0) == (frozenset({("b", "h")}), 2)
-        triangle = {("a", "b"): F(3), ("a", "c"): F(3), ("b", "c"): F(3)}
-        assert max_weight_matching(triangle) == (frozenset({("b", "c")}), 3)
 
 
 class TestGreedyMatching:
@@ -148,7 +92,7 @@ class TestGreedyMatching:
     @settings(deadline=None)
     def test_greedy_at_least_half_of_optimum(self, weights):
         _, greedy_total = greedy_matching(weights)
-        _, best_total = max_weight_matching(weights)
+        _, best_total = reference_max_weight_matching(weights)
         assert 2 * greedy_total >= best_total
 
 
@@ -422,8 +366,8 @@ class TestLoopEdgeCases:
 
 
 class TestPastSixteenEdges:
-    """The DP reads terminal values from its table, so brute-force matching's
-    16-edge limit does not bound it."""
+    """The DP reads terminal values from its matching table, which has no
+    limit on the number of positive edges."""
 
     def test_bundled_star_of_point_masses(self):
         leaves = [f"l{k:02d}" for k in range(1, 18)]
@@ -457,7 +401,32 @@ def assert_table_matches_reference(ids, weights, zero):
         assert table[index] == reference_max_weight_matching(chosen, zero)[1], chosen
 
 
+def full_entry(weights: dict) -> int:
+    """The table entry with every edge at its weight; an edge of weight <= 0
+    gets no class, as in the DP."""
+    table, _ = _matching_table(list(weights), [[w] if w > 0 else [] for w in weights.values()])
+    return table[-1]
+
+
 class TestMatchingTable:
+    def test_single_edge(self):
+        assert full_entry({("a", "b"): 5}) == 5
+
+    def test_triangle_takes_single_heaviest(self):
+        ids = [("a", "b"), ("a", "c"), ("b", "c")]
+        table, strides = _matching_table(ids, [[3], [5], [3]])
+        assert table[-1] == 5
+        assert table[-1 - strides[1]] == 3  # (a, c) left out
+
+    def test_path_with_equal_weights(self):
+        assert full_entry({("a", "b"): 2, ("b", "c"): 2}) == 2
+
+    def test_negative_edge_left_out(self):
+        assert full_entry({("a", "b"): -1}) == 0
+
+    def test_disjoint_edges_both_taken(self):
+        assert full_entry({("a", "b"): 1, ("c", "d"): 2}) == 3
+
     @pytest.mark.parametrize("kind", ["int", "Fraction"])
     def test_equals_recursion_on_shortcut_graphs(self, kind):
         rng = SplitMix64(77)
