@@ -84,6 +84,20 @@ class TestGreedyMatching:
     def test_zero_weight_not_taken(self):
         assert greedy_matching({("a", "b"): F(0)})[0] == frozenset()
 
+    def test_ties_keep_the_smallest_edge_id(self):
+        triangle = {("b", "c"): F(3), ("a", "c"): F(3), ("a", "b"): F(3)}
+        assert greedy_matching(triangle) == (frozenset({("a", "b")}), 3)
+        # (b, c) first would block both ends and leave a total of 2
+        path = {("c", "d"): 2, ("b", "c"): 2, ("a", "b"): 2}
+        assert greedy_matching(path) == (frozenset({("a", "b"), ("c", "d")}), 4)
+
+    def test_total_type_follows_the_weights(self):
+        weights = {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 5, ("c", "d"): -2}
+        m, total = greedy_matching(weights)
+        assert type(total) is int and (m, total) == (frozenset({("a", "c")}), 5)
+        m, total = greedy_matching({e: F(w, 2) for e, w in weights.items()})
+        assert type(total) is F and (m, total) == (frozenset({("a", "c")}), F(5, 2))
+
     @given(st.dictionaries(
         st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")).map(
             lambda t: (min(t), max(t))).filter(lambda t: t[0] != t[1]),
@@ -426,6 +440,18 @@ class TestMatchingTable:
 
     def test_disjoint_edges_both_taken(self):
         assert full_entry({("a", "b"): 1, ("c", "d"): 2}) == 3
+
+    def test_no_edges_gives_one_zero_entry(self):
+        assert _matching_table([], []) == ([0], [])
+        assert _matching_table([("a", "b")], [[]]) == ([0], [1])
+
+    def test_total_type_follows_the_weights(self):
+        ids = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
+        table, _ = _matching_table(ids, [[1, 3], [5], [3], [2]])
+        assert all(type(t) is int for t in table)
+        halves, _ = _matching_table(ids, [[F(1, 2), F(3, 2)], [F(5, 2)], [F(3, 2)], [F(1)]])
+        assert [2 * t for t in halves] == table
+        assert all(type(t) is F for t in halves[1:])
 
     @pytest.mark.parametrize("kind", ["int", "Fraction"])
     def test_equals_recursion_on_shortcut_graphs(self, kind):
