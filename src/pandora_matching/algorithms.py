@@ -15,10 +15,10 @@ import functools
 import itertools
 import math
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator
 
 from .boxes import weitzman_index
@@ -27,7 +27,6 @@ from .instance import (
     MatchingInstance,
     Orientation,
     canonical_orientation,
-    orientation_bits,
     scaled_paths,
 )
 from .nested import check_non_exposure, descending_run
@@ -162,10 +161,6 @@ class DescendingRunner:
     def scaled(self) -> tuple[int, dict]:
         """``scaled_paths`` of the baskets, built on the first run."""
         return scaled_paths(self.inst, self.baskets)
-
-    def kappa_weights(self, realization: Realization) -> dict:
-        """Realized terminal capped value per edge (the greedy weights)."""
-        return {eid: self.baskets[eid].path_of[k].kappa1 for eid, k in realization.items()}
 
     def kappa_laws(self) -> dict:
         """Each edge's law of the terminal capped value kappa^(1)."""
@@ -344,14 +339,6 @@ class VertexBasedDescendingRunner(DecisionRunner):
                        for u, v in trace.inspected)
 
 
-def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
-                   record_steps: bool = False):
-    """Yield (realization, prob, trace) over the whole outcome space."""
-    den = realization_weights(inst)[0]
-    for realization, weight in enumerate_realizations(inst, enum_bound):
-        yield realization, Fraction(weight, den), runner.run(realization, record_steps=record_steps)
-
-
 def kappa_welfare(laws: dict) -> Fraction:
     """Expected greedy total over independent per-key capped-value laws.
 
@@ -399,38 +386,43 @@ def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> F
     return runner.exact_welfare()
 
 
-# Distinct samples Monte Carlo keeps at a time (a chunk's tally, and the
-# welfare cache across chunks): this caps its memory whatever the trial count.
+# Distinct samples the Monte Carlo welfare cache keeps across batches.
 MC_CHUNK = 1 << 12
+# Words of the SplitMix64 stream Monte Carlo draws at a time (whole trials,
+# at least one), so a batch's memory is capped whatever the edge count.
+MC_BATCH_WORDS = 1 << 13
 
 
-def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
+def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
                 welfare_of) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded trials.
 
-    Each trial takes ``key = draw(rng)``, then one realization from the same
-    stream, and its welfare is w / q for ``(w, q) = welfare_of(key,
-    realization)``, one q for all.  So each chunk of ``MC_CHUNK`` trials is
-    tallied and each distinct pair in it is looked up in a bounded cache,
-    computed only on a miss.  The integer sums of count * w and count * w^2
-    are exact, so they equal the sums over the trials one by one.
+    A trial reads ``bits + |E|`` words of one stream: ``bits`` orientation
+    bits (a word's top bit each), then each edge's outcome in edge order
+    (``choose_weighted`` on its cuts).  Its ``row`` is those bits then the
+    outcome indices, and its welfare is w / q for ``(w, q) = welfare_of(row)``,
+    one q for all.  Each batch draws its words at once, reads one strided
+    column per word position and tallies the rows; a distinct row is looked
+    up in a bounded cache, computed only on a miss.  The integer sums of
+    count * w and count * w^2 equal the sums over the trials one by one.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = SplitMix64(seed)
-    cuts = outcome_cuts(inst)
-    ids = [eid for eid, _ in cuts]
-
-    @functools.lru_cache(maxsize=MC_CHUNK)
-    def welfare(key, sample):
-        return welfare_of(key, dict(zip(ids, sample)))
-
+    cuts = [c for _, c in outcome_cuts(inst)]
+    width = bits + len(cuts)
+    per_batch = max(1, MC_BATCH_WORDS // max(1, width))
+    welfare = functools.lru_cache(maxsize=MC_CHUNK)(welfare_of)
     acc = acc_sq = 0
-    for start in range(0, trials, MC_CHUNK):
-        tally = Counter((draw(rng), tuple(sample_realization(cuts, rng).values()))
-                        for _ in range(min(MC_CHUNK, trials - start)))
-        for (key, sample), count in tally.items():
-            w, q = welfare(key, sample)
+    for start in range(0, trials, per_batch):
+        n = min(per_batch, trials - start)
+        words = rng.next_u64s(n * width)
+        columns = [[x >> 63 for x in words[k::width]] for k in range(bits)]
+        columns += [list(map(functools.partial(bisect_right, c), words[k::width]))
+                    for k, c in enumerate(cuts, bits)]
+        del words
+        for row, count in (Counter(zip(*columns)) if width else {(): n}).items():
+            w, q = welfare(row)
             cw = count * w
             acc += cw
             acc_sq += cw * w
@@ -441,10 +433,23 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, draw,
 
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
                                 trials: int) -> tuple[float, float]:
-    """(mean, standard error) of the welfare over seeded sampled runs."""
-    scaled_welfare = attrgetter("welfare", "scale")
-    return _montecarlo(inst, seed, trials, lambda rng: None,
-                       lambda key, realization: scaled_welfare(runner.run(realization)))
+    """(mean, standard error) of the welfare over seeded sampled runs.
+
+    A descending runner's welfare comes straight from ``descending_run`` on
+    its scaled paths; any other runner's from its ``run`` trace.
+    """
+    ids = inst.edge_ids
+    if isinstance(runner, DescendingRunner):
+        q, paths = runner.scaled
+
+        def welfare_of(row):
+            return descending_run({eid: paths[eid][k] for eid, k in zip(ids, row)},
+                                  runner.conflicts).welfare, q
+    else:
+        def welfare_of(row):
+            trace = runner.run(dict(zip(ids, row)))
+            return trace.welfare, trace.scale
+    return _montecarlo(inst, seed, trials, 0, welfare_of)
 
 
 def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
@@ -491,13 +496,14 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
         q, tables = scaled_paths(inst, {(e.id, bit): e.basket(d) for e in inst.edges
                                         for bit, d in enumerate(e.directions())})
 
-        def welfare_of(bits, realization):
-            paths = {e.id: tables[e.id, bit][k]
-                     for e, bit, k in zip(inst.edges, bits, realization.values())}
+        ids = inst.edge_ids
+        m = len(ids)
+
+        def welfare_of(row):
+            paths = {eid: tables[eid, bit][k] for eid, bit, k in zip(ids, row, row[m:])}
             return descending_run(paths, inst.conflicts).welfare, q
 
-        return _montecarlo(inst, seed, trials, lambda rng: orientation_bits(inst, rng),
-                           welfare_of)
+        return _montecarlo(inst, seed, trials, m, welfare_of)
     raise ValueError(f"unknown mode {mode!r}")
 
 

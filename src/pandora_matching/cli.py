@@ -79,6 +79,25 @@ def _load_instance(path: str) -> MatchingInstance:
     return _load(path, "instance", MatchingInstance.from_json_obj)
 
 
+def _check_seed(flag: str, seed: int | None) -> int | None:
+    """``seed``, refused outside [0, 2^64), where SplitMix64 would alias it to another."""
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise CliError(f"{flag} must be in [0, 2^64), got {seed}")
+    return seed
+
+
+def _orientation_seed(spec: str | None) -> int | None:
+    """SEED of a ``random:SEED`` orientation spec, else None."""
+    if spec is None or not spec.startswith("random:"):
+        return None
+    text = spec.split(":", 1)[1]
+    try:
+        return _check_seed("--orientation random:SEED", int(text))
+    except ValueError:
+        raise CliError(f"--orientation random:SEED needs an integer SEED, "
+                       f"got {text!r}") from None
+
+
 def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientation:
     """canonical | reverse | edge-based | random:SEED | inline JSON | file path."""
     if spec is None or spec == "canonical":
@@ -87,13 +106,7 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
         return canonical_orientation(inst).reverse()
     if spec == "edge-based":
         return edge_based_orientation(inst)
-    if spec.startswith("random:"):
-        text = spec.split(":", 1)[1]
-        try:
-            seed = int(text)
-        except ValueError:
-            raise CliError(f"--orientation random:SEED needs an integer SEED, "
-                           f"got {text!r}") from None
+    if (seed := _orientation_seed(spec)) is not None:
         return random_orientation(inst, SplitMix64(seed))
     if spec.strip().startswith("["):
         o = _load("from --orientation", "orientation", Orientation.from_json_obj, spec)
@@ -368,6 +381,10 @@ def _bound_advice(args) -> str:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
+        given = vars(args)   # seeds are checked before any input is read
+        _check_seed("--seed", given.get("seed"))
+        _check_seed("--trace-seed", given.get("trace_seed"))
+        _orientation_seed(given.get("orientation"))
         return args.func(args)
     except EnumerationBoundError as exc:
         print(f"error: {exc}; {_bound_advice(args)}", file=sys.stderr)

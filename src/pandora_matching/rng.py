@@ -13,6 +13,8 @@ from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -22,22 +24,24 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
+
+    def next_u64s(self, n: int) -> list[int]:
+        """The outputs of ``n`` ``next_u64`` calls, leaving the same state.
+
+        Output k mixes state + k * gamma, so one comprehension runs over the counters."""
+        start = self._state
+        self._state = (start + n * _GAMMA) & _MASK
+        return [z ^ (z >> 31)
+                for c in range(start + _GAMMA, start + (n + 1) * _GAMMA, _GAMMA)
+                for z in [c & _MASK]
+                for z in [((z ^ (z >> 30)) * _MIX1) & _MASK]
+                for z in [((z ^ (z >> 27)) * _MIX2) & _MASK]]
 
     def next_bit(self) -> int:
         return self.next_u64() >> 63
-
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
 
     def choose_weighted(self, cuts) -> int:
         """Index drawn by one u64: the first k with u < cuts[k].

@@ -10,43 +10,65 @@ edges of 2-atom boxes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
-from pandora_matching.algorithms import DecisionRunner
+from pandora_matching.algorithms import (
+    DecisionRunner,
+    DescendingRunner,
+    enumerate_realizations,
+    outcome_cuts,
+    realization_weights,
+    sample_realization,
+)
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.distributions import ONE, ZERO, DiscreteDistribution, DistributionError
-from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation
+from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation, random_orientation
 from pandora_matching.nested import OutcomeNode, PathInfo, descending_run
 from pandora_matching.oracle import greedy_matching
 from pandora_matching.rationals import format_rational
 from pandora_matching.rng import SplitMix64
 
 VERTEX_POOL = ("a", "b", "c", "d", "e", "f")
+# The third counter state of this seed is 2^64 (gamma is splitmix64's
+# increment), so the stream wraps to counter 0 inside a batch of draws.
+WRAP_SEED = -3 * 0x9E3779B97F4A7C15 % (1 << 64)
+
+
+def next_below(rng: SplitMix64, n: int) -> int:
+    """Uniform integer in [0, n) from ``rng``'s u64s, by rejection sampling."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % n
 
 
 def rand_fraction(rng: SplitMix64, lo: int, hi: int, dens=(1, 2, 3)) -> Fraction:
-    den = dens[rng.next_below(len(dens))]
-    num = lo * den + rng.next_below((hi - lo) * den + 1)
+    den = dens[next_below(rng, len(dens))]
+    num = lo * den + next_below(rng, (hi - lo) * den + 1)
     return Fraction(num, den)
 
 
 def rand_probs(rng: SplitMix64, k: int) -> list[Fraction]:
     if k == 1:
         return [Fraction(1)]
-    den = (4, 6, 8, 12)[rng.next_below(4)]
+    den = (4, 6, 8, 12)[next_below(rng, 4)]
     while den < k:
         den *= 2
     cuts = set()
     while len(cuts) < k - 1:
-        cuts.add(1 + rng.next_below(den - 1))
+        cuts.add(1 + next_below(rng, den - 1))
     points = [0] + sorted(cuts) + [den]
     return [Fraction(points[t + 1] - points[t], den) for t in range(k)]
 
 
 def rand_dist(rng: SplitMix64, positive: bool = False, k: int | None = None) -> DiscreteDistribution:
     if k is None:
-        k = 1 + rng.next_below(3)
+        k = 1 + next_below(rng, 3)
     values: set[Fraction] = set()
     while len(values) < k:
         if positive:
@@ -60,23 +82,23 @@ def rand_box(rng: SplitMix64, positive: bool = False, k: int | None = None) -> P
     dist = rand_dist(rng, positive, k)
     if positive:
         # keep the cost within the mean so the expectation condition holds
-        den = 1 + rng.next_below(4)
-        cost = dist.expectation() * Fraction(rng.next_below(den + 1), den)
+        den = 1 + next_below(rng, 4)
+        cost = dist.expectation() * Fraction(next_below(rng, den + 1), den)
     else:
         cost = rand_fraction(rng, 0, 3, dens=(1, 2))
     return PandoraBox(dist, cost)
 
 
 def _rand_edge_ids(rng: SplitMix64, max_edges: int) -> list[tuple[str, str]]:
-    n_edges = 1 + rng.next_below(max_edges)
-    n_vertices = min(len(VERTEX_POOL), n_edges + 1 + rng.next_below(2))
+    n_edges = 1 + next_below(rng, max_edges)
+    n_vertices = min(len(VERTEX_POOL), n_edges + 1 + next_below(rng, 2))
     pool = VERTEX_POOL[:n_vertices]
     ids: set[tuple[str, str]] = set()
     guard = 0
     while len(ids) < n_edges and guard < 200:
         guard += 1
-        u = pool[rng.next_below(len(pool))]
-        v = pool[rng.next_below(len(pool))]
+        u = pool[next_below(rng, len(pool))]
+        v = pool[next_below(rng, len(pool))]
         if u != v:
             ids.add((min(u, v), max(u, v)))
     return sorted(ids)
@@ -103,9 +125,19 @@ def rand_cycle(rng: SplitMix64, n: int) -> MatchingInstance:
     return MatchingInstance(pool, edges)
 
 
+def rand_graph(rng: SplitMix64, n_vertices: int, n_edges: int) -> MatchingInstance:
+    """``n_edges`` distinct vertex pairs, two atoms in every endpoint box."""
+    vertices = [f"v{k:02d}" for k in range(n_vertices)]
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = sorted(pairs.pop(next_below(rng, len(pairs))) for _ in range(n_edges))
+    edges = [EdgeSpec.independent(u, v, rand_box(rng, k=2), rand_box(rng, k=2))
+             for u, v in chosen]
+    return MatchingInstance(vertices, edges)
+
+
 def rand_joint_edge(rng: SplitMix64, i: str, j: str) -> EdgeSpec:
-    ki = 1 + rng.next_below(3)
-    kj = 1 + rng.next_below(3)
+    ki = 1 + next_below(rng, 3)
+    kj = 1 + next_below(rng, 3)
     labels_i = [f"s{t}" for t in range(ki)]
     labels_j = [f"t{t}" for t in range(kj)]
     pairs = [(li, lj) for li in labels_i for lj in labels_j]
@@ -131,12 +163,12 @@ def rand_joint_instance(rng: SplitMix64, max_edges: int = 3,
 def rand_tree(rng: SplitMix64, depth: int | None = None, max_branch: int = 3):
     """Random outcome tree with small rational costs and values."""
     if depth is None:
-        depth = 1 + rng.next_below(3)
+        depth = 1 + next_below(rng, 3)
 
     def build(level: int, tag: str) -> OutcomeNode:
         if level == depth:
             return OutcomeNode.leaf(rand_fraction(rng, -3, 5))
-        k = 1 + rng.next_below(max_branch)
+        k = 1 + next_below(rng, max_branch)
         probs = rand_probs(rng, k)
         branches = [
             (f"{tag}{t}", probs[t], build(level + 1, f"{tag}{t}."))
@@ -145,6 +177,46 @@ def rand_tree(rng: SplitMix64, depth: int | None = None, max_branch: int = 3):
         return OutcomeNode.stage(rand_fraction(rng, 0, 2, dens=(1, 2)), branches)
 
     return build(0, "s")
+
+
+def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
+                   record_steps: bool = False):
+    """Yield (realization, prob, trace) over the whole outcome space."""
+    den = realization_weights(inst)[0]
+    for realization, weight in enumerate_realizations(inst, enum_bound):
+        yield realization, Fraction(weight, den), runner.run(realization, record_steps=record_steps)
+
+
+def kappa_weights(runner, realization) -> dict:
+    """A descending runner's realized terminal capped value per edge (the greedy weights)."""
+    return {eid: runner.baskets[eid].path_of[k].kappa1 for eid, k in realization.items()}
+
+
+def reference_montecarlo(inst: MatchingInstance, seed: int, trials: int,
+                         runner=None) -> tuple[float, float]:
+    """(mean, standard error) of seeded Monte Carlo, one trial at a time.
+
+    Each trial calls ``next_u64`` once per word of one stream: without a
+    ``runner`` (the randomized policy) it first draws an orientation, one
+    bit per edge, and runs descending on it; then it draws one outcome per
+    edge in edge order.  The welfare sums are ``Fraction``s of each trace.
+    """
+    rng = SplitMix64(seed)
+    cuts = outcome_cuts(inst)
+    runners = {}
+    total = total_sq = ZERO
+    for _ in range(trials):
+        trial_runner = runner
+        if runner is None:
+            o = random_orientation(inst, rng)
+            trial_runner = runners.setdefault(tuple(o.sorted_pairs()), DescendingRunner(inst, o))
+        trace = trial_runner.run(sample_realization(cuts, rng))
+        w = Fraction(trace.welfare, trace.scale)
+        total += w
+        total_sq += w * w
+    mean = total / trials
+    var = total_sq / trials - mean * mean
+    return float(mean), math.sqrt(max(0.0, float(var)) / trials)
 
 
 def general_batch(count: int, base_seed: int = 1000) -> list[MatchingInstance]:

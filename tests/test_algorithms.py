@@ -1,7 +1,9 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +17,6 @@ from pandora_matching.algorithms import (
     assert_valid_trace,
     best_of_two,
     edge_based_orientation,
-    enumerate_runs,
     expected_welfare,
     expected_welfare_exact,
     expected_welfare_montecarlo,
@@ -44,12 +45,18 @@ from pandora_matching.repro import (
 from pandora_matching.rng import SplitMix64
 
 from support import (
+    WRAP_SEED,
     cycle_batch,
+    enumerate_runs,
     general_batch,
     joint_batch,
+    kappa_weights,
+    next_below,
     positive_batch,
+    rand_graph,
     rand_instance,
     reference_kappa_welfare,
+    reference_montecarlo,
 )
 from test_distributions import dist
 
@@ -87,7 +94,7 @@ class TestOrientedDescending:
         # all edges share the hub, so the claimed capped value is the best one
         expected = ZERO
         for realization, prob, _ in enumerate_runs(inst, runner):
-            best = max(max(k, ZERO) for k in runner.kappa_weights(realization).values())
+            best = max(max(k, ZERO) for k in kappa_weights(runner, realization).values())
             expected += prob * best
         assert welfare == expected == 2
 
@@ -123,7 +130,7 @@ class TestOrientedDescending:
             for o in (canonical_orientation(inst), canonical_orientation(inst).reverse()):
                 runner = DescendingRunner(inst, o)
                 for realization, _, trace in enumerate_runs(inst, runner):
-                    weights = runner.kappa_weights(realization)
+                    weights = kappa_weights(runner, realization)
                     assert trace.matched == greedy_matching(weights)[0]
 
 
@@ -183,6 +190,7 @@ class TestExpectedWelfare:
         whole = expected_welfare_montecarlo(inst, runner, seed=5, trials=2000)
         rand = randomized_matching(inst, "montecarlo", seed=5, trials=2000)
         monkeypatch.setattr(algorithms, "MC_CHUNK", 7)
+        monkeypatch.setattr(algorithms, "MC_BATCH_WORDS", 5)
         assert expected_welfare_montecarlo(inst, runner, seed=5, trials=2000) == whole
         assert randomized_matching(inst, "montecarlo", seed=5, trials=2000) == rand
 
@@ -573,7 +581,7 @@ def vertex_tie_instances() -> list:
     out = []
     for graph in graphs:
         for _ in range(40):
-            edges = [EdgeSpec.independent(i, j, *(pool[rng.next_below(len(pool))]
+            edges = [EdgeSpec.independent(i, j, *(pool[next_below(rng, len(pool))]
                                                   for _ in range(2))) for i, j in graph]
             out.append(MatchingInstance({v for e in graph for v in e}, edges))
     return out
@@ -715,3 +723,52 @@ class TestMonteCarloGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_estimates_match_golden(self, instances, name):
         assert montecarlo_estimates(instances[name]) == self.GOLDEN[name]
+
+
+class TestBatchedMonteCarlo:
+    """Batched draws against the per-trial loop of ``reference_montecarlo``.
+
+    On the 6-edge cycle, 5,000 trials span several batches of ``MC_BATCH_WORDS``.
+    """
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return {"cycle": cycle_batch()["cycle[2] n=6"], "joint": joint_batch(3)[0],
+                "star": bundled_star(3).instance}
+
+    @pytest.mark.parametrize("seed", [5, WRAP_SEED], ids=["seed-5", "wrapping-seed"])
+    @pytest.mark.parametrize("name, policy", [
+        *(("cycle", p) for p in MC_POLICIES), ("cycle", "randomized"),
+        ("joint", "oriented-desc"), ("joint", "randomized"), ("star", "bundled"),
+    ])
+    def test_equals_the_per_trial_loop(self, instances, name, policy, seed):
+        inst = instances[name]
+        trials = 5_000
+        assert trials > algorithms.MC_CHUNK
+        if policy == "randomized":
+            batched = randomized_matching(inst, "montecarlo", seed=seed, trials=trials)
+            runner = None
+        else:
+            runner = make_runner(inst, policy)
+            batched = expected_welfare_montecarlo(inst, runner, seed=seed, trials=trials)
+        assert batched == reference_montecarlo(inst, seed, trials, runner)
+
+    def test_memory_stays_capped(self, monkeypatch):
+        """Peak traced memory of randomized Monte Carlo on a 12-vertex, 30-edge graph
+        with 2x2-atom boxes, 5,000 trials (60 words each).  Each sample's descending
+        run is replaced by a constant, so only the draws, the tally and the welfare
+        cache are measured.  Under Python 3.11, the per-trial loop this replaced
+        peaked at 4.19 MB (6.27 MB at 10,000 trials, 6.44 MB at 20,000), 4,096-trial
+        batches with no word cap at 12.96 MB, and the capped batches at 3.49 MB.
+        """
+        inst = rand_graph(SplitMix64(12), 12, 30)
+        randomized_matching(inst, "montecarlo", seed=1, trials=1)   # compile outside
+        monkeypatch.setattr(algorithms, "descending_run",
+                            lambda paths, conflicts: SimpleNamespace(welfare=0))
+        tracemalloc.start()
+        try:
+            randomized_matching(inst, "montecarlo", seed=7, trials=5_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * 4.19e6

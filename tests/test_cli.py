@@ -194,6 +194,17 @@ class TestRunCommand:
         assert doc["orientation"] == o.to_json_obj()
         assert doc["welfare"]["exact"] == str(value)
 
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1], ids=["zero", "top"])
+    def test_seed_range_ends_are_accepted(self, edge_file, capsys, seed):
+        code, out, _ = run_cli(capsys, "run", "--instance", edge_file, "--policy", "bundled",
+                               "--mode", "montecarlo", "--seed", str(seed), "--trials", "10",
+                               "--trace-seed", str(seed))
+        doc = json.loads(out)
+        assert code == 0 and doc["welfare"]["seed"] == seed and "sample_trace" in doc
+        code, out, _ = run_cli(capsys, "run", "--instance", edge_file, "--policy",
+                               "oriented-desc", "--orientation", f"random:{seed}")
+        assert code == 0
+
     def test_montecarlo_without_seed_fails(self, edge_file, capsys):
         code, _, err = run_cli(capsys, "run", "--instance", edge_file,
                                "--policy", "oriented-desc", "--mode", "montecarlo")
@@ -364,6 +375,22 @@ class TestInputErrors:
           "--format", "csv"], "--trace-seed needs --format json"),
         (["run", "--instance", "{missing}", "--policy", "bundled", "--mode", "montecarlo",
           "--seed", "1", "--enum-bound", "5"], "--enum-bound applies only to --mode exact"),
+        (["run", "--instance", "{missing}", "--policy", "bundled", "--mode", "montecarlo",
+          "--seed", "18446744073709551617"],
+         "--seed must be in [0, 2^64), got 18446744073709551617"),
+        (["run", "--instance", "{missing}", "--policy", "bundled", "--mode", "montecarlo",
+          "--seed", "-18446744073709551615"],
+         "--seed must be in [0, 2^64), got -18446744073709551615"),
+        (["run", "--instance", "{missing}", "--policy", "bundled",
+          "--trace-seed", "18446744073709551616"],
+         "--trace-seed must be in [0, 2^64), got 18446744073709551616"),
+        (["run", "--instance", "{missing}", "--policy", "oriented-desc",
+          "--orientation", "random:-1"], "--orientation random:SEED must be in [0, 2^64), got -1"),
+        (["oracle", "--instance", "{missing}", "--constraint", "oriented",
+          "--orientation", "random:18446744073709551616"],
+         "--orientation random:SEED must be in [0, 2^64), got 18446744073709551616"),
+        (["check", "--instance", "{missing}", "--orientation", "random:18446744073709551616"],
+         "--orientation random:SEED must be in [0, 2^64), got 18446744073709551616"),
         (["repro", "--only", "bundled-star", "--n", "25"],
          "needs 33554432 weighted outcomes, above the bound of 2000000; "
          "raise the bound (PANDORA_ENUM_BOUND)"),
@@ -378,7 +405,10 @@ class TestInputErrors:
             "run-randomized-trace-seed", "oracle-bundled-orientation",
             "oracle-free-orientation", "exact-seed", "exact-seed-trials-zero",
             "exact-trials-negative", "exact-trials", "trace-seed-csv",
-            "montecarlo-enum-bound", "repro-enum-bound"])
+            "montecarlo-enum-bound", "seed-above-range", "seed-negative",
+            "trace-seed-above-range", "run-random-orientation-seed-negative",
+            "oracle-random-orientation-seed-above-range",
+            "check-random-orientation-seed-above-range", "repro-enum-bound"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge", "atoms", "half_edge",

@@ -22,6 +22,7 @@ from support import (
     enumerate_joint_paths,
     gamma_sequence,
     kappa_sequence,
+    next_below,
     rand_tree,
     reference_annotate,
     reference_expected_select_welfare,
@@ -334,7 +335,7 @@ class TestDescendingSelect:
     def test_claims_pointwise_max_capped_value(self):
         rng = SplitMix64(424242)
         for _ in range(40):
-            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
+            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + next_below(rng, 3))}
             for paths, _ in enumerate_joint_paths(baskets):
                 res = descending_run(paths)
                 best = max(max(p.kappa1, ZERO) for p in paths.values())
@@ -344,7 +345,7 @@ class TestDescendingSelect:
     def test_welfare_equals_expected_max_capped_value(self):
         rng = SplitMix64(77)
         for _ in range(25):
-            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
+            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + next_below(rng, 3))}
             expected_max = ZERO
             for paths, prob in enumerate_joint_paths(baskets):
                 expected_max += prob * max(max(p.kappa1, ZERO) for p in paths.values())
@@ -383,8 +384,8 @@ class TestOptimality:
     def test_descending_matches_brute_force_policy_search(self):
         rng = SplitMix64(2024)
         for _ in range(20):
-            trees = {f"b{k}": rand_tree(rng, depth=1 + rng.next_below(2), max_branch=2)
-                     for k in range(1 + rng.next_below(2))}
+            trees = {f"b{k}": rand_tree(rng, depth=1 + next_below(rng, 2), max_branch=2)
+                     for k in range(1 + next_below(rng, 2))}
             baskets = {i: annotate(t) for i, t in trees.items()}
             assert reference_expected_select_welfare(baskets) == brute_select_value(trees)
             assert selection_sweep(baskets) == brute_select_value(trees)
@@ -434,7 +435,7 @@ class TestAnnotationInvariants:
     def test_gamma_equality_on_every_step(self):
         rng = SplitMix64(557)
         for _ in range(20):
-            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + rng.next_below(3))}
+            baskets = {f"b{k}": annotate(rand_tree(rng)) for k in range(1 + next_below(rng, 3))}
             for paths, _ in enumerate_joint_paths(baskets):
                 res = descending_run(paths, record_steps=True)
                 for step in res.steps:
@@ -450,7 +451,7 @@ class TestAnnotateMatchesReference:
     def test_random_deeper_trees(self):
         rng = SplitMix64(558)
         for _ in range(150):
-            tree = rand_tree(rng, depth=1 + rng.next_below(4))
+            tree = rand_tree(rng, depth=1 + next_below(rng, 4))
             basket = annotate(tree)
             ref = reference_annotate(tree)
             assert_matches_reference(basket.root, ref)

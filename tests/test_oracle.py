@@ -40,6 +40,7 @@ from pandora_matching.rng import SplitMix64
 from support import (
     general_batch,
     joint_batch,
+    next_below,
     positive_batch,
     rand_box,
     rand_instance,
@@ -59,9 +60,9 @@ def matching_graphs(rng: SplitMix64) -> list:
     graphs.append([("a", "b"), ("a", "c"), ("b", "c")])
     graphs.append([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
     for _ in range(20):
-        pool = "abcdef"[:3 + rng.next_below(4)]
+        pool = "abcdef"[:3 + next_below(rng, 4)]
         edges = {(min(u, v), max(u, v)) for u in pool for v in pool
-                 if u != v and rng.next_below(2)}
+                 if u != v and next_below(rng, 2)}
         graphs.append(sorted(edges))
     return graphs
 
@@ -393,7 +394,7 @@ class TestPastSixteenEdges:
 
     def test_bundled_path_of_point_masses(self):
         rng = SplitMix64(17)
-        gains = [F(1 + rng.next_below(8), 1 + rng.next_below(3)) for _ in range(17)]
+        gains = [F(1 + next_below(rng, 8), 1 + next_below(rng, 3)) for _ in range(17)]
         edges = [point_edge(f"v{k:02d}", f"v{k + 1:02d}", gain + F(1, 2), F(1, 2))
                  for k, gain in enumerate(gains)]
         inst = MatchingInstance([f"v{k:02d}" for k in range(18)], edges)
@@ -460,7 +461,7 @@ class TestMatchingTable:
         zero = 0 if kind == "int" else F(0)
         for graph in matching_graphs(rng):
             for _ in range(30):
-                draws = [values[rng.next_below(len(values))] for _ in graph]
+                draws = [values[next_below(rng, len(values))] for _ in graph]
                 assert_table_matches_reference(graph, [[w] if w > 0 else [] for w in draws], zero)
 
     def test_disjoint_edges_ties_and_zero_weights(self):

@@ -5,6 +5,8 @@ import pytest
 from pandora_matching.rationals import RationalParseError, parse_rational
 from pandora_matching.rng import SplitMix64
 
+from support import next_below
+
 FIXED = ["3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "--1", "1_0/3", "٣/4", "1/0",
          "0/5", "12", "0.1", "1e3", "", "/"]
 
@@ -12,8 +14,8 @@ FIXED = ["3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "--1", "1_0/3", "٣/4", "1/0",
 def drawn(count: int = 200, seed: int = 19) -> list[str]:
     """Seeded "n/d" strings: a sign or none, up to seven digits over up to three."""
     rng = SplitMix64(seed)
-    return [f"{('', '-', '+')[rng.next_below(3)]}{rng.next_below(10 ** 7)}/{rng.next_below(1000)}"
-            for _ in range(count)]
+    return [f"{('', '-', '+')[next_below(rng, 3)]}{next_below(rng, 10 ** 7)}"
+            f"/{next_below(rng, 1000)}" for _ in range(count)]
 
 
 def check(text: str) -> None:

@@ -6,7 +6,6 @@ from pandora_matching import repro
 from pandora_matching.algorithms import (
     UnsupportedModelError,
     assert_valid_trace,
-    enumerate_runs,
     expected_welfare_exact,
 )
 from pandora_matching.distributions import ZERO
@@ -27,7 +26,7 @@ from pandora_matching.repro import (
     report,
 )
 
-from support import OpenAllFirstStagesStrategy, general_batch
+from support import OpenAllFirstStagesStrategy, enumerate_runs, general_batch
 
 
 class TestNamedInstances:

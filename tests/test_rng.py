@@ -4,7 +4,7 @@ import pytest
 
 from pandora_matching.rng import SplitMix64, weighted_cuts
 
-from support import general_batch, joint_batch
+from support import WRAP_SEED, general_batch, joint_batch
 
 TWO64 = 1 << 64
 
@@ -79,3 +79,18 @@ class TestWeightedCuts:
             rng.choose_weighted(cuts)
             ref.next_u64()
         assert rng.next_u64() == ref.next_u64()
+
+
+class TestBatch:
+    @pytest.mark.parametrize("seed", [42, WRAP_SEED], ids=["seed-42", "wrapping-seed"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 10_000])
+    def test_batch_equals_single_calls(self, seed, n):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.next_u64s(n) == [ref.next_u64() for _ in range(n)]
+        assert rng._state == ref._state
+        assert rng.next_u64() == ref.next_u64()
+
+    def test_wrapping_seed_reaches_counter_zero(self):
+        rng = SplitMix64(WRAP_SEED)
+        rng.next_u64s(3)
+        assert rng._state == 0
