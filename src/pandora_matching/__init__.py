@@ -19,7 +19,6 @@ from .instance import (
     MatchingInstance,
     Orientation,
     canonical_orientation,
-    edge_to_basket,
     random_orientation,
 )
 from .nested import (

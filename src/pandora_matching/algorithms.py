@@ -30,7 +30,7 @@ from .instance import (
     scaled_paths,
 )
 from .nested import check_non_exposure, descending_run
-from .rationals import scaled
+from .rationals import as_float
 from .rng import SplitMix64, weighted_cuts
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -77,11 +77,10 @@ def _require_within_bound(size: int, enum_bound=None) -> None:
         raise EnumerationBoundError(size, bound)
 
 
-def realization_weights(inst: MatchingInstance) -> tuple[int, list[list[int]]]:
-    """(D, per edge its outcome probabilities times D's factor for that edge)."""
-    dens = [math.lcm(*(o.prob.denominator for o in e.outcomes)) for e in inst.edges]
-    return math.prod(dens), [[scaled(o.prob, d) for o in e.outcomes]
-                             for e, d in zip(inst.edges, dens)]
+def realization_weights(inst: MatchingInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, per edge its outcome weights): a realization's probability is the
+    product of its outcomes' weights over D, the product of the weight totals."""
+    return math.prod([e.weight_total for e in inst.edges]), [e.weights for e in inst.edges]
 
 
 def enumerate_realizations(inst: MatchingInstance, enum_bound=None) -> Iterator[tuple]:
@@ -94,8 +93,8 @@ def enumerate_realizations(inst: MatchingInstance, enum_bound=None) -> Iterator[
 
 
 def outcome_cuts(inst: MatchingInstance) -> list:
-    """(edge id, cut points of its outcome probabilities) per edge, in edge order."""
-    return [(e.id, weighted_cuts(o.prob for o in e.outcomes)) for e in inst.edges]
+    """(edge id, cut points of its outcome weights) per edge, in edge order."""
+    return [(e.id, weighted_cuts(e.weights, e.weight_total)) for e in inst.edges]
 
 
 def sample_realization(cuts: list, rng: SplitMix64) -> Realization:
@@ -428,7 +427,7 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
             acc_sq += cw * w
     mean = Fraction(acc, trials * q)
     var = Fraction(acc_sq, trials * q * q) - mean * mean
-    return float(mean), math.sqrt(max(0.0, float(var)) / trials)
+    return as_float(mean), math.sqrt(max(0.0, as_float(var)) / trials)
 
 
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,

@@ -49,6 +49,7 @@ from .instance import (
 from .nested import OutcomeNode, annotate, annotated_to_json_obj
 from .oracle import StateBoundError, optimal_action_tree, optimal_welfare
 from .rationals import (
+    as_float,
     format_rational,
     load_json,
     loads_json,
@@ -133,7 +134,7 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
 def cmd_index(args) -> int:
     box = _load(args.instance, "box", PandoraBox.from_json_obj)
     sigma = weitzman_index(box)
-    print(json.dumps({"sigma": format_rational(sigma), "sigma_float": float(sigma)}))
+    print(json.dumps({"sigma": format_rational(sigma), "sigma_float": as_float(sigma)}))
     return 0
 
 
@@ -227,7 +228,7 @@ def cmd_run(args) -> int:
     exact_str = format_rational(value) if isinstance(value, Fraction) else ""
     _emit(doc, args.format,
           csv_rows=[[args.instance, args.policy, orientation_desc, args.mode,
-                     exact_str, float(value), ratio, stderr]],
+                     exact_str, as_float(value), ratio, stderr]],
           csv_header=["instance", "policy", "orientation", "mode",
                       "value_exact", "value_float", "ratio_to_opt", "stderr"])
     return 0
@@ -261,7 +262,7 @@ def cmd_oracle(args) -> int:
         orientation = _resolve_orientation(args.orientation, inst)
     pv = optimal_welfare(inst, args.constraint, orientation)
     doc = {"constraint": args.constraint, "value": format_rational(pv.value),
-           "value_float": float(pv.value)}
+           "value_float": as_float(pv.value)}
     if orientation is not None:
         doc["orientation"] = orientation.to_json_obj()
     if args.trace:

@@ -3,27 +3,28 @@
 Edges come in two forms.  Independent edges carry one box per endpoint and
 the edge's total value is the sum of the two draws.  Joint edges carry a
 joint law over (signal_i, signal_j, total) pairs, which covers arbitrary
-correlation of the two endpoint observations within an edge.  Independent
-edges are compiled to the joint outcome table, so downstream code has one
-representation; the endpoint values are kept alongside for the algorithms
-that need them separately.
+correlation of the two endpoint observations within an edge.  Either way
+an edge holds one outcome table, whose law is int weights over one total;
+an independent edge's is the product of its two box laws, with the
+endpoint values kept alongside for the algorithms that need them
+separately.  Baskets are annotated straight from that table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
-from .boxes import PandoraBox
-from .distributions import DiscreteDistribution
-from .nested import AnnotatedBasket, OutcomeNode, PathInfo
+from .boxes import PandoraBox, index_of_weights
+from .distributions import DiscreteDistribution, merge_sorted
+from .nested import AnnotatedBasket, AnnotatedLeaf, AnnotatedStage, PathInfo, weighted_stage
 from .rationals import (
     as_fraction,
-    common_sum,
     format_rational,
     json_object,
     parse_rational,
@@ -86,18 +87,40 @@ class EdgeBasket:
                 for k, o in enumerate(self.outcomes)}
 
 
+class _BoxAtoms(NamedTuple):
+    """One endpoint box's law in int weights: (label, value, probability,
+    weight) per atom by label, and the values ascending with their weights."""
+
+    rows: tuple[tuple[str, Fraction, Fraction, int], ...]
+    values: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    total: int
+
+
+def _box_atoms(box: PandoraBox) -> _BoxAtoms:
+    atoms = box.dist.atoms
+    total = math.lcm(*[p.denominator for _, p in atoms])
+    weights = tuple([scaled(p, total) for _, p in atoms])
+    rows = sorted([(format_rational(v), v, p, w) for (v, p), w in zip(atoms, weights)])
+    return _BoxAtoms(tuple(rows), tuple([v for v, _ in atoms]), weights, total)
+
+
 class EdgeSpec:
     """An undirected edge with its two inspection costs and outcome law.
 
     Endpoints are stored sorted (i < j).  Direction (u, v) means endpoint u
     is inspected first; cost(u, v) is the cost of that first inspection.
-    The per-direction tables and compiled baskets are built on first use.
+    Outcome k, in (label_i, label_j) order, has probability
+    weights[k] / weight_total, both ints; every reader of the law reads
+    these.  Build edges with ``independent`` or ``joint``: the constructor
+    checks only the endpoints and costs.  The per-direction tables and
+    compiled baskets are built on first use.
     """
 
     def __init__(self, i: str, j: str, cost_ij, cost_ji,
-                 outcomes: Iterable[JointOutcome],
-                 box_ij: PandoraBox | None = None,
-                 box_ji: PandoraBox | None = None):
+                 outcomes: tuple[JointOutcome, ...], weights: tuple[int, ...],
+                 weight_total: int, box_ij: PandoraBox | None = None,
+                 box_ji: PandoraBox | None = None, sides: tuple | None = None):
         if i == j:
             raise InstanceError(f"self-loop at vertex {i!r}")
         if not i < j:
@@ -106,25 +129,14 @@ class EdgeSpec:
         self.j = j
         self.cost_ij = as_fraction(cost_ij)
         self.cost_ji = as_fraction(cost_ji)
-        self.box_ij = box_ij
-        self.box_ji = box_ji
-        self.outcomes = tuple(sorted(outcomes, key=lambda o: (o.label_i, o.label_j)))
         if self.cost_ij.numerator < 0 or self.cost_ji.numerator < 0:
             raise InstanceError(f"edge {self.id}: costs must be >= 0")
-        if not self.outcomes:
-            raise InstanceError(f"edge {self.id}: empty outcome table")
-        seen = set()
-        for o in self.outcomes:
-            if o.prob.numerator <= 0:
-                raise InstanceError(f"edge {self.id}: outcome probability {o.prob} not positive")
-            key = (o.label_i, o.label_j)
-            if key in seen:
-                raise InstanceError(f"edge {self.id}: duplicate signal pair {key}")
-            seen.add(key)
-        num, den = common_sum([o.prob for o in self.outcomes])
-        if num != den:
-            raise InstanceError(
-                f"edge {self.id}: outcome probabilities sum to {Fraction(num, den)}")
+        self.box_ij = box_ij
+        self.box_ji = box_ji
+        self.outcomes = outcomes
+        self.weights = weights
+        self.weight_total = weight_total
+        self._sides = sides   # the two boxes' _BoxAtoms, for an independent edge
         self._tables: dict[DirectedPair, DirectionTable] = {}
         self._baskets: dict = {}
 
@@ -138,29 +150,53 @@ class EdgeSpec:
 
     @classmethod
     def independent(cls, i: str, j: str, box_ij: PandoraBox, box_ji: PandoraBox) -> "EdgeSpec":
-        """Build the joint table as the product of the two endpoint laws."""
+        """The product of the two endpoint laws, over the product of their totals.
+
+        Both boxes' laws were checked, so the product is sorted by labels and
+        sums to one by construction; each atom's label is formatted once.
+        """
         if not i < j:
             i, j = j, i
             box_ij, box_ji = box_ji, box_ij
-        outcomes = []
-        for vi, pi in box_ij.dist.atoms:
-            for vj, pj in box_ji.dist.atoms:
-                outcomes.append(JointOutcome(
-                    format_rational(vi), format_rational(vj),
-                    vi + vj, pi * pj, vi, vj,
-                ))
-        return cls(i, j, box_ij.cost, box_ji.cost, outcomes, box_ij, box_ji)
+        sides = (_box_atoms(box_ij), _box_atoms(box_ji))
+        total = sides[0].total * sides[1].total
+        outcomes, weights = [], []
+        for li, vi, _, wi in sides[0].rows:
+            for lj, vj, _, wj in sides[1].rows:
+                w = wi * wj
+                outcomes.append(JointOutcome(li, lj, vi + vj, Fraction(w, total), vi, vj))
+                weights.append(w)
+        return cls(i, j, box_ij.cost, box_ji.cost, tuple(outcomes), tuple(weights), total,
+                   box_ij, box_ji, sides)
 
     @classmethod
     def joint(cls, i: str, j: str, cost_ij, cost_ji,
               rows: Iterable[tuple[str, str, Fraction, Fraction]]) -> "EdgeSpec":
+        """An edge from its outcome rows (signal_i, signal_j, total, probability),
+        whose law is checked here: distinct signal pairs, positive
+        probabilities summing to one."""
         if not i < j:
             i, j = j, i
             cost_ij, cost_ji = cost_ji, cost_ij
             rows = [(lj, li, t, p) for li, lj, t, p in rows]
-        outcomes = [JointOutcome(str(li), str(lj), as_fraction(t), as_fraction(p))
-                    for li, lj, t, p in rows]
-        return cls(i, j, cost_ij, cost_ji, outcomes)
+        outcomes = sorted([JointOutcome(str(li), str(lj), as_fraction(t), as_fraction(p))
+                           for li, lj, t, p in rows], key=lambda o: (o.label_i, o.label_j))
+        if not outcomes:
+            raise InstanceError(f"edge {(i, j)}: empty outcome table")
+        seen = set()
+        for o in outcomes:
+            if o.prob.numerator <= 0:
+                raise InstanceError(f"edge {(i, j)}: outcome probability {o.prob} not positive")
+            key = (o.label_i, o.label_j)
+            if key in seen:
+                raise InstanceError(f"edge {(i, j)}: duplicate signal pair {key}")
+            seen.add(key)
+        total = math.lcm(*[o.prob.denominator for o in outcomes])
+        weights = tuple([scaled(o.prob, total) for o in outcomes])
+        if sum(weights) != total:
+            raise InstanceError(
+                f"edge {(i, j)}: outcome probabilities sum to {Fraction(sum(weights), total)}")
+        return cls(i, j, cost_ij, cost_ji, tuple(outcomes), weights, total)
 
     def endpoints(self) -> tuple[str, str]:
         return self.i, self.j
@@ -191,19 +227,18 @@ class EdgeSpec:
         if direction not in self._tables:
             self.cost(direction)  # direction check
             forward = direction == (self.i, self.j)
-            # int weights over one denominator: a conditional is Fraction(w, mass)
-            den = math.lcm(*[o.prob.denominator for o in self.outcomes])
+            # Outcomes run in (label_i, label_j) order, so each group's second
+            # signals arrive sorted.
             groups: dict[str, list] = {}
-            for k, o in enumerate(self.outcomes):
+            for k, (o, w) in enumerate(zip(self.outcomes, self.weights)):
                 first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
-                groups.setdefault(first, []).append(
-                    (second, o.prob.numerator * (den // o.prob.denominator), k))
+                groups.setdefault(first, []).append((second, w, k))
             first_law = []
             second_laws = {}
             for label in sorted(groups):
-                rows = sorted(groups[label])
+                rows = groups[label]
                 mass = sum([w for _, w, _ in rows])
-                first_law.append((label, Fraction(mass, den)))
+                first_law.append((label, Fraction(mass, self.weight_total)))
                 second_laws[label] = tuple([(s, Fraction(w, mass), k) for s, w, k in rows])
             self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
         return self._tables[direction]
@@ -220,9 +255,17 @@ class EdgeSpec:
                                         else oriented_basket(self, direction))
         return self._baskets[direction]
 
+    def _total_law(self) -> list:
+        """[total, weight] rows of the edge total's law over ``weight_total``,
+        equal totals merged, ascending."""
+        return merge_sorted(zip([o.total for o in self.outcomes], self.weights))
+
     def bundled_box(self) -> PandoraBox:
         """Both inspections merged into one box over the edge total."""
-        return PandoraBox(DiscreteDistribution((o.total, o.prob) for o in self.outcomes),
+        rows = self._total_law()
+        return PandoraBox(DiscreteDistribution.from_weights([v for v, _ in rows],
+                                                            [w for _, w in rows],
+                                                            self.weight_total),
                           self.cost_ij + self.cost_ji)
 
     def to_json_obj(self) -> dict:
@@ -250,30 +293,72 @@ class EdgeSpec:
                                PandoraBox.from_json_obj(obj["box_ji"]))
 
 
-def edge_to_basket(edge: EdgeSpec, direction: DirectedPair) -> OutcomeNode:
-    """Compile an oriented edge into a two-stage outcome tree.
+def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
+    """Two-stage basket for a direction: first endpoint, then both.
 
     Stage 1 costs cost(direction) and reveals the first endpoint's signal;
-    stage 2 costs the reverse cost and reveals the edge total.
+    stage 2 costs the reverse cost and reveals the edge total.  The stages
+    are annotated straight from the edge's weights: by the shift identity
+    for an independent edge, by grouping the outcomes for a joint one.
     """
-    table = edge.table(direction)
-    reverse_cost = edge.cost((direction[1], direction[0]))
-    branches = tuple([
-        (label, marginal, OutcomeNode(cost=reverse_cost, branches=tuple([
-            (second, p, OutcomeNode(edge.outcomes[k].total))
-            for second, p, k in table.second[label]
-        ])))
-        for label, marginal in table.first
-    ])
-    return OutcomeNode(cost=edge.cost(direction), branches=branches)
-
-
-def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
-    """Two-stage basket for a direction: first endpoint, then both."""
     forward = direction == (edge.i, edge.j)
     labels = attrgetter("label_i", "label_j") if forward else attrgetter("label_j", "label_i")
-    return EdgeBasket(AnnotatedBasket(edge_to_basket(edge, direction)),
-                      ((), (direction,), edge.directions()), labels, edge.outcomes)
+    second_cost = edge.cost((direction[1], direction[0]))
+    stages = _shifted_stages if edge.is_independent else _grouped_stages
+    branches, pairs = stages(edge, direction, second_cost)
+    root = weighted_stage(edge.cost(direction), branches, merge_sorted(pairs), edge.weight_total)
+    return EdgeBasket(AnnotatedBasket(root), ((), (direction,), edge.directions()), labels,
+                      edge.outcomes)
+
+
+def _grouped_stages(edge: EdgeSpec, direction: DirectedPair,
+                    cost: Fraction) -> tuple[list, list]:
+    """The first stage's branches, and (capped value, weight over weight_total)
+    pairs of its next capped value, from the outcomes grouped by first signal."""
+    table = edge.table(direction)
+    outcomes, weights = edge.outcomes, edge.weights
+    branches, pairs = [], []
+    for label, marginal in table.first:
+        second = table.second[label]
+        mass = sum([weights[k] for _, _, k in second])
+        stage = weighted_stage(
+            cost, [(s, p, AnnotatedLeaf(outcomes[k].total)) for s, p, k in second],
+            merge_sorted([(outcomes[k].total, weights[k]) for _, _, k in second]), mass)
+        branches.append((label, marginal, stage))
+        # A capped atom of weight w / next_total has weight w * factor / weight_total.
+        factor = mass // stage.next_total
+        pairs.extend([(v, w * factor) for v, w in zip(*stage.capped())])
+    return branches, pairs
+
+
+def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
+                    cost: Fraction) -> tuple[list, list]:
+    """``_grouped_stages`` for an independent edge, by the shift identity.
+
+    Given first value a, the second stage's law is the second box's shifted
+    by a, so its index is a + sigma (sigma the second box's index) and its
+    capped value a + min(sigma, b); sigma is solved once, not once per a.
+    """
+    forward = direction == edge.id
+    first, second = edge._sides if forward else edge._sides[::-1]
+    # Outcome (x, y) of the first and second boxes' label orders sits at
+    # x * step_x + y * step_y: outcomes run over the i side's labels, then j's.
+    step_x, step_y = (len(second.rows), 1) if forward else (1, len(first.rows))
+    sigma = index_of_weights(second.values, second.weights, second.total, cost)
+    below = bisect_left(second.values, sigma)
+    capped = second.weights[:below] + (sum(second.weights[below:]),)
+    outcomes = edge.outcomes
+    branches, pairs = [], []
+    for x, (label, a, prob, wa) in enumerate(first.rows):
+        # the leaves' values are the outcome totals a + b, already summed
+        totals = [outcomes[x * step_x + y * step_y].total for y in range(len(second.rows))]
+        values = tuple(sorted(totals))   # a + second.values
+        leaves = tuple([(lb, pb, AnnotatedLeaf(t))
+                        for (lb, _, pb, _), t in zip(second.rows, totals)])
+        stage = AnnotatedStage(cost, a + sigma, leaves, values, second.weights, second.total)
+        branches.append((label, prob, stage))
+        pairs.extend(zip(values[:below] + (stage.sigma,), [wa * w for w in capped]))
+    return branches, pairs
 
 
 def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
@@ -286,12 +371,14 @@ def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
 
 
 def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
-    """Single-stage basket over the edge total (both costs paid at once)."""
-    box = edge.bundled_box()
-    branches = [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in box.dist.atoms]
-    return EdgeBasket(AnnotatedBasket(OutcomeNode.stage(box.cost, branches)),
-                      ((), edge.directions()), lambda o: (format_rational(o.total),),
-                      edge.outcomes)
+    """Single-stage basket over the edge total (both costs paid at once),
+    annotated straight from the merged weights."""
+    rows = edge._total_law()
+    branches = [(format_rational(v), Fraction(w, edge.weight_total), AnnotatedLeaf(v))
+                for v, w in rows]
+    root = weighted_stage(edge.cost_ij + edge.cost_ji, branches, rows, edge.weight_total)
+    return EdgeBasket(AnnotatedBasket(root), ((), edge.directions()),
+                      lambda o: (format_rational(o.total),), edge.outcomes)
 
 
 class MatchingInstance:
@@ -366,7 +453,12 @@ class MatchingInstance:
     @classmethod
     def from_json_obj(cls, obj) -> "MatchingInstance":
         edges = [EdgeSpec.from_json_obj(e) for e in json_object(obj)["edges"]]
-        vertices = set(obj.get("vertices", []))
+        names = obj.get("vertices", [])
+        if not isinstance(names, list) or not all(
+                isinstance(v, (str, int)) and not isinstance(v, bool) for v in names):
+            raise InstanceError(f"vertices must be a list of vertex names (strings or "
+                                f"integers), got {names!r}")
+        vertices = set(names)
         for e in edges:
             vertices.update(e.endpoints())
         return cls(vertices, edges)

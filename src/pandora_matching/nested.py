@@ -135,7 +135,8 @@ class AnnotatedLeaf(NamedTuple):
 
 class AnnotatedStage(NamedTuple):
     """Internal node with its stage index and the law of the next capped value,
-    {next_values[k]: next_weights[k] / next_total} with values ascending.
+    {next_values[k]: next_weights[k] / next_total} with values ascending and
+    the weights and total in lowest terms.
 
     sigma solves surplus(that law, sigma) == cost.  kappa_next_dist (that law)
     and kappa_dist (the law of min(sigma, next capped value)) are built on access.
@@ -170,6 +171,21 @@ class AnnotatedStage(NamedTuple):
         return DiscreteDistribution.from_weights(*self.capped(), self.next_total)
 
 
+def weighted_stage(cost: Fraction, branches, rows, total: int) -> AnnotatedStage:
+    """The stage over ``branches`` whose next capped value takes each [value,
+    weight] row of ``rows`` (distinct values, ascending) with weight / total.
+
+    The weights and total are divided by their gcd, so one law always has
+    one representation, and sigma is solved on them.
+    """
+    g = math.gcd(total, *[w for _, w in rows])
+    values = tuple([v for v, _ in rows])
+    weights = tuple([w // g for _, w in rows])
+    total //= g
+    return AnnotatedStage(cost, index_of_weights(values, weights, total, cost),
+                          tuple(branches), values, weights, total)
+
+
 def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
     """Backward induction below ``node``, each law in int weights over one total."""
     branches = []
@@ -188,11 +204,7 @@ def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
     for prob, values, weights, t in parts:
         factor = prob.numerator * (total // (prob.denominator * t))
         pairs.extend([(v, factor * w) for v, w in zip(values, weights)])
-    rows = merge_sorted(pairs)
-    values = tuple([v for v, _ in rows])
-    weights = tuple([w for _, w in rows])
-    return AnnotatedStage(node.cost, index_of_weights(values, weights, total, node.cost),
-                          tuple(branches), values, weights, total)
+    return weighted_stage(node.cost, branches, merge_sorted(pairs), total)
 
 
 class PathInfo(NamedTuple):
@@ -219,13 +231,13 @@ class PathInfo(NamedTuple):
 
 
 class AnnotatedBasket:
-    """An outcome tree annotated by backward induction, plus its path table,
-    enumerated on first use.  The tree is not validated here (``annotate``
-    validates trees from outside; an edge's trees come from its checked law).
+    """An annotated outcome tree, plus its path table, enumerated on first
+    use.  ``annotate`` builds one from a validated tree; an edge's baskets
+    are built from its checked law (``instance.oriented_basket``).
     """
 
-    def __init__(self, tree: OutcomeNode):
-        self.root = _annotate_stage(tree)
+    def __init__(self, root: AnnotatedStage):
+        self.root = root
 
     @functools.cached_property
     def paths(self) -> tuple[PathInfo, ...]:
@@ -274,7 +286,7 @@ def annotate(root: OutcomeNode) -> AnnotatedBasket:
     root.validate()
     if root.is_leaf:
         raise BasketError("a basket needs at least one stage of inspection")
-    return AnnotatedBasket(root)
+    return AnnotatedBasket(_annotate_stage(root))
 
 
 def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):

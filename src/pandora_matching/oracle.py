@@ -147,23 +147,26 @@ def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
     evidence the constraint can reach is a key of the first map.
     """
     directions = edge.directions()
-    tables = [edge.table(d) for d in directions]
-    index = [{label: x for x, (label, _) in enumerate(t.first)} for t in tables]
-    totals = {(index[0][o.label_i], index[1][o.label_j]): o.total for o in edge.outcomes}
+    outcomes = edge.outcomes
+    index = [{label: x for x, label in enumerate(sorted({o[side] for o in outcomes}))}
+             for side in (0, 1)]   # label_i, label_j
+    totals = {(index[0][o.label_i], index[1][o.label_j]): o.total for o in outcomes}
     moves = dict.fromkeys(totals, ())
     if constraint == "bundled":
+        total = edge.weight_total
         moves[-1, -1] = (Move(("open-bundle", edge.id), k, edge.cost_ij + edge.cost_ji, tuple(
-            (evidence, o.prob, (("si", o.label_i), ("sj", o.label_j)))
-            for evidence, o in zip(totals, edge.outcomes))),)
+            (evidence, Fraction(w, total), (("si", o.label_i), ("sj", o.label_j)))
+            for evidence, o, w in zip(totals, outcomes, edge.weights))),)
         return moves, totals
 
     def evidence(side, seen, other):
         return (seen, other) if side == 0 else (other, seen)
 
     openings = []
-    for side, (first, table) in enumerate(zip(directions, tables)):
+    for side, first in enumerate(directions):
         if constraint == "oriented" and orientation.direction_of(edge.id) != first:
             continue
+        table = edge.table(first)
         second = (first[1], first[0])
         openings.append(Move(("open", first), k, edge.cost(first), tuple(
             (evidence(side, x, -1), p, (("signal", s),)) for x, (s, p) in enumerate(table.first))))

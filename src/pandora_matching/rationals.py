@@ -74,9 +74,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def as_float(x: Fraction) -> float:
+    """``float(x)``, or a ValueError naming ``x`` if it is outside the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{format_rational(x)} is outside the float range") from None
+
+
 def rational_json(x: Fraction) -> dict:
     """JSON object carrying both the exact value and a float rendering."""
-    return {"exact": format_rational(x), "float": float(x)}
+    return {"exact": format_rational(x), "float": as_float(x)}
 
 
 def json_object(obj: Any) -> dict:

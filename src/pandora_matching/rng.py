@@ -9,7 +9,7 @@ experiment output stable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
+from itertools import accumulate
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,17 +53,14 @@ class SplitMix64:
         return bisect_right(cuts, self.next_u64())
 
 
-def weighted_cuts(weights) -> tuple[int, ...]:
-    """Integer cut points ceil(2^64 * (w_0 + ... + w_k)) of exact rational weights.
+def weighted_cuts(weights, total: int) -> tuple[int, ...]:
+    """Integer cut points ceil(2^64 * (w_0 + ... + w_k) / total) of int weights.
 
     The last cut is raised to at least 2^64, so that every u64 lies below
-    it: weights that sum to less than 1 leave the rest to the last index.
+    it: weights that sum to less than ``total`` leave the rest to the last
+    index.
     """
-    cuts = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        cuts.append(-(-(acc.numerator << 64) // acc.denominator))
+    cuts = [-(-(s << 64) // total) for s in accumulate(weights)]
     if cuts:
         cuts[-1] = max(cuts[-1], 1 << 64)
     return tuple(cuts)

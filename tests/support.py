@@ -463,6 +463,23 @@ def reference_paths(root) -> list[PathInfo]:
     return out
 
 
+def edge_to_basket(edge: EdgeSpec, direction) -> OutcomeNode:
+    """An oriented edge as a two-stage outcome tree, from ``EdgeSpec.table``.
+
+    Stage 1 costs cost(direction) and reveals the first endpoint's signal;
+    stage 2 costs the reverse cost and reveals the edge total.
+    """
+    table = edge.table(direction)
+    reverse_cost = edge.cost((direction[1], direction[0]))
+    return OutcomeNode(cost=edge.cost(direction), branches=tuple([
+        (label, marginal, OutcomeNode(cost=reverse_cost, branches=tuple([
+            (second, p, OutcomeNode(edge.outcomes[k].total))
+            for second, p, k in table.second[label]
+        ])))
+        for label, marginal in table.first
+    ]))
+
+
 def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
     """An edge compiled for a direction (None: bundled) from its outcome rows.
 

@@ -61,7 +61,7 @@ class TestIndexCommands:
         assert json.loads(out) == {"sigma": "1", "sigma_float": 1.0}
 
     def test_nested_index(self, tmp_path, capsys):
-        from pandora_matching.instance import edge_to_basket
+        from support import edge_to_basket
 
         edge = no_dessert_edge(F(1, 2)).instance.edges[0]
         tree = edge_to_basket(edge, ("i", "j"))
@@ -394,6 +394,15 @@ class TestInputErrors:
         (["repro", "--only", "bundled-star", "--n", "25"],
          "needs 33554432 weighted outcomes, above the bound of 2000000; "
          "raise the bound (PANDORA_ENUM_BOUND)"),
+        (["run", "--instance", "{huge}", "--policy", "bundled"],
+         "1" + "0" * 399 + "1 is outside the float range"),
+        (["run", "--instance", "{huge}", "--policy", "oriented-desc", "--mode", "montecarlo",
+          "--seed", "1", "--trials", "10"], "1" + "0" * 399 + "1 is outside the float range"),
+        (["oracle", "--instance", "{huge}"], "1" + "0" * 399 + "1 is outside the float range"),
+        (["run", "--instance", "{vertices_int}", "--policy", "bundled"],
+         "cannot read instance {vertices_int}: vertices must be a list of vertex names"),
+        (["oracle", "--instance", "{vertices_nested}"],
+         "cannot read instance {vertices_nested}: vertices must be a list of vertex names"),
     ], ids=["index-missing-file", "index-no-cost", "nested-index-not-tree",
             "index-list", "run-missing-key", "run-list",
             "check-missing-key", "check-edge-list", "check-box-short-of-one",
@@ -408,11 +417,14 @@ class TestInputErrors:
             "montecarlo-enum-bound", "seed-above-range", "seed-negative",
             "trace-seed-above-range", "run-random-orientation-seed-negative",
             "oracle-random-orientation-seed-above-range",
-            "check-random-orientation-seed-above-range", "repro-enum-bound"])
+            "check-random-orientation-seed-above-range", "repro-enum-bound",
+            "run-value-out-of-float-range", "montecarlo-value-out-of-float-range",
+            "oracle-value-out-of-float-range", "run-vertices-int", "oracle-vertices-nested"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge", "atoms", "half_edge",
-                              "edge_as_list", "short_box")}
+                              "edge_as_list", "short_box", "huge", "vertices_int",
+                              "vertices_nested")}
         files["dir"] = str(tmp_path)
         atoms = [{"v": "1", "p": "1"}]
         (tmp_path / "no_cost.json").write_text(json.dumps({"dist": atoms}))
@@ -424,6 +436,12 @@ class TestInputErrors:
         (tmp_path / "short_box.json").write_text(json.dumps(
             {"edges": [{"i": "a", "j": "b", "box_ij": short, "box_ji": short}]}))
         (tmp_path / "not_tree.json").write_text(json.dumps({"children": []}))
+        (tmp_path / "huge.json").write_text(json.dumps({"edges": [{
+            "i": "a", "j": "b", "box_ij": {"dist": [{"v": "1e400", "p": "1"}], "cost": "0"},
+            "box_ji": {"dist": atoms, "cost": "0"}}]}))
+        (tmp_path / "vertices_int.json").write_text(json.dumps({"vertices": 5, "edges": []}))
+        (tmp_path / "vertices_nested.json").write_text(
+            json.dumps({"vertices": [["x"]], "edges": []}))
         (tmp_path / "edge.json").write_text(
             json.dumps(no_dessert_edge(F(1, 2)).instance.to_json_obj()))
         code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])

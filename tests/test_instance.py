@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,6 @@ from pandora_matching.instance import (
     Orientation,
     bundled_basket,
     canonical_orientation,
-    edge_to_basket,
     oriented_basket,
 )
 from pandora_matching.nested import annotate
@@ -26,6 +26,7 @@ from pandora_matching.repro import (
 from support import (
     assert_matches_reference,
     cycle_batch,
+    edge_to_basket,
     general_batch,
     joint_batch,
     positive_batch,
@@ -55,6 +56,30 @@ class TestEdgeSpec:
         # box passed for direction (b, a) must still be the (b, a) box
         assert e.box(("b", "a")).dist == box_hi.dist
         assert e.cost(("b", "a")) == 1
+
+    @pytest.mark.parametrize("batch", [lambda: general_batch(200), lambda: joint_batch(50)],
+                             ids=["general", "joint"])
+    def test_weights_are_the_outcome_law(self, batch):
+        for inst in batch():
+            for e in inst.edges:
+                assert all(type(w) is int for w in e.weights)
+                assert sum(e.weights) == e.weight_total
+                assert [F(w, e.weight_total) for w in e.weights] == [o.prob for o in e.outcomes]
+                assert all(type(o.prob) is F for o in e.outcomes)
+                if e.is_independent:
+                    totals = [math.lcm(*(p.denominator for _, p in box.dist.atoms))
+                              for box in (e.box_ij, e.box_ji)]
+                    assert e.weight_total == totals[0] * totals[1]
+
+    def test_independent_outcomes_run_in_label_order(self):
+        # "10" sorts before "9", so label order is not value order
+        e = EdgeSpec.independent("a", "b",
+                                 PandoraBox(dist((9, F(1, 3)), (10, F(2, 3))), 0),
+                                 PandoraBox(dist((-1, F(1, 4)), (2, F(3, 4))), 0))
+        assert [(o.label_i, o.label_j) for o in e.outcomes] == [
+            ("10", "-1"), ("10", "2"), ("9", "-1"), ("9", "2")]
+        assert [o.total for o in e.outcomes] == [9, 12, 8, 11]
+        assert e.weights == (2, 6, 1, 3) and e.weight_total == 12
 
     def test_joint_duplicate_pair_rejected(self):
         with pytest.raises(InstanceError):
@@ -231,6 +256,40 @@ class TestCompileMatchesReference:
                     for alpha in (F(1, 2), F(1, 4), F(1, 8)) for m in (1, 2, 3)])
 
 
+class TestShiftedCompileMatchesGrouped:
+    """An independent edge compiles by the shift identity, a joint edge by
+    grouping its outcomes; the same law in either form gives one basket."""
+
+    @staticmethod
+    def check(instances):
+        compiled = 0
+        for inst in instances:
+            for e in inst.edges:
+                if not e.is_independent:
+                    continue
+                joint = EdgeSpec.joint(e.i, e.j, e.cost_ij, e.cost_ji,
+                                       [(o.label_i, o.label_j, o.total, o.prob)
+                                        for o in e.outcomes])
+                for direction in (*e.directions(), None):
+                    shifted, grouped = e.basket(direction), joint.basket(direction)
+                    assert shifted.basket.root == grouped.basket.root
+                    assert shifted.basket.paths == grouped.basket.paths
+                    assert shifted.path_of == grouped.path_of
+                    compiled += 1
+        assert compiled
+
+    def test_general_batch(self):
+        self.check(general_batch(200))
+
+    def test_positive_batch(self):
+        self.check(positive_batch(100))
+
+    def test_named_stars(self):
+        self.check([bundled_star(n).instance for n in range(1, 7)])
+        self.check([no_dessert_star(alpha, m).instance
+                    for alpha in (F(1, 2), F(1, 4), F(1, 8)) for m in (1, 2, 3)])
+
+
 class TestCompiledRecordsAreImmutable:
     """Every caller shares an edge's compiled basket, so its records are frozen."""
 
@@ -274,6 +333,18 @@ class TestDirectionTable:
 
 
 class TestInstanceJson:
+    @pytest.mark.parametrize("vertices", [5, [["x"]], "ab", None, [True], [{"v": "a"}]],
+                             ids=["int", "nested-list", "string", "null", "bool", "object"])
+    def test_bad_vertices_name_the_field(self, vertices):
+        obj = no_dessert_edge(F(1, 4)).instance.to_json_obj()
+        obj["vertices"] = vertices
+        with pytest.raises(InstanceError, match="^vertices must be a list of vertex names"):
+            MatchingInstance.from_json_obj(obj)
+
+    def test_vertex_names_may_be_integers(self):
+        inst = MatchingInstance.from_json_obj({"vertices": [3, "z"], "edges": []})
+        assert inst.vertices == ("3", "z")
+
     def test_round_trip(self):
         inst = no_dessert_edge(F(1, 4)).instance
         obj = inst.to_json_obj()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,12 @@ class FixedDraw(SplitMix64):
 
     def next_u64(self) -> int:
         return self.x
+
+
+def cuts_of(weights) -> tuple[int, ...]:
+    """``weighted_cuts`` of Fraction weights, as int weights over their common denominator."""
+    total = math.lcm(*(w.denominator for w in weights))
+    return weighted_cuts([w.numerator * (total // w.denominator) for w in weights], total)
 
 
 def fraction_rule(weights, x: int) -> int:
@@ -45,7 +52,7 @@ def weight_lists():
 class TestWeightedCuts:
     def test_cuts_are_ceilings_of_the_prefix_sums(self):
         for weights in weight_lists():
-            cuts = weighted_cuts(weights)
+            cuts = cuts_of(weights)
             acc = F(0)
             for w, cut in zip(weights, cuts):
                 acc += w
@@ -55,7 +62,7 @@ class TestWeightedCuts:
     def test_draw_agrees_with_the_fraction_rule_at_every_cut(self):
         checked = 0
         for weights in weight_lists():
-            cuts = weighted_cuts(weights)
+            cuts = cuts_of(weights)
             for x in {0, TWO64 - 1} | {c + d for c in cuts for d in (-1, 0)}:
                 if 0 <= x < TWO64:
                     assert FixedDraw(x).choose_weighted(cuts) == fraction_rule(weights, x), (weights, x)
@@ -70,10 +77,10 @@ class TestWeightedCuts:
         ([F(1, 3), F(1, 3)], TWO64 - 1, 1),
     ], ids=["dyadic-below", "dyadic-at", "third-below", "third-above", "short-sum-last"])
     def test_boundaries(self, weights, x, expected):
-        assert FixedDraw(x).choose_weighted(weighted_cuts(weights)) == expected
+        assert FixedDraw(x).choose_weighted(cuts_of(weights)) == expected
 
     def test_one_u64_per_draw(self):
-        cuts = weighted_cuts([F(1, 3)] * 3)
+        cuts = cuts_of([F(1, 3)] * 3)
         rng, ref = SplitMix64(42), SplitMix64(42)
         for _ in range(50):
             rng.choose_weighted(cuts)
