@@ -427,7 +427,11 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
             acc_sq += cw * w
     mean = Fraction(acc, trials * q)
     var = Fraction(acc_sq, trials * q * q) - mean * mean
-    return as_float(mean), math.sqrt(max(0.0, as_float(var)) / trials)
+    try:
+        stderr = math.sqrt(float(var) / trials)
+    except OverflowError:   # var is past the float range, its root may not be
+        stderr = as_float(Fraction(math.isqrt(var.numerator // (var.denominator * trials))))
+    return as_float(mean), stderr
 
 
 def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,

@@ -120,7 +120,7 @@ class EdgeSpec:
     def __init__(self, i: str, j: str, cost_ij, cost_ji,
                  outcomes: tuple[JointOutcome, ...], weights: tuple[int, ...],
                  weight_total: int, box_ij: PandoraBox | None = None,
-                 box_ji: PandoraBox | None = None, sides: tuple | None = None):
+                 box_ji: PandoraBox | None = None):
         if i == j:
             raise InstanceError(f"self-loop at vertex {i!r}")
         if not i < j:
@@ -136,7 +136,6 @@ class EdgeSpec:
         self.outcomes = outcomes
         self.weights = weights
         self.weight_total = weight_total
-        self._sides = sides   # the two boxes' _BoxAtoms, for an independent edge
         self._tables: dict[DirectedPair, DirectionTable] = {}
         self._baskets: dict = {}
 
@@ -147,6 +146,11 @@ class EdgeSpec:
     @property
     def is_independent(self) -> bool:
         return self.box_ij is not None
+
+    @functools.cached_property
+    def _sides(self) -> tuple[_BoxAtoms, _BoxAtoms]:
+        """The two boxes' laws in int weights, for an independent edge."""
+        return _box_atoms(self.box_ij), _box_atoms(self.box_ji)
 
     @classmethod
     def independent(cls, i: str, j: str, box_ij: PandoraBox, box_ji: PandoraBox) -> "EdgeSpec":
@@ -166,8 +170,10 @@ class EdgeSpec:
                 w = wi * wj
                 outcomes.append(JointOutcome(li, lj, vi + vj, Fraction(w, total), vi, vj))
                 weights.append(w)
-        return cls(i, j, box_ij.cost, box_ji.cost, tuple(outcomes), tuple(weights), total,
-                   box_ij, box_ji, sides)
+        edge = cls(i, j, box_ij.cost, box_ji.cost, tuple(outcomes), tuple(weights), total,
+                   box_ij, box_ji)
+        edge._sides = sides   # fills the cached property
+        return edge
 
     @classmethod
     def joint(cls, i: str, j: str, cost_ij, cost_ji,
@@ -454,10 +460,9 @@ class MatchingInstance:
     def from_json_obj(cls, obj) -> "MatchingInstance":
         edges = [EdgeSpec.from_json_obj(e) for e in json_object(obj)["edges"]]
         names = obj.get("vertices", [])
-        if not isinstance(names, list) or not all(
-                isinstance(v, (str, int)) and not isinstance(v, bool) for v in names):
-            raise InstanceError(f"vertices must be a list of vertex names (strings or "
-                                f"integers), got {names!r}")
+        # a name is str() of a JSON scalar, as for an edge's endpoints
+        if not isinstance(names, list) or any(isinstance(v, (list, dict)) for v in names):
+            raise InstanceError(f"vertices must be a list of vertex names, got {names!r}")
         vertices = set(names)
         for e in edges:
             vertices.update(e.endpoints())

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -151,6 +152,22 @@ class TestRunCommand:
         assert fields["value_exact"] == ""
         assert float(fields["value_float"]) == welfare["float"]
         assert float(fields["stderr"]) == welfare["stderr"]
+
+    def test_montecarlo_variance_past_the_float_range(self, tmp_path, capsys):
+        """The variance (about 1e399) is no float, but the mean and standard error are."""
+        wide = {"dist": [{"v": "0", "p": "1/2"}, {"v": "1e200", "p": "1/2"}], "cost": "0"}
+        zero = {"dist": [{"v": "0", "p": "1"}], "cost": "0"}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"edges": [{"i": "a", "j": "b", "box_ij": wide,
+                                               "box_ji": zero}]}))
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--policy", "bundled",
+                               "--mode", "montecarlo", "--seed", "1", "--trials", "100")
+        welfare = json.loads(out)["welfare"]
+        hits = round(welfare["float"] / 1e198)   # trials that drew 1e200
+        assert code == 0 and 0 < hits < 100
+        assert welfare["float"] == float(hits * 10**198)
+        assert math.isclose(welfare["stderr"], math.sqrt(hits * (100 - hits)) * 1e197,
+                            rel_tol=1e-12)
 
     def test_montecarlo_deterministic(self, edge_file, capsys):
         args = ("run", "--instance", edge_file, "--policy", "oriented-desc",

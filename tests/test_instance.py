@@ -278,6 +278,13 @@ class TestShiftedCompileMatchesGrouped:
                     compiled += 1
         assert compiled
 
+    def test_constructor_derives_the_box_laws(self):
+        e = no_dessert_edge(F(1, 4)).instance.edges[0]
+        bare = EdgeSpec(e.i, e.j, e.cost_ij, e.cost_ji, e.outcomes, e.weights, e.weight_total,
+                        e.box_ij, e.box_ji)
+        for direction in (*e.directions(), None):
+            assert bare.basket(direction).basket.root == e.basket(direction).basket.root
+
     def test_general_batch(self):
         self.check(general_batch(200))
 
@@ -333,8 +340,8 @@ class TestDirectionTable:
 
 
 class TestInstanceJson:
-    @pytest.mark.parametrize("vertices", [5, [["x"]], "ab", None, [True], [{"v": "a"}]],
-                             ids=["int", "nested-list", "string", "null", "bool", "object"])
+    @pytest.mark.parametrize("vertices", [5, [["x"]], "ab", None, [{"v": "a"}]],
+                             ids=["int", "nested-list", "string", "null", "object"])
     def test_bad_vertices_name_the_field(self, vertices):
         obj = no_dessert_edge(F(1, 4)).instance.to_json_obj()
         obj["vertices"] = vertices
@@ -344,6 +351,14 @@ class TestInstanceJson:
     def test_vertex_names_may_be_integers(self):
         inst = MatchingInstance.from_json_obj({"vertices": [3, "z"], "edges": []})
         assert inst.vertices == ("3", "z")
+
+    def test_scalar_vertex_names_read_as_edge_endpoints_do(self):
+        obj = no_dessert_edge(F(1, 4)).instance.to_json_obj()
+        obj["edges"][0]["i"], obj["edges"][0]["j"] = 1.5, True
+        obj["vertices"] = [1.5, True, None]
+        inst = MatchingInstance.from_json_obj(obj)
+        assert inst.vertices == ("1.5", "None", "True")
+        assert inst.edge_ids == [("1.5", "True")]
 
     def test_round_trip(self):
         inst = no_dessert_edge(F(1, 4)).instance
