@@ -16,13 +16,13 @@ import itertools
 import math
 import os
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .boxes import weitzman_index
-from .distributions import ONE, ZERO, DiscreteDistribution
+from .distributions import ONE, ZERO, merge_sorted
 from .instance import (
     MatchingInstance,
     Orientation,
@@ -162,8 +162,8 @@ class DescendingRunner:
         return scaled_paths(self.inst, self.baskets)
 
     def kappa_laws(self) -> dict:
-        """Each edge's law of the terminal capped value kappa^(1)."""
-        return {eid: c.basket.kappa1_distribution() for eid, c in self.baskets.items()}
+        """Each edge's ``kappa1_law``: kappa^(1) as (values, int weights, total)."""
+        return {eid: c.basket.kappa1_law for eid, c in self.baskets.items()}
 
     def exact_welfare(self) -> Fraction:
         """The expected greedy total on the baskets' capped-value laws."""
@@ -341,42 +341,59 @@ class VertexBasedDescendingRunner(DecisionRunner):
 def kappa_welfare(laws: dict) -> Fraction:
     """Expected greedy total over independent per-key capped-value laws.
 
-    A key is the vertex pair that taking it claims: an edge id, or
-    ``("*", name)`` for single selection.  By amortization and greedy
-    equivalence (heavier first, ties to the smaller key) this is the exact
-    welfare of a descending run whose baskets have these laws.
+    A law is (Fraction values ascending, int weights, total), as
+    ``AnnotatedBasket.kappa1_law``.  A key is the vertex pair that taking
+    it claims: an edge id, or ``("*", name)`` for single selection.  By
+    amortization and greedy equivalence (heavier first, ties to the smaller
+    key) this is the exact welfare of a descending run whose baskets have
+    these laws.
 
     The sweep scans the positive (key, atom) pairs in greedy order over
     {claimed vertices: probability}.  A state claiming neither vertex of the
     key has passed its higher atoms untaken, so it takes this one with
-    probability p / (the key's mass at or below it), alike in every state
+    probability w / (the key's weight at or below it), alike in every state
     as keys are independent.  A vertex leaves the states after its last
-    pair, merging the states that become equal.
+    pair, merging the states that become equal.  States are bitmasks, values
+    ints times V (their common denominator) and probabilities ints over a
+    running denominator D, multiplied by each pair's weight at or below.
     """
-    pairs = []
-    for key, law in laws.items():
-        mass = ZERO   # the key's mass at or below v
-        for v, p in law.atoms:
-            mass += p
-            if v > 0:
-                pairs.append((v, key, p / mass))
-    pairs.sort(key=lambda t: (-t[0], t[1]))
-    last = {u: k for k, (_, key, _) in enumerate(pairs) for u in key}
-    states = {frozenset(): ONE}
-    total = ZERO
-    for k, (v, key, q) in enumerate(pairs):
-        gone = {u for u in key if last[u] == k}
-        nxt = Counter()
-        for claimed, prob in states.items():
-            if claimed.isdisjoint(key):
-                take = prob * q
-                total += take * v
-                nxt[claimed.union(key).difference(gone)] += take
-                prob -= take
-            if prob:
-                nxt[claimed.difference(gone)] += prob
+    bits: dict = {}
+    atoms = []   # (value, key, key's bitmask, weight, weight at or below), reduced
+    for key, (values, weights, _) in laws.items():
+        mask = 0
+        for u in key:
+            mask |= 1 << bits.setdefault(u, len(bits))
+        mass = 0
+        for v, w in zip(values, weights):
+            mass += w
+            if v.numerator > 0:
+                g = math.gcd(w, mass)
+                atoms.append((v, key, mask, w // g, mass // g))
+    if not atoms:
+        return ZERO
+    vden = math.lcm(*[a[0].denominator for a in atoms])
+    # value descending, then key; (value, key) never repeats
+    pairs = sorted([(-v.numerator * (vden // v.denominator), *rest) for v, *rest in atoms])
+    # per pair, the vertices of the pairs after it: the others leave the states
+    lives = list(itertools.accumulate([p[2] for p in pairs[:0:-1]], int.__or__, initial=0))
+    states = {0: 1}
+    total, den = 0, 1
+    for (neg, _, mask, w, mass), live in zip(pairs, reversed(lives)):
+        nxt: defaultdict = defaultdict(int)
+        rest = mass - w
+        free = 0
+        for claimed, p in states.items():
+            if claimed & mask:
+                nxt[claimed & live] += p * mass
+            else:
+                free += p
+                nxt[(claimed | mask) & live] += p * w
+                if rest:
+                    nxt[claimed & live] += p * rest
         states = nxt
-    return total
+        total = total * mass - free * w * neg
+        den *= mass
+    return Fraction(total, den * vden)
 
 
 def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> Fraction:
@@ -487,11 +504,9 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     """
     if mode == "exact":
         _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
-        return kappa_welfare({
-            e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
-                                       for v, p in e.basket(d).basket.kappa1_distribution().atoms)
-            for e in inst.edges
-        })
+        return kappa_welfare({e.id: _mixture(*(e.basket(d).basket.kappa1_law
+                                               for d in e.directions()))
+                              for e in inst.edges})
     if mode == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo mode requires a seed")
@@ -508,6 +523,15 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
 
         return _montecarlo(inst, seed, trials, m, welfare_of)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _mixture(a: tuple, b: tuple) -> tuple:
+    """The half/half mixture of two integer laws: both weights over the lcm
+    of the totals, merged by value, over twice that lcm."""
+    lcm = math.lcm(a[2], b[2])
+    rows = merge_sorted([(v, w * (lcm // t)) for values, weights, t in (a, b)
+                         for v, w in zip(values, weights)])
+    return tuple([v for v, _ in rows]), tuple([w for _, w in rows]), 2 * lcm
 
 
 def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, Fraction]:

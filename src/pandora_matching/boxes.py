@@ -41,11 +41,8 @@ def weitzman_index(box: PandoraBox) -> Fraction:
     For cost == 0 the solution set is [max support, infinity); the smallest
     solution (max support) is returned.
     """
-    atoms = box.dist.atoms
-    pden = math.lcm(*(p.denominator for _, p in atoms))
-    return index_of_weights([v for v, _ in atoms],
-                            [p.numerator * (pden // p.denominator) for _, p in atoms],
-                            pden, box.cost)
+    dist = box.dist
+    return index_of_weights([v for v, _ in dist.atoms], dist.weights, dist.total, box.cost)
 
 
 def index_of_weights(values, weights, total: int, cost: Fraction) -> Fraction:

@@ -286,7 +286,7 @@ def cmd_repro(args) -> int:
     else:
         _emit({}, "csv",
               csv_rows=[[r.instance, r.quantity, format_rational(r.computed),
-                         float(r.computed), format_rational(r.expected), r.match]
+                         as_float(r.computed), format_rational(r.expected), r.match]
                         for r in rows],
               csv_header=["instance", "quantity", "computed_exact",
                           "computed_float", "expected", "match"])

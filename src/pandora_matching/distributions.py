@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .rationals import as_fraction, common_sum, format_rational, parse_rational
+from .rationals import as_fraction, format_rational, parse_rational, scaled
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -45,10 +45,12 @@ class DiscreteDistribution:
     """Immutable finite distribution with rational values and probabilities.
 
     Atoms are (value, prob) pairs; probabilities are strictly positive and
-    sum to exactly 1.  Equal values are merged on construction.
+    sum to exactly 1.  Equal values are merged on construction.  The same
+    probabilities as int ``weights`` over one int ``total`` (the lcm of
+    their denominators, when checked here) are kept for integer readers.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "weights", "total")
 
     def __init__(self, atoms: Iterable[Tuple[Fraction, Fraction]]):
         pairs = []
@@ -61,11 +63,14 @@ class DiscreteDistribution:
         if not pairs:
             raise DistributionError("distribution needs at least one atom")
         rows = merge_sorted(pairs)
-        num, den = common_sum([p for _, p in rows])
-        if num != den:
+        total = math.lcm(*[p.denominator for _, p in rows])
+        weights = tuple([scaled(p, total) for _, p in rows])
+        if sum(weights) != total:
             raise DistributionError(
-                f"probabilities sum to {Fraction(num, den)}, expected 1")
+                f"probabilities sum to {Fraction(sum(weights), total)}, expected 1")
         object.__setattr__(self, "atoms", tuple([(v, p) for v, p in rows]))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total", total)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
@@ -77,6 +82,8 @@ class DiscreteDistribution:
         self = object.__new__(cls)
         object.__setattr__(self, "atoms", tuple([(v, Fraction(w, total))
                                                  for v, w in zip(values, weights)]))
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "total", total)
         return self
 
     @classmethod

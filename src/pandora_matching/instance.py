@@ -98,11 +98,9 @@ class _BoxAtoms(NamedTuple):
 
 
 def _box_atoms(box: PandoraBox) -> _BoxAtoms:
-    atoms = box.dist.atoms
-    total = math.lcm(*[p.denominator for _, p in atoms])
-    weights = tuple([scaled(p, total) for _, p in atoms])
-    rows = sorted([(format_rational(v), v, p, w) for (v, p), w in zip(atoms, weights)])
-    return _BoxAtoms(tuple(rows), tuple([v for v, _ in atoms]), weights, total)
+    dist = box.dist
+    rows = sorted([(format_rational(v), v, p, w) for (v, p), w in zip(dist.atoms, dist.weights)])
+    return _BoxAtoms(tuple(rows), tuple([v for v, _ in dist.atoms]), dist.weights, dist.total)
 
 
 class EdgeSpec:

@@ -128,10 +128,6 @@ class AnnotatedLeaf(NamedTuple):
     def is_leaf(self) -> bool:
         return True
 
-    @property
-    def kappa_dist(self) -> DiscreteDistribution:
-        return DiscreteDistribution.point(self.value)
-
 
 class AnnotatedStage(NamedTuple):
     """Internal node with its stage index and the law of the next capped value,
@@ -139,7 +135,7 @@ class AnnotatedStage(NamedTuple):
     the weights and total in lowest terms.
 
     sigma solves surplus(that law, sigma) == cost.  kappa_next_dist (that law)
-    and kappa_dist (the law of min(sigma, next capped value)) are built on access.
+    is built on access.
     """
 
     cost: Fraction
@@ -165,10 +161,6 @@ class AnnotatedStage(NamedTuple):
     def kappa_next_dist(self) -> DiscreteDistribution:
         return DiscreteDistribution.from_weights(self.next_values, self.next_weights,
                                                  self.next_total)
-
-    @property
-    def kappa_dist(self) -> DiscreteDistribution:
-        return DiscreteDistribution.from_weights(*self.capped(), self.next_total)
 
 
 def weighted_stage(cost: Fraction, branches, rows, total: int) -> AnnotatedStage:
@@ -252,12 +244,13 @@ class AnnotatedBasket:
         return self.root.sigma
 
     @functools.cached_property
-    def _kappa1(self) -> DiscreteDistribution:
-        return self.root.kappa_dist
+    def kappa1_law(self) -> tuple[tuple, tuple, int]:
+        """kappa^(1) as (values ascending, int weights, total), built once."""
+        return (*self.root.capped(), self.root.next_total)
 
     def kappa1_distribution(self) -> DiscreteDistribution:
-        """Exact law of the terminal capped value kappa^(1), built once."""
-        return self._kappa1
+        """Exact law of kappa^(1), as a view of ``kappa1_law``."""
+        return DiscreteDistribution.from_weights(*self.kappa1_law)
 
     def _enumerate_paths(self) -> Iterator[PathInfo]:
         def walk(node, idxs, labels, sigmas, costs, prob):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -275,20 +276,64 @@ def reference_max_weight_matching(weights, zero=Fraction(0)):
     return best[0], best[1]
 
 
+def law_distribution(law) -> DiscreteDistribution:
+    """An integer law (values ascending, int weights, total) as a distribution;
+    a distribution passes through."""
+    if isinstance(law, DiscreteDistribution):
+        return law
+    return DiscreteDistribution.from_weights(*law)
+
+
 def reference_kappa_welfare(laws: dict) -> Fraction:
     """Expected greedy total over the product of independent per-key laws.
 
     Every profile of one atom per key, times its probability, times the
     greedy total on its values: the evaluator that ``kappa_welfare``'s
-    threshold sweep replaced, kept as its reference.
+    threshold sweep replaced, kept as its reference.  Laws are integer laws
+    or distributions.
     """
     ids = list(laws)
     total = ZERO
-    for combo in itertools.product(*(laws[key].atoms for key in ids)):
+    for combo in itertools.product(*(law_distribution(laws[key]).atoms for key in ids)):
         prob = ONE
         for _, p in combo:
             prob *= p
         total += prob * greedy_matching(dict(zip(ids, (v for v, _ in combo))))[1]
+    return total
+
+
+def reference_kappa_sweep(laws: dict) -> Fraction:
+    """``algorithms.kappa_welfare`` in ``Fraction``s, with frozenset states.
+
+    The positive (key, atom) pairs in greedy order (value descending, then
+    key) over {claimed vertices: probability}.  A state claiming neither
+    vertex of the key takes the atom with probability p / (the key's mass
+    at or below it); a vertex leaves the states after its last pair.  Laws
+    are integer laws or distributions.
+    """
+    pairs = []
+    for key, law in laws.items():
+        mass = ZERO   # the key's mass at or below v
+        for v, p in law_distribution(law).atoms:
+            mass += p
+            if v > 0:
+                pairs.append((v, key, p / mass))
+    pairs.sort(key=lambda t: (-t[0], t[1]))
+    last = {u: k for k, (_, key, _) in enumerate(pairs) for u in key}
+    states = {frozenset(): ONE}
+    total = ZERO
+    for k, (v, key, q) in enumerate(pairs):
+        gone = {u for u in key if last[u] == k}
+        nxt = Counter()
+        for claimed, prob in states.items():
+            if claimed.isdisjoint(key):
+                take = prob * q
+                total += take * v
+                nxt[claimed.union(key).difference(gone)] += take
+                prob -= take
+            if prob:
+                nxt[claimed.difference(gone)] += prob
+        states = nxt
     return total
 
 
@@ -524,10 +569,18 @@ def exact_atoms(law) -> tuple:
     return law.atoms
 
 
+def capped_law(node) -> DiscreteDistribution:
+    """The law of a node's capped value: its value at a leaf, else
+    min(sigma, next capped value)."""
+    if node.is_leaf:
+        return DiscreteDistribution.point(node.value)
+    return DiscreteDistribution.from_weights(*node.capped(), node.next_total)
+
+
 def assert_matches_reference(node, ref) -> None:
     """Node for node: cost, sigma, branch labels and probabilities, and laws."""
     assert node.is_leaf == ref.is_leaf
-    assert exact_atoms(node.kappa_dist) == ref.kappa
+    assert exact_atoms(capped_law(node)) == ref.kappa
     if ref.is_leaf:
         assert node.value == ref.value and type(node.value) is Fraction
         return

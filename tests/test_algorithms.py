@@ -6,6 +6,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pandora_matching import algorithms
 from pandora_matching.algorithms import (
@@ -20,6 +22,7 @@ from pandora_matching.algorithms import (
     expected_welfare,
     expected_welfare_exact,
     expected_welfare_montecarlo,
+    kappa_welfare,
     make_runner,
     outcome_cuts,
     randomized_matching,
@@ -51,10 +54,12 @@ from support import (
     general_batch,
     joint_batch,
     kappa_weights,
+    law_distribution,
     next_below,
     positive_batch,
     rand_graph,
     rand_instance,
+    reference_kappa_sweep,
     reference_kappa_welfare,
     reference_montecarlo,
 )
@@ -115,7 +120,7 @@ class TestOrientedDescending:
             for e in inst.edges:
                 d = None if orientation is None else orientation.direction_of(e.id)
                 assert first.baskets[e.id] is second.baskets[e.id] is e.basket(d)
-                assert first.kappa_laws()[e.id] is e.basket(d).basket.kappa1_distribution()
+                assert first.kappa_laws()[e.id] is e.basket(d).basket.kappa1_law
 
     def test_conflicts_are_the_edges_sharing_an_endpoint(self):
         for inst in general_batch(30) + [no_dessert_star(F(1, 2), 3).instance]:
@@ -534,6 +539,85 @@ class TestSweepMatchesProduct:
             assert randomized_matching(inst) == reference_kappa_welfare(mixture_laws(inst))
 
 
+@pytest.fixture(scope="module")
+def integer_sweep_inputs(sweep_inputs) -> list:
+    """The sweep inputs plus the seeded cycles and three 24-vertex, 60-edge graphs."""
+    return (sweep_inputs + list(cycle_batch().values())
+            + [rand_graph(SplitMix64(s), 24, 60) for s in (1, 2, 3)])
+
+
+# Pairwise coprime totals, so the running denominator grows with every key.
+LARGE_TOTALS = (2 ** 61 - 1, 10 ** 9 + 7, 998_244_353, 3 ** 40, 5 ** 27 * 7)
+SWEEP_VALUES = tuple(F(v) for v in ("-2", "-1/2", "0", "1/3", "1", "3/2", "2", "5"))
+
+
+@st.composite
+def integer_laws(draw) -> dict:
+    """Up to five keys, edge ids on four shared vertices or ("*", name) single
+    selections, each with an integer law over a large total; values repeat
+    across keys, so ties are common, and include zero and negative atoms."""
+    laws = {}
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            key = ("*", draw(st.sampled_from("xyz")))
+        else:
+            key = tuple(sorted(draw(st.lists(st.sampled_from("abcd"), min_size=2,
+                                             max_size=2, unique=True))))
+        values = sorted(draw(st.lists(st.sampled_from(SWEEP_VALUES), min_size=1,
+                                      max_size=4, unique=True)))
+        total = draw(st.sampled_from(LARGE_TOTALS))
+        cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=len(values) - 1,
+                                    max_size=len(values) - 1, unique=True)))
+        bounds = [0] + cuts + [total]
+        laws[key] = (tuple(values), tuple(b - a for a, b in zip(bounds, bounds[1:])), total)
+    return laws
+
+
+class TestIntegerSweep:
+    """The integer sweep equals the ``Fraction`` sweep it replaced, exactly."""
+
+    @pytest.mark.parametrize("variant", sorted(DESCENDING_RUNNERS))
+    def test_descending_laws(self, integer_sweep_inputs, variant):
+        for inst in integer_sweep_inputs:
+            runner = DESCENDING_RUNNERS[variant](inst)
+            assert runner.exact_welfare() == reference_kappa_sweep(runner.kappa_laws())
+
+    def test_randomized_mixture(self, integer_sweep_inputs):
+        for inst in integer_sweep_inputs:
+            laws = mixture_laws(inst)
+            for e in inst.edges:
+                mixed = algorithms._mixture(*(e.basket(d).basket.kappa1_law
+                                              for d in e.directions()))
+                assert law_distribution(mixed) == laws[e.id]
+            bound = 2 ** len(inst.edges) * inst.realization_count()
+            assert randomized_matching(inst, enum_bound=bound) == reference_kappa_sweep(laws)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_laws())
+    def test_random_integer_laws(self, laws):
+        expected = reference_kappa_sweep(laws)
+        assert kappa_welfare(laws) == expected == reference_kappa_welfare(laws)
+
+    def test_ties_go_to_the_smaller_key(self):
+        # On the path c-a-b-d the middle edge (a, b) has the smallest id:
+        # taking it first blocks both others, where the larger ids take two.
+        laws = dict.fromkeys([("a", "b"), ("a", "c"), ("b", "d")], ((F(5, 2),), (1,), 1))
+        assert kappa_welfare(laws) == F(5, 2)
+        selection = {("*", name): ((F(0), F(3)), (1, 1), 2) for name in "xy"}
+        assert kappa_welfare(selection) == F(9, 4)
+
+    def test_untaken_mass_carries_to_lower_atoms(self):
+        law = ((F(-1), F(2), F(5)), (1, 1, 1), 3)
+        assert kappa_welfare({("a", "b"): law}) == F(7, 3)
+        # (b, c) is taken only where (a, b)'s 5 was not drawn
+        assert kappa_welfare({("a", "b"): law, ("b", "c"): ((F(4),), (1,), 1)}) == \
+            F(5, 3) + F(2, 3) * 4
+
+    def test_no_positive_atom(self):
+        assert kappa_welfare({}) == 0
+        assert kappa_welfare({("a", "b"): ((F(-1), F(0)), (1, 2), 3)}) == 0
+
+
 def star_selection_value(law: DiscreteDistribution, n: int) -> F:
     """E[max(0, max of n iid draws)]: sum over v > 0 of v (F(v)^n - F(v-)^n)."""
     total = cdf = ZERO
@@ -554,7 +638,7 @@ class TestStarIsSelection:
         laws = set(runner.kappa_laws().values())
         assert len(laws) == 1
         assert expected_welfare_exact(inst, runner, enum_bound=2 ** 64) == \
-            star_selection_value(laws.pop(), 64)
+            star_selection_value(law_distribution(laws.pop()), 64)
 
     def test_bundled_star_20_oriented_pinned(self):
         inst = bundled_star(20).instance

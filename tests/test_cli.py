@@ -416,6 +416,8 @@ class TestInputErrors:
         (["run", "--instance", "{huge}", "--policy", "oriented-desc", "--mode", "montecarlo",
           "--seed", "1", "--trials", "10"], "1" + "0" * 399 + "1 is outside the float range"),
         (["oracle", "--instance", "{huge}"], "1" + "0" * 399 + "1 is outside the float range"),
+        (["repro", "--only", "no-dessert-edge", "--alpha", "1e-400", "--format", "csv"],
+         "error: " + "9" * 400 + " is outside the float range"),
         (["run", "--instance", "{vertices_int}", "--policy", "bundled"],
          "cannot read instance {vertices_int}: vertices must be a list of vertex names"),
         (["oracle", "--instance", "{vertices_nested}"],
@@ -436,7 +438,8 @@ class TestInputErrors:
             "oracle-random-orientation-seed-above-range",
             "check-random-orientation-seed-above-range", "repro-enum-bound",
             "run-value-out-of-float-range", "montecarlo-value-out-of-float-range",
-            "oracle-value-out-of-float-range", "run-vertices-int", "oracle-vertices-nested"])
+            "oracle-value-out-of-float-range", "repro-csv-value-out-of-float-range",
+            "run-vertices-int", "oracle-vertices-nested"])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, expected):
         files = {name: str(tmp_path / f"{name}.json")
                  for name in ("missing", "no_cost", "not_tree", "edge", "atoms", "half_edge",

@@ -33,7 +33,7 @@ from test_distributions import dist
 
 def selection_sweep(baskets: dict) -> F:
     """The matching sweep as single selection: every key claims the vertex "*"."""
-    return kappa_welfare({("*", i): b.kappa1_distribution() for i, b in baskets.items()})
+    return kappa_welfare({("*", i): b.kappa1_law for i, b in baskets.items()})
 
 
 def edge_tree(alpha, direction="ij"):
