@@ -46,8 +46,8 @@ class DiscreteDistribution:
 
     Atoms are (value, prob) pairs; probabilities are strictly positive and
     sum to exactly 1.  Equal values are merged on construction.  The same
-    probabilities as int ``weights`` over one int ``total`` (the lcm of
-    their denominators, when checked here) are kept for integer readers.
+    probabilities, as int ``weights`` over one int ``total`` in lowest
+    terms, are kept for integer readers.
     """
 
     __slots__ = ("atoms", "weights", "total")
@@ -79,11 +79,12 @@ class DiscreteDistribution:
     def from_weights(cls, values, weights, total: int) -> "DiscreteDistribution":
         """{values[k]: weights[k] / total}, for distinct values sorted ascending
         and positive int weights summing to ``total``; nothing is checked."""
+        g = math.gcd(total, *weights)
         self = object.__new__(cls)
         object.__setattr__(self, "atoms", tuple([(v, Fraction(w, total))
                                                  for v, w in zip(values, weights)]))
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "weights", tuple([w // g for w in weights]))
+        object.__setattr__(self, "total", total // g)
         return self
 
     @classmethod

@@ -84,6 +84,14 @@ class TestConstruction:
         d = dist((F(-3, 2), F(1, 3)), (9, F(2, 3)))
         assert DiscreteDistribution.from_json_obj(d.to_json_obj()) == d
 
+    @given(distributions())
+    def test_weights_are_the_probabilities_in_lowest_terms(self, d):
+        assert math.gcd(d.total, *d.weights) == 1
+        assert [F(w, d.total) for w in d.weights] == [p for _, p in d.atoms]
+        again = DiscreteDistribution.from_weights([v for v, _ in d.atoms],
+                                                  [3 * w for w in d.weights], 3 * d.total)
+        assert (again, again.weights, again.total) == (d, d.weights, d.total)
+
 
 # Values that collide across types (1, F(2, 2), F(4, 4)) and large coprime
 # denominators, so the merge key and the integer sums are both exercised.
