@@ -379,7 +379,7 @@ def kappa_welfare(laws: dict) -> Fraction:
     states = {0: 1}
     total, den = 0, 1
     for (neg, _, mask, w, mass), live in zip(pairs, reversed(lives)):
-        nxt: defaultdict = defaultdict(int)
+        nxt = defaultdict(int)
         rest = mass - w
         free = 0
         for claimed, p in states.items():
