@@ -30,7 +30,7 @@ from .instance import (
     scaled_paths,
 )
 from .nested import check_non_exposure, descending_run
-from .rationals import as_float
+from .rationals import as_float, format_count
 from .rng import SplitMix64, weighted_cuts
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -43,8 +43,8 @@ class EnumerationBoundError(RuntimeError):
     """Exact evaluation would exceed the enumeration bound."""
 
     def __init__(self, size: int, bound: int):
-        super().__init__(f"exact enumeration needs {size} weighted outcomes, "
-                         f"above the bound of {bound}")
+        super().__init__(f"exact enumeration needs {format_count(size)} weighted outcomes, "
+                         f"above the bound of {format_count(bound)}")
         self.size = size
         self.bound = bound
 
@@ -70,7 +70,7 @@ def resolve_enum_bound(explicit=None) -> int:
     return bound
 
 
-def _require_within_bound(size: int, enum_bound=None) -> None:
+def require_within_bound(size: int, enum_bound=None) -> None:
     """Raise EnumerationBoundError if ``size`` weighted outcomes exceed the bound."""
     bound = resolve_enum_bound(enum_bound)
     if size > bound:
@@ -85,7 +85,7 @@ def realization_weights(inst: MatchingInstance) -> tuple[int, list[tuple[int, ..
 
 def enumerate_realizations(inst: MatchingInstance, enum_bound=None) -> Iterator[tuple]:
     """Every realization and its probability times ``realization_weights(inst)[0]``."""
-    _require_within_bound(inst.realization_count(), enum_bound)
+    require_within_bound(inst.realization_count(), enum_bound)
     ids = inst.edge_ids
     weights = realization_weights(inst)[1]
     for combo in itertools.product(*(range(len(w)) for w in weights)):
@@ -142,8 +142,8 @@ class DescendingRunner:
 
     With an orientation each edge is its oriented two-stage basket; without
     one, each edge is its bundled one-stage basket (both boxes at once).
-    The runner only picks each edge's cached ``EdgeSpec.basket`` entry and
-    reads the instance's conflict sets; ``run`` reads their paths times Q.
+    The runner only picks each edge's cached ``EdgeSpec.basket`` entry;
+    ``run`` reads their paths times Q and the instance's conflict sets.
     """
 
     def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
@@ -154,7 +154,12 @@ class DescendingRunner:
         self.baskets = {e.id: e.basket(None if orientation is None
                                        else orientation.direction_of(e.id))
                         for e in inst.edges}
-        self.conflicts = inst.conflicts
+
+    @functools.cached_property
+    def conflicts(self) -> dict:
+        """The instance's conflict sets, built on the first run: exact
+        evaluation never reads them."""
+        return self.inst.conflicts
 
     @functools.cached_property
     def scaled(self) -> tuple[int, dict]:
@@ -398,7 +403,7 @@ def kappa_welfare(laws: dict) -> Fraction:
 
 def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> Fraction:
     """Exact expected welfare; the bound counts realizations for every runner."""
-    _require_within_bound(inst.realization_count(), enum_bound)
+    require_within_bound(inst.realization_count(), enum_bound)
     return runner.exact_welfare()
 
 
@@ -503,7 +508,7 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     each edge's realized path through the basket its bit selects.
     """
     if mode == "exact":
-        _require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
+        require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
         return kappa_welfare({e.id: _mixture(*(e.basket(d).basket.kappa1_law
                                                for d in e.directions()))
                               for e in inst.edges})

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .boxes import PandoraBox, index_of_weights
@@ -40,7 +40,8 @@ class InstanceError(ValueError):
 
 
 class JointOutcome(NamedTuple):
-    """One atom of an edge's joint law.
+    """One atom of an edge's joint law; its probability is the edge's weight
+    for it over ``weight_total``.
 
     v_i and v_j are the separate endpoint values when the edge was given in
     independent form, else None.
@@ -49,22 +50,8 @@ class JointOutcome(NamedTuple):
     label_i: str
     label_j: str
     total: Fraction
-    prob: Fraction
     v_i: Fraction | None = None
     v_j: Fraction | None = None
-
-
-@dataclass(frozen=True)
-class DirectionTable:
-    """An edge's joint law in one inspection order.
-
-    first: (first signal, marginal probability) per first signal, sorted.
-    second: first signal -> (second signal, conditional probability, outcome
-    index) per second signal, sorted.
-    """
-
-    first: tuple[tuple[str, Fraction], ...]
-    second: dict[str, tuple[tuple[str, Fraction, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -87,20 +74,11 @@ class EdgeBasket:
                 for k, o in enumerate(self.outcomes)}
 
 
-class _BoxAtoms(NamedTuple):
-    """One endpoint box's law in int weights: (label, value, probability,
-    weight) per atom by label, and the values ascending with their weights."""
-
-    rows: tuple[tuple[str, Fraction, Fraction, int], ...]
-    values: tuple[Fraction, ...]
-    weights: tuple[int, ...]
-    total: int
-
-
-def _box_atoms(box: PandoraBox) -> _BoxAtoms:
+def _label_rows(box: PandoraBox) -> tuple[tuple[str, Fraction, Fraction, int], ...]:
+    """A box's atoms as (label, value, probability, weight), sorted by label."""
     dist = box.dist
-    rows = sorted([(format_rational(v), v, p, w) for (v, p), w in zip(dist.atoms, dist.weights)])
-    return _BoxAtoms(tuple(rows), tuple([v for v, _ in dist.atoms]), dist.weights, dist.total)
+    return tuple(sorted([(format_rational(v), v, p, w)
+                         for (v, p), w in zip(dist.atoms, dist.weights)]))
 
 
 class EdgeSpec:
@@ -134,7 +112,7 @@ class EdgeSpec:
         self.outcomes = outcomes
         self.weights = weights
         self.weight_total = weight_total
-        self._tables: dict[DirectedPair, DirectionTable] = {}
+        self._tables: dict[DirectedPair, tuple] = {}
         self._baskets: dict = {}
 
     @property
@@ -146,9 +124,9 @@ class EdgeSpec:
         return self.box_ij is not None
 
     @functools.cached_property
-    def _sides(self) -> tuple[_BoxAtoms, _BoxAtoms]:
-        """The two boxes' laws in int weights, for an independent edge."""
-        return _box_atoms(self.box_ij), _box_atoms(self.box_ji)
+    def _sides(self) -> tuple[tuple, tuple]:
+        """The two boxes' ``_label_rows``, for an independent edge."""
+        return _label_rows(self.box_ij), _label_rows(self.box_ji)
 
     @classmethod
     def independent(cls, i: str, j: str, box_ij: PandoraBox, box_ji: PandoraBox) -> "EdgeSpec":
@@ -160,16 +138,14 @@ class EdgeSpec:
         if not i < j:
             i, j = j, i
             box_ij, box_ji = box_ji, box_ij
-        sides = (_box_atoms(box_ij), _box_atoms(box_ji))
-        total = sides[0].total * sides[1].total
+        sides = (_label_rows(box_ij), _label_rows(box_ji))
         outcomes, weights = [], []
-        for li, vi, _, wi in sides[0].rows:
-            for lj, vj, _, wj in sides[1].rows:
-                w = wi * wj
-                outcomes.append(JointOutcome(li, lj, vi + vj, Fraction(w, total), vi, vj))
-                weights.append(w)
-        edge = cls(i, j, box_ij.cost, box_ji.cost, tuple(outcomes), tuple(weights), total,
-                   box_ij, box_ji)
+        for li, vi, _, wi in sides[0]:
+            for lj, vj, _, wj in sides[1]:
+                outcomes.append(JointOutcome(li, lj, vi + vj, vi, vj))
+                weights.append(wi * wj)
+        edge = cls(i, j, box_ij.cost, box_ji.cost, tuple(outcomes), tuple(weights),
+                   box_ij.dist.total * box_ji.dist.total, box_ij, box_ji)
         edge._sides = sides   # fills the cached property
         return edge
 
@@ -183,24 +159,25 @@ class EdgeSpec:
             i, j = j, i
             cost_ij, cost_ji = cost_ji, cost_ij
             rows = [(lj, li, t, p) for li, lj, t, p in rows]
-        outcomes = sorted([JointOutcome(str(li), str(lj), as_fraction(t), as_fraction(p))
-                           for li, lj, t, p in rows], key=lambda o: (o.label_i, o.label_j))
-        if not outcomes:
+        # a stable sort on the signal pair alone, so the first error is fixed
+        rows = sorted([(str(li), str(lj), as_fraction(t), as_fraction(p))
+                       for li, lj, t, p in rows], key=itemgetter(0, 1))
+        if not rows:
             raise InstanceError(f"edge {(i, j)}: empty outcome table")
         seen = set()
-        for o in outcomes:
-            if o.prob.numerator <= 0:
-                raise InstanceError(f"edge {(i, j)}: outcome probability {o.prob} not positive")
-            key = (o.label_i, o.label_j)
-            if key in seen:
-                raise InstanceError(f"edge {(i, j)}: duplicate signal pair {key}")
-            seen.add(key)
-        total = math.lcm(*[o.prob.denominator for o in outcomes])
-        weights = tuple([scaled(o.prob, total) for o in outcomes])
+        for li, lj, _, p in rows:
+            if p.numerator <= 0:
+                raise InstanceError(f"edge {(i, j)}: outcome probability {p} not positive")
+            if (li, lj) in seen:
+                raise InstanceError(f"edge {(i, j)}: duplicate signal pair {(li, lj)}")
+            seen.add((li, lj))
+        total = math.lcm(*[p.denominator for *_, p in rows])
+        weights = tuple([scaled(p, total) for *_, p in rows])
         if sum(weights) != total:
             raise InstanceError(
                 f"edge {(i, j)}: outcome probabilities sum to {Fraction(sum(weights), total)}")
-        return cls(i, j, cost_ij, cost_ji, tuple(outcomes), weights, total)
+        outcomes = tuple([JointOutcome(li, lj, t) for li, lj, t, _ in rows])
+        return cls(i, j, cost_ij, cost_ji, outcomes, weights, total)
 
     def endpoints(self) -> tuple[str, str]:
         return self.i, self.j
@@ -226,8 +203,10 @@ class EdgeSpec:
             return self.box_ji
         raise InstanceError(f"{direction} is not a direction of edge {self.id}")
 
-    def table(self, direction: DirectedPair) -> DirectionTable:
-        """The joint law grouped by the signal inspected first."""
+    def table(self, direction: DirectedPair) -> tuple:
+        """The law grouped by the signal inspected first: one row (signal,
+        weight, ((second signal, weight, outcome index), ...)) per first
+        signal, sorted, every weight over ``weight_total``."""
         if direction not in self._tables:
             self.cost(direction)  # direction check
             forward = direction == (self.i, self.j)
@@ -237,14 +216,9 @@ class EdgeSpec:
             for k, (o, w) in enumerate(zip(self.outcomes, self.weights)):
                 first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
                 groups.setdefault(first, []).append((second, w, k))
-            first_law = []
-            second_laws = {}
-            for label in sorted(groups):
-                rows = groups[label]
-                mass = sum([w for _, w, _ in rows])
-                first_law.append((label, Fraction(mass, self.weight_total)))
-                second_laws[label] = tuple([(s, Fraction(w, mass), k) for s, w, k in rows])
-            self._tables[direction] = DirectionTable(tuple(first_law), second_laws)
+            self._tables[direction] = tuple([
+                (label, sum([w for _, w, _ in groups[label]]), tuple(groups[label]))
+                for label in sorted(groups)])
         return self._tables[direction]
 
     def basket(self, direction: DirectedPair | None = None) -> EdgeBasket:
@@ -282,7 +256,8 @@ class EdgeSpec:
                 "c_ji": format_rational(self.cost_ji),
                 "joint": [{"si": o.label_i, "sj": o.label_j,
                            "total": format_rational(o.total),
-                           "p": format_rational(o.prob)} for o in self.outcomes]}
+                           "p": format_rational(Fraction(w, self.weight_total))}
+                          for o, w in zip(self.outcomes, self.weights)]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "EdgeSpec":
@@ -319,16 +294,13 @@ def _grouped_stages(edge: EdgeSpec, direction: DirectedPair,
                     cost: Fraction) -> tuple[list, list]:
     """The first stage's branches, and (capped value, weight over weight_total)
     pairs of its next capped value, from the outcomes grouped by first signal."""
-    table = edge.table(direction)
-    outcomes, weights = edge.outcomes, edge.weights
+    outcomes = edge.outcomes
     branches, pairs = [], []
-    for label, marginal in table.first:
-        second = table.second[label]
-        mass = sum([weights[k] for _, _, k in second])
+    for label, mass, second in edge.table(direction):
         stage = weighted_stage(
-            cost, [(s, p, AnnotatedLeaf(outcomes[k].total)) for s, p, k in second],
-            merge_sorted([(outcomes[k].total, weights[k]) for _, _, k in second]), mass)
-        branches.append((label, marginal, stage))
+            cost, [(s, Fraction(w, mass), AnnotatedLeaf(outcomes[k].total)) for s, w, k in second],
+            merge_sorted([(outcomes[k].total, w) for _, w, k in second]), mass)
+        branches.append((label, Fraction(mass, edge.weight_total), stage))
         # A capped atom of weight w / next_total has weight w * factor / weight_total.
         factor = mass // stage.next_total
         pairs.extend([(v, w * factor) for v, w in zip(*stage.capped())])
@@ -345,21 +317,22 @@ def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
     """
     forward = direction == edge.id
     first, second = edge._sides if forward else edge._sides[::-1]
+    law = edge.box((direction[1], direction[0])).dist
     # Outcome (x, y) of the first and second boxes' label orders sits at
     # x * step_x + y * step_y: outcomes run over the i side's labels, then j's.
-    step_x, step_y = (len(second.rows), 1) if forward else (1, len(first.rows))
-    sigma = index_of_weights(second.values, second.weights, second.total, cost)
-    below = bisect_left(second.values, sigma)
-    capped = second.weights[:below] + (sum(second.weights[below:]),)
+    step_x, step_y = (len(second), 1) if forward else (1, len(first))
+    second_values = [v for v, _ in law.atoms]
+    sigma = index_of_weights(second_values, law.weights, law.total, cost)
+    below = bisect_left(second_values, sigma)
+    capped = law.weights[:below] + (sum(law.weights[below:]),)
     outcomes = edge.outcomes
     branches, pairs = [], []
-    for x, (label, a, prob, wa) in enumerate(first.rows):
+    for x, (label, a, prob, wa) in enumerate(first):
         # the leaves' values are the outcome totals a + b, already summed
-        totals = [outcomes[x * step_x + y * step_y].total for y in range(len(second.rows))]
-        values = tuple(sorted(totals))   # a + second.values
-        leaves = tuple([(lb, pb, AnnotatedLeaf(t))
-                        for (lb, _, pb, _), t in zip(second.rows, totals)])
-        stage = AnnotatedStage(cost, a + sigma, leaves, values, second.weights, second.total)
+        totals = [outcomes[x * step_x + y * step_y].total for y in range(len(second))]
+        values = tuple(sorted(totals))   # a + the second box's values
+        leaves = tuple([(lb, pb, AnnotatedLeaf(t)) for (lb, _, pb, _), t in zip(second, totals)])
+        stage = AnnotatedStage(cost, a + sigma, leaves, values, law.weights, law.total)
         branches.append((label, prob, stage))
         pairs.extend(zip(values[:below] + (stage.sigma,), [wa * w for w in capped]))
     return branches, pairs

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .distributions import ZERO
 from .instance import EdgeId, EdgeSpec, MatchingInstance, Orientation
-from .rationals import scaled
+from .rationals import format_count, scaled
 
 DEFAULT_STATE_BOUND = 500_000
 
@@ -44,7 +44,8 @@ DEFAULT_STATE_BOUND = 500_000
 class StateBoundError(RuntimeError):
     def __init__(self, estimate: int, bound: int):
         super().__init__(
-            f"oracle state space has {estimate} states, above the bound of {bound}"
+            f"oracle state space has {format_count(estimate)} states, "
+            f"above the bound of {format_count(bound)}"
         )
         self.estimate = estimate
         self.bound = bound
@@ -169,11 +170,12 @@ def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
         table = edge.table(first)
         second = (first[1], first[0])
         openings.append(Move(("open", first), k, edge.cost(first), tuple(
-            (evidence(side, x, -1), p, (("signal", s),)) for x, (s, p) in enumerate(table.first))))
-        for x, (s, _) in enumerate(table.first):
+            (evidence(side, x, -1), Fraction(mass, edge.weight_total), (("signal", s),))
+            for x, (s, mass, _) in enumerate(table))))
+        for x, (_, mass, rows) in enumerate(table):
             moves[evidence(side, x, -1)] = (Move(("open", second), k, edge.cost(second), tuple(
-                (evidence(side, x, index[1 - side][t]), p, (("signal", t),))
-                for t, p, _ in table.second[s])),)
+                (evidence(side, x, index[1 - side][t]), Fraction(w, mass), (("signal", t),))
+                for t, w, _ in rows)),)
     moves[-1, -1] = tuple(openings)
     return moves, totals
 

@@ -74,6 +74,12 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_count(n: int) -> str:
+    """``n`` in decimal, or "at least 2^k" past 30 digits: a huge int is never
+    converted to decimal, which Python refuses past 4,300 digits."""
+    return str(n) if n < 10 ** 30 else f"at least 2^{n.bit_length() - 1}"
+
+
 def as_float(x: Fraction) -> float:
     """``float(x)``, or a ValueError naming ``x`` if it is outside the float range."""
     try:

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import DecisionRunner, DescendingRunner, expected_welfare_exact
+from .algorithms import (
+    DecisionRunner,
+    DescendingRunner,
+    expected_welfare_exact,
+    require_within_bound,
+)
 from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution, ZERO
 from .instance import EdgeSpec, MatchingInstance, Orientation
@@ -312,6 +317,12 @@ def report(only: str | None = None, alpha=Fraction(1, 4), n: int = 4,
     names = [only] if only else list(ALL_NAMES)
     rows = []
     for name in names:
+        # The exact rows enumerate 2^n and 4^m realizations; a size above the
+        # bound is refused before its star is built.  A count past 2^(2^20) is
+        # passed as that lower bound, still above any bound an int() of
+        # PANDORA_ENUM_BOUND can give (at most 4,300 digits).
+        exponent = {"bundled-star": n if n > 1 else 0, "no-dessert-star": 2 * max(m, 0)}
+        require_within_bound(1 << min(exponent.get(name, 0), 1 << 20))
         named = build(name, alpha=alpha, n=n, m=m)
         for quantity, compute, expected in named.table:
             rows.append(ReportRow(named.name, quantity, compute(), Fraction(expected)))

@@ -514,14 +514,13 @@ def edge_to_basket(edge: EdgeSpec, direction) -> OutcomeNode:
     Stage 1 costs cost(direction) and reveals the first endpoint's signal;
     stage 2 costs the reverse cost and reveals the edge total.
     """
-    table = edge.table(direction)
     reverse_cost = edge.cost((direction[1], direction[0]))
     return OutcomeNode(cost=edge.cost(direction), branches=tuple([
-        (label, marginal, OutcomeNode(cost=reverse_cost, branches=tuple([
-            (second, p, OutcomeNode(edge.outcomes[k].total))
-            for second, p, k in table.second[label]
+        (label, Fraction(mass, edge.weight_total), OutcomeNode(cost=reverse_cost, branches=tuple([
+            (second, Fraction(w, mass), OutcomeNode(edge.outcomes[k].total))
+            for second, w, k in rows
         ])))
-        for label, marginal in table.first
+        for label, mass, rows in edge.table(direction)
     ]))
 
 
@@ -533,7 +532,8 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
     ``opened`` as ``EdgeSpec.basket`` would.
     """
     if direction is None:
-        law = reference_law((o.total, o.prob) for o in edge.outcomes)
+        law = reference_law((o.total, Fraction(w, edge.weight_total))
+                            for o, w in zip(edge.outcomes, edge.weights))
         tree = OutcomeNode.stage(edge.cost_ij + edge.cost_ji,
                                  [(format_rational(v), p, OutcomeNode.leaf(v)) for v, p in law])
         root = reference_annotate(tree)
@@ -544,9 +544,9 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
     else:
         forward = direction == (edge.i, edge.j)
         groups: dict = {}
-        for k, o in enumerate(edge.outcomes):
+        for k, (o, w) in enumerate(zip(edge.outcomes, edge.weights)):
             first, second = (o.label_i, o.label_j) if forward else (o.label_j, o.label_i)
-            groups.setdefault(first, []).append((second, o.prob, k))
+            groups.setdefault(first, []).append((second, Fraction(w, edge.weight_total), k))
         branches, order = [], []
         for label in sorted(groups):
             rows = sorted(groups[label])

@@ -38,7 +38,7 @@ from pandora_matching.instance import (
     canonical_orientation,
     random_orientation,
 )
-from pandora_matching.oracle import greedy_matching
+from pandora_matching.oracle import StateBoundError, greedy_matching
 from pandora_matching.repro import (
     bundled_star,
     indistinguishable_edge,
@@ -122,6 +122,14 @@ class TestOrientedDescending:
                 assert first.baskets[e.id] is second.baskets[e.id] is e.basket(d)
                 assert first.kappa_laws()[e.id] is e.basket(d).basket.kappa1_law
 
+    def test_exact_evaluation_builds_no_conflict_sets(self):
+        inst = no_dessert_star(F(1, 2), 2).instance
+        runner = DescendingRunner(inst, canonical_orientation(inst))
+        runner.exact_welfare()
+        assert "conflicts" not in vars(inst)
+        runner.run({eid: 0 for eid in inst.edge_ids})
+        assert "conflicts" in vars(inst)
+
     def test_conflicts_are_the_edges_sharing_an_endpoint(self):
         for inst in general_batch(30) + [no_dessert_star(F(1, 2), 3).instance]:
             assert inst.conflicts == {
@@ -144,6 +152,20 @@ class TestExpectedWelfare:
         inst = no_dessert_edge(F(1, 4)).instance
         runner = DescendingRunner(inst, Orientation([("i", "j")]))
         assert expected_welfare(inst, runner) == F(3, 4)
+
+    def test_bound_errors_show_a_huge_count_as_a_power_of_two(self):
+        # Python refuses to write an int of more than 4,300 digits in decimal
+        huge = 10 ** 5000
+        power = f"at least 2^{huge.bit_length() - 1}"
+        assert power == "at least 2^16609"
+        enum, states = EnumerationBoundError(huge, 2), StateBoundError(huge, 2)
+        assert str(enum) == (f"exact enumeration needs {power} weighted outcomes, "
+                             "above the bound of 2")
+        assert str(states) == f"oracle state space has {power} states, above the bound of 2"
+        assert enum.size == states.estimate == huge
+        assert "needs 33554432 weighted" in str(EnumerationBoundError(33554432, 2))
+        assert f"has {10 ** 30 - 1} states" in str(StateBoundError(10 ** 30 - 1, 2))
+        assert "has at least 2^99 states" in str(StateBoundError(10 ** 30, 2))
 
     def test_enumeration_bound(self):
         inst = no_dessert_edge(F(1, 2)).instance

@@ -411,6 +411,9 @@ class TestInputErrors:
         (["repro", "--only", "bundled-star", "--n", "25"],
          "needs 33554432 weighted outcomes, above the bound of 2000000; "
          "raise the bound (PANDORA_ENUM_BOUND)"),
+        (["repro", "--only", "bundled-star", "--n", "20000"],
+         "needs at least 2^20000 weighted outcomes, above the bound of 2000000; "
+         "raise the bound (PANDORA_ENUM_BOUND)"),
         (["run", "--instance", "{huge}", "--policy", "bundled"],
          "1" + "0" * 399 + "1 is outside the float range"),
         (["run", "--instance", "{huge}", "--policy", "oriented-desc", "--mode", "montecarlo",
@@ -437,6 +440,7 @@ class TestInputErrors:
             "trace-seed-above-range", "run-random-orientation-seed-negative",
             "oracle-random-orientation-seed-above-range",
             "check-random-orientation-seed-above-range", "repro-enum-bound",
+            "repro-enum-bound-huge-count",
             "run-value-out-of-float-range", "montecarlo-value-out-of-float-range",
             "oracle-value-out-of-float-range", "repro-csv-value-out-of-float-range",
             "run-vertices-int", "oracle-vertices-nested"])

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -64,8 +66,6 @@ class TestEdgeSpec:
             for e in inst.edges:
                 assert all(type(w) is int for w in e.weights)
                 assert sum(e.weights) == e.weight_total
-                assert [F(w, e.weight_total) for w in e.weights] == [o.prob for o in e.outcomes]
-                assert all(type(o.prob) is F for o in e.outcomes)
                 if e.is_independent:
                     totals = [math.lcm(*(p.denominator for _, p in box.dist.atoms))
                               for box in (e.box_ij, e.box_ji)]
@@ -90,6 +90,20 @@ class TestEdgeSpec:
         with pytest.raises(InstanceError):
             EdgeSpec.joint("a", "b", 1, 1, [("x", "y", F(1), F(9, 10))])
 
+    @pytest.mark.parametrize("rows, error", [
+        ([("x", "y", 1, F(1, 2)), ("x", "y", 1, F(1, 2)), ("x", "y", 0, 0)],
+         "duplicate signal pair ('x', 'y')"),
+        ([("x", "y", 2, F(1, 2)), ("x", "y", 1, F(-1, 2)), ("x", "z", 1, 1)],
+         "outcome probability -1/2 not positive"),
+    ], ids=["duplicate-first", "non-positive-first"])
+    def test_joint_first_error_follows_the_signal_pair_order(self, rows, error):
+        # Rows sort stably on the signal pair alone: sorting on whole rows
+        # would put the zero-probability row first and report it instead.
+        swapped = [(lj, li, t, p) for li, lj, t, p in rows]
+        for i, j, given in (("a", "b", rows), ("b", "a", swapped)):
+            with pytest.raises(InstanceError, match=re.escape(f"edge ('a', 'b'): {error}")):
+                EdgeSpec.joint(i, j, 1, 1, given)
+
     def test_joint_edge_has_no_endpoint_boxes(self):
         e = EdgeSpec.joint("a", "b", 1, 1, [("x", "y", F(1), F(1))])
         with pytest.raises(InstanceError):
@@ -98,7 +112,8 @@ class TestEdgeSpec:
     def test_bundled_box_merges_totals(self):
         e = fig_edge()
         assert e.bundled_box().cost == e.cost_ij + e.cost_ji
-        assert e.bundled_box().dist == dist(*[(o.total, o.prob) for o in e.outcomes])
+        assert e.bundled_box().dist == dist(*[(o.total, F(w, e.weight_total))
+                                              for o, w in zip(e.outcomes, e.weights)])
 
     def test_json_round_trip_independent(self):
         e = fig_edge()
@@ -111,6 +126,20 @@ class TestEdgeSpec:
         e2 = EdgeSpec.from_json_obj(e.to_json_obj())
         assert e2.outcomes == e.outcomes
         assert e2.cost_ij == F(1, 2)
+
+    def test_joint_edges_write_back_the_probabilities_they_were_read_with(self):
+        doc = {"i": "a", "j": "b", "c_ij": "1/2", "c_ji": "1",
+               "joint": [{"si": "x", "sj": "z", "total": "-2", "p": "3/4"},
+                         {"si": "x", "sj": "y", "total": "3/2", "p": "1/4"}]}
+        written = EdgeSpec.from_json_obj(doc).to_json_obj()["joint"]
+        assert [(r["sj"], r["p"]) for r in written] == [("y", "1/4"), ("z", "3/4")]
+        edges = [e for inst in joint_batch(50) for e in inst.edges]
+        assert edges
+        for e in edges:
+            obj = json.loads(json.dumps(e.to_json_obj()))
+            again = EdgeSpec.from_json_obj(obj)
+            assert (again.weights, again.weight_total) == (e.weights, e.weight_total)
+            assert again.to_json_obj() == obj
 
 
 class TestValidate:
@@ -267,9 +296,9 @@ class TestShiftedCompileMatchesGrouped:
             for e in inst.edges:
                 if not e.is_independent:
                     continue
-                joint = EdgeSpec.joint(e.i, e.j, e.cost_ij, e.cost_ji,
-                                       [(o.label_i, o.label_j, o.total, o.prob)
-                                        for o in e.outcomes])
+                rows = [(o.label_i, o.label_j, o.total, F(w, e.weight_total))
+                        for o, w in zip(e.outcomes, e.weights)]
+                joint = EdgeSpec.joint(e.i, e.j, e.cost_ij, e.cost_ji, rows)
                 for direction in (*e.directions(), None):
                     shifted, grouped = e.basket(direction), joint.basket(direction)
                     assert shifted.basket.root == grouped.basket.root
@@ -320,21 +349,22 @@ class TestCompiledRecordsAreImmutable:
 class TestDirectionTable:
     @pytest.mark.parametrize("batch", [lambda: general_batch(200), lambda: joint_batch(50)],
                              ids=["general", "joint"])
-    def test_marginal_times_conditional_is_the_joint_law(self, batch):
+    def test_rows_are_the_joint_law_in_integer_weights(self, batch):
         for inst in batch():
             for e in inst.edges:
                 for d in e.directions():
                     table = e.table(d)
-                    assert sum(p for _, p in table.first) == 1
+                    assert sum(mass for _, mass, _ in table) == e.weight_total
+                    assert [s for s, _, _ in table] == sorted({s for s, _, _ in table})
                     seen = []
-                    for first, marginal in table.first:
-                        law = table.second[first]
-                        assert sum(p for _, p, _ in law) == 1
-                        for second, p, k in law:
+                    for first, mass, rows in table:
+                        assert type(mass) is int
+                        assert sum(w for _, w, _ in rows) == mass
+                        for second, w, k in rows:
                             o = e.outcomes[k]
                             labels = (o.label_i, o.label_j) if d == e.id else (o.label_j, o.label_i)
                             assert labels == (first, second)
-                            assert marginal * p == o.prob
+                            assert type(w) is int and w == e.weights[k]
                             seen.append(k)
                     assert sorted(seen) == list(range(len(e.outcomes)))
 

@@ -4,6 +4,7 @@ import pytest
 
 from pandora_matching import repro
 from pandora_matching.algorithms import (
+    EnumerationBoundError,
     UnsupportedModelError,
     assert_valid_trace,
     expected_welfare_exact,
@@ -132,6 +133,34 @@ class TestReport:
         monkeypatch.setattr(repro, "build", lambda name, **kw: broken)
         rows = report(only="indistinguishable-edge")
         assert any(not r.match for r in rows)
+
+    @pytest.mark.parametrize("only, size, power", [
+        ("bundled-star", {"n": 10 ** 6}, 10 ** 6),
+        ("no-dessert-star", {"m": 10 ** 5}, 2 * 10 ** 5),
+        # 2^n itself would take 1.25 GB; the count is clamped to a lower bound
+        ("bundled-star", {"n": 10 ** 10}, 2 ** 20),
+    ], ids=["bundled-star", "no-dessert-star", "bundled-star-clamped"])
+    def test_sizes_above_the_bound_are_refused_before_building(self, monkeypatch, only, size,
+                                                               power):
+        def refuse(*args):
+            raise AssertionError("the star was built")
+
+        monkeypatch.setattr(repro, "bundled_star", refuse)
+        monkeypatch.setattr(repro, "no_dessert_star", refuse)
+        with pytest.raises(EnumerationBoundError) as exc:
+            report(only=only, **size)
+        assert exc.value.size == 2 ** power
+        assert f"needs at least 2^{power} weighted outcomes" in str(exc.value)
+
+    def test_the_pre_check_counts_the_rows_realizations(self, monkeypatch):
+        monkeypatch.setenv("PANDORA_ENUM_BOUND", "16")
+        assert all(r.match for r in report(only="bundled-star", n=4))
+        assert all(r.match for r in report(only="no-dessert-star", m=2))
+        for only, size, count in (("bundled-star", {"n": 5}, 32),
+                                  ("no-dessert-star", {"m": 3}, 64)):
+            with pytest.raises(EnumerationBoundError) as exc:
+                report(only=only, **size)
+            assert exc.value.size == count
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def fraction_rule(weights, x: int) -> int:
 def weight_lists():
     for inst in general_batch(200) + joint_batch(50):
         for e in inst.edges:
-            yield [o.prob for o in e.outcomes]
+            yield [F(w, e.weight_total) for w in e.weights]
     yield [F(1, 2), F(1, 2)]
     yield [F(1, 4)] * 4
     yield [F(1, 4), F(1, 2), F(1, 4)]
