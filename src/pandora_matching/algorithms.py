@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .boxes import weitzman_index
-from .distributions import ONE, ZERO, merge_sorted
+from .distributions import ZERO, DiscreteDistribution
 from .instance import (
     MatchingInstance,
     Orientation,
@@ -142,8 +142,8 @@ class DescendingRunner:
 
     With an orientation each edge is its oriented two-stage basket; without
     one, each edge is its bundled one-stage basket (both boxes at once).
-    The runner only picks each edge's cached ``EdgeSpec.basket`` entry;
-    ``run`` reads their paths times Q and the instance's conflict sets.
+    The runner picks each edge's cached ``EdgeSpec.basket`` entry on first
+    read; ``run`` reads their paths times Q and the instance's conflict sets.
     """
 
     def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
@@ -151,9 +151,12 @@ class DescendingRunner:
             orientation.require_covers(inst)
         self.inst = inst
         self.orientation = orientation
-        self.baskets = {e.id: e.basket(None if orientation is None
-                                       else orientation.direction_of(e.id))
-                        for e in inst.edges}
+
+    @functools.cached_property
+    def baskets(self) -> dict:
+        o = self.orientation
+        return {e.id: e.basket(None if o is None else o.direction_of(e.id))
+                for e in self.inst.edges}
 
     @functools.cached_property
     def conflicts(self) -> dict:
@@ -167,7 +170,7 @@ class DescendingRunner:
         return scaled_paths(self.inst, self.baskets)
 
     def kappa_laws(self) -> dict:
-        """Each edge's ``kappa1_law``: kappa^(1) as (values, int weights, total)."""
+        """Each edge's ``kappa1_law``, the law of kappa^(1)."""
         return {eid: c.basket.kappa1_law for eid, c in self.baskets.items()}
 
     def exact_welfare(self) -> Fraction:
@@ -265,21 +268,24 @@ class DecisionRunner:
         the partner box is still closed it pays the partner's cost and adds
         its mean instead of its draw, since a matched edge's endpoints are
         blocked and its boxes never steer a later step (so the match has one
-        child, without the dead pairs).  An explicit stack of (probability,
-        revealed values, blocked vertices) holds the open nodes.
+        child, without the dead pairs).  An explicit stack of (probability
+        as int numerator and denominator, revealed values, blocked vertices)
+        holds the open nodes.
         """
         total = ZERO
-        stack = [(ONE, {}, frozenset())]
+        stack = [(1, 1, {}, frozenset())]
         while stack:
-            prob, opened, blocked = stack.pop()
+            num, den, opened, blocked = stack.pop()
             step = self._next(opened, blocked)
             if step is None:
                 continue
+            prob = Fraction(num, den)
             kind, pair, _ = step
             if kind == "open":
                 total -= prob * self.cost[pair]
-                stack.extend((prob * p, {**opened, pair: v}, blocked)
-                             for v, p in self.dist[pair].atoms)
+                values, weights, t = self.dist[pair]
+                stack.extend((num * w, den * t, {**opened, pair: v}, blocked)
+                             for v, w in zip(values, weights))
                 continue
             partner = (pair[1], pair[0])
             if partner in opened:
@@ -288,7 +294,7 @@ class DecisionRunner:
                 gain = opened[pair] + self.dist[partner].expectation() - self.cost[partner]
             total += prob * gain
             blocked = blocked.union(pair)
-            stack.append((prob, {d: v for d, v in opened.items() if blocked.isdisjoint(d)},
+            stack.append((num, den, {d: v for d, v in opened.items() if blocked.isdisjoint(d)},
                           blocked))
         return total
 
@@ -346,12 +352,12 @@ class VertexBasedDescendingRunner(DecisionRunner):
 def kappa_welfare(laws: dict) -> Fraction:
     """Expected greedy total over independent per-key capped-value laws.
 
-    A law is (Fraction values ascending, int weights, total), as
-    ``AnnotatedBasket.kappa1_law``.  A key is the vertex pair that taking
-    it claims: an edge id, or ``("*", name)`` for single selection.  By
-    amortization and greedy equivalence (heavier first, ties to the smaller
-    key) this is the exact welfare of a descending run whose baskets have
-    these laws.
+    A law is (Fraction values ascending, int weights, total), as the
+    ``DiscreteDistribution`` ``AnnotatedBasket.kappa1_law``.  A key is the
+    vertex pair that taking it claims: an edge id, or ``("*", name)`` for
+    single selection.  By amortization and greedy equivalence (heavier
+    first, ties to the smaller key) this is the exact welfare of a
+    descending run whose baskets have these laws.
 
     The sweep scans the positive (key, atom) pairs in greedy order over
     {claimed vertices: probability}.  A state claiming neither vertex of the
@@ -530,13 +536,12 @@ def randomized_matching(inst: MatchingInstance, mode: str = "exact",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _mixture(a: tuple, b: tuple) -> tuple:
-    """The half/half mixture of two integer laws: both weights over the lcm
-    of the totals, merged by value, over twice that lcm."""
-    lcm = math.lcm(a[2], b[2])
-    rows = merge_sorted([(v, w * (lcm // t)) for values, weights, t in (a, b)
-                         for v, w in zip(values, weights)])
-    return tuple([v for v, _ in rows]), tuple([w for _, w in rows]), 2 * lcm
+def _mixture(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
+    """The half/half mixture of two laws: both weights over the lcm of the
+    totals, merged by value, over twice that lcm."""
+    lcm = math.lcm(a.total, b.total)
+    return DiscreteDistribution.merged([(v, w * (lcm // t)) for values, weights, t in (a, b)
+                                        for v, w in zip(values, weights)], 2 * lcm)
 
 
 def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, Fraction]:

@@ -41,8 +41,7 @@ def weitzman_index(box: PandoraBox) -> Fraction:
     For cost == 0 the solution set is [max support, infinity); the smallest
     solution (max support) is returned.
     """
-    dist = box.dist
-    return index_of_weights([v for v, _ in dist.atoms], dist.weights, dist.total, box.cost)
+    return index_of_weights(*box.dist, box.cost)
 
 
 def index_of_weights(values, weights, total: int, cost: Fraction) -> Fraction:

@@ -22,6 +22,7 @@ from .algorithms import (
     enumerate_realizations,
     randomized_matching,
     realization_weights,
+    require_within_bound,
 )
 from .instance import MatchingInstance, Orientation, canonical_orientation
 from .oracle import greedy_matching, optimal_welfare
@@ -106,6 +107,7 @@ def run_all_checks(inst: MatchingInstance, orientation: Orientation | None = Non
         return CheckResult(name, False, "first failing realization " + json.dumps(
             {f"{i}-{j}": [o.label_i, o.label_j] for (i, j), o in outcomes.items()}))
 
+    require_within_bound(inst.realization_count(), enum_bound)   # before any compile
     # the constructors refuse invalid instances, so a loaded one is valid
     results = [CheckResult("instance-valid", True)]
     o = orientation or canonical_orientation(inst)

@@ -143,8 +143,7 @@ def cmd_nested_index(args) -> int:
     basket = annotate(root)
     doc = {
         "sigma1": format_rational(basket.sigma1),
-        "kappa1": [{"v": format_rational(v), "p": format_rational(p)}
-                   for v, p in basket.kappa1_distribution().atoms],
+        "kappa1": basket.kappa1_law.to_json_obj(),
         "tree": annotated_to_json_obj(basket.root),
     }
     print(json.dumps(doc, indent=2))

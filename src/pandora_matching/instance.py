@@ -21,7 +21,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .boxes import PandoraBox, index_of_weights
-from .distributions import DiscreteDistribution, merge_sorted
+from .distributions import DiscreteDistribution
 from .nested import AnnotatedBasket, AnnotatedLeaf, AnnotatedStage, PathInfo, weighted_stage
 from .rationals import (
     as_fraction,
@@ -76,9 +76,9 @@ class EdgeBasket:
 
 def _label_rows(box: PandoraBox) -> tuple[tuple[str, Fraction, Fraction, int], ...]:
     """A box's atoms as (label, value, probability, weight), sorted by label."""
-    dist = box.dist
-    return tuple(sorted([(format_rational(v), v, p, w)
-                         for (v, p), w in zip(dist.atoms, dist.weights)]))
+    values, weights, total = box.dist
+    return tuple(sorted([(format_rational(v), v, Fraction(w, total), w)
+                         for v, w in zip(values, weights)]))
 
 
 class EdgeSpec:
@@ -233,18 +233,11 @@ class EdgeSpec:
                                         else oriented_basket(self, direction))
         return self._baskets[direction]
 
-    def _total_law(self) -> list:
-        """[total, weight] rows of the edge total's law over ``weight_total``,
-        equal totals merged, ascending."""
-        return merge_sorted(zip([o.total for o in self.outcomes], self.weights))
-
     def bundled_box(self) -> PandoraBox:
         """Both inspections merged into one box over the edge total."""
-        rows = self._total_law()
-        return PandoraBox(DiscreteDistribution.from_weights([v for v, _ in rows],
-                                                            [w for _, w in rows],
-                                                            self.weight_total),
-                          self.cost_ij + self.cost_ji)
+        return PandoraBox(DiscreteDistribution.merged(
+            zip([o.total for o in self.outcomes], self.weights), self.weight_total),
+            self.cost_ij + self.cost_ji)
 
     def to_json_obj(self) -> dict:
         if self.is_independent:
@@ -285,7 +278,8 @@ def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
     second_cost = edge.cost((direction[1], direction[0]))
     stages = _shifted_stages if edge.is_independent else _grouped_stages
     branches, pairs = stages(edge, direction, second_cost)
-    root = weighted_stage(edge.cost(direction), branches, merge_sorted(pairs), edge.weight_total)
+    root = weighted_stage(edge.cost(direction), branches,
+                          DiscreteDistribution.merged(pairs, edge.weight_total))
     return EdgeBasket(AnnotatedBasket(root), ((), (direction,), edge.directions()), labels,
                       edge.outcomes)
 
@@ -299,11 +293,12 @@ def _grouped_stages(edge: EdgeSpec, direction: DirectedPair,
     for label, mass, second in edge.table(direction):
         stage = weighted_stage(
             cost, [(s, Fraction(w, mass), AnnotatedLeaf(outcomes[k].total)) for s, w, k in second],
-            merge_sorted([(outcomes[k].total, w) for _, w, k in second]), mass)
+            DiscreteDistribution.merged([(outcomes[k].total, w) for _, w, k in second], mass))
         branches.append((label, Fraction(mass, edge.weight_total), stage))
-        # A capped atom of weight w / next_total has weight w * factor / weight_total.
-        factor = mass // stage.next_total
-        pairs.extend([(v, w * factor) for v, w in zip(*stage.capped())])
+        # A capped atom of weight w / its total has weight w * factor / weight_total.
+        values, weights, total = stage.capped()
+        factor = mass // total
+        pairs.extend([(v, w * factor) for v, w in zip(values, weights)])
     return branches, pairs
 
 
@@ -321,9 +316,8 @@ def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
     # Outcome (x, y) of the first and second boxes' label orders sits at
     # x * step_x + y * step_y: outcomes run over the i side's labels, then j's.
     step_x, step_y = (len(second), 1) if forward else (1, len(first))
-    second_values = [v for v, _ in law.atoms]
-    sigma = index_of_weights(second_values, law.weights, law.total, cost)
-    below = bisect_left(second_values, sigma)
+    sigma = index_of_weights(*law, cost)
+    below = bisect_left(law.values, sigma)
     capped = law.weights[:below] + (sum(law.weights[below:]),)
     outcomes = edge.outcomes
     branches, pairs = [], []
@@ -332,7 +326,8 @@ def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
         totals = [outcomes[x * step_x + y * step_y].total for y in range(len(second))]
         values = tuple(sorted(totals))   # a + the second box's values
         leaves = tuple([(lb, pb, AnnotatedLeaf(t)) for (lb, _, pb, _), t in zip(second, totals)])
-        stage = AnnotatedStage(cost, a + sigma, leaves, values, law.weights, law.total)
+        stage = AnnotatedStage(cost, a + sigma, leaves,
+                               DiscreteDistribution.of(values, law.weights, law.total))
         branches.append((label, prob, stage))
         pairs.extend(zip(values[:below] + (stage.sigma,), [wa * w for w in capped]))
     return branches, pairs
@@ -348,12 +343,12 @@ def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
 
 
 def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
-    """Single-stage basket over the edge total (both costs paid at once),
-    annotated straight from the merged weights."""
-    rows = edge._total_law()
-    branches = [(format_rational(v), Fraction(w, edge.weight_total), AnnotatedLeaf(v))
-                for v, w in rows]
-    root = weighted_stage(edge.cost_ij + edge.cost_ji, branches, rows, edge.weight_total)
+    """Single-stage basket over the edge total (both costs paid at once):
+    ``bundled_box`` as a one-stage basket."""
+    law, cost = edge.bundled_box()
+    branches = [(format_rational(v), Fraction(w, law.total), AnnotatedLeaf(v))
+                for v, w in zip(law.values, law.weights)]
+    root = weighted_stage(cost, branches, law)
     return EdgeBasket(AnnotatedBasket(root), ((), edge.directions()),
                       lambda o: (format_rational(o.total),), edge.outcomes)
 

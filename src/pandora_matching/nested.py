@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from .boxes import index_of_weights
-from .distributions import DiscreteDistribution, merge_sorted
+from .distributions import DiscreteDistribution
 from .rationals import (
     as_fraction,
     common_sum,
@@ -128,75 +128,54 @@ class AnnotatedLeaf(NamedTuple):
     def is_leaf(self) -> bool:
         return True
 
+    def capped(self) -> DiscreteDistribution:
+        """The law of the leaf's capped value: its value, surely."""
+        return DiscreteDistribution.point(self.value)
+
 
 class AnnotatedStage(NamedTuple):
-    """Internal node with its stage index and the law of the next capped value,
-    {next_values[k]: next_weights[k] / next_total} with values ascending and
-    the weights and total in lowest terms.
-
-    sigma solves surplus(that law, sigma) == cost.  kappa_next_dist (that law)
-    is built on access.
-    """
+    """Internal node with its stage index and ``kappa_next``, the law of the
+    next capped value; sigma solves surplus(kappa_next, sigma) == cost."""
 
     cost: Fraction
     sigma: Fraction
     branches: tuple[tuple[str, Fraction, Union["AnnotatedStage", AnnotatedLeaf]], ...]
-    next_values: tuple[Fraction, ...]
-    next_weights: tuple[int, ...]
-    next_total: int
+    kappa_next: DiscreteDistribution
 
     @property
     def is_leaf(self) -> bool:
         return False
 
-    def capped(self) -> tuple[tuple, tuple]:
-        """(values, weights) of min(sigma, next capped value), over next_total."""
-        values, sigma = self.next_values, self.sigma
+    def capped(self) -> DiscreteDistribution:
+        """The law of min(sigma, next capped value)."""
+        (values, weights, total), sigma = self.kappa_next, self.sigma
         k = len(values)
         while k and values[k - 1] >= sigma:
             k -= 1
-        return values[:k] + (sigma,), self.next_weights[:k] + (sum(self.next_weights[k:]),)
-
-    @property
-    def kappa_next_dist(self) -> DiscreteDistribution:
-        return DiscreteDistribution.from_weights(self.next_values, self.next_weights,
-                                                 self.next_total)
+        return DiscreteDistribution.of(values[:k] + (sigma,),
+                                       weights[:k] + (sum(weights[k:]),), total)
 
 
-def weighted_stage(cost: Fraction, branches, rows, total: int) -> AnnotatedStage:
-    """The stage over ``branches`` whose next capped value takes each [value,
-    weight] row of ``rows`` (distinct values, ascending) with weight / total.
-
-    The weights and total are divided by their gcd, so one law always has
-    one representation, and sigma is solved on them.
-    """
-    g = math.gcd(total, *[w for _, w in rows])
-    values = tuple([v for v, _ in rows])
-    weights = tuple([w // g for _, w in rows])
-    total //= g
-    return AnnotatedStage(cost, index_of_weights(values, weights, total, cost),
-                          tuple(branches), values, weights, total)
+def weighted_stage(cost: Fraction, branches, law: DiscreteDistribution) -> AnnotatedStage:
+    """The stage over ``branches`` with next capped value law ``law``, sigma solved on it."""
+    return AnnotatedStage(cost, index_of_weights(*law, cost), tuple(branches), law)
 
 
 def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
     """Backward induction below ``node``, each law in int weights over one total."""
     branches = []
-    parts = []   # (branch probability, child's capped values, weights, total)
+    laws = []   # (branch probability, child's capped law)
     for label, prob, child in node.branches:
-        if child.value is not None:   # a leaf
-            annotated = AnnotatedLeaf(child.value)
-            parts.append((prob, (child.value,), (1,), 1))
-        else:
-            annotated = _annotate_stage(child)
-            parts.append((prob, *annotated.capped(), annotated.next_total))
+        annotated = AnnotatedLeaf(child.value) if child.is_leaf else _annotate_stage(child)
         branches.append((label, prob, annotated))
+        laws.append((prob, annotated.capped()))
     # The mixture's total is the lcm of (probability denominator * child total).
-    total = math.lcm(*[p.denominator * t for p, _, _, t in parts])
+    total = math.lcm(*[p.denominator * law.total for p, law in laws])
     pairs = []
-    for prob, values, weights, t in parts:
+    for prob, (values, weights, t) in laws:
         factor = prob.numerator * (total // (prob.denominator * t))
         pairs.extend([(v, factor * w) for v, w in zip(values, weights)])
-    return weighted_stage(node.cost, branches, merge_sorted(pairs), total)
+    return weighted_stage(node.cost, branches, DiscreteDistribution.merged(pairs, total))
 
 
 class PathInfo(NamedTuple):
@@ -244,13 +223,9 @@ class AnnotatedBasket:
         return self.root.sigma
 
     @functools.cached_property
-    def kappa1_law(self) -> tuple[tuple, tuple, int]:
-        """kappa^(1) as (values ascending, int weights, total), built once."""
-        return (*self.root.capped(), self.root.next_total)
-
-    def kappa1_distribution(self) -> DiscreteDistribution:
-        """Exact law of kappa^(1), as a view of ``kappa1_law``."""
-        return DiscreteDistribution.from_weights(*self.kappa1_law)
+    def kappa1_law(self) -> DiscreteDistribution:
+        """The law of kappa^(1), built once."""
+        return self.root.capped()
 
     def _enumerate_paths(self) -> Iterator[PathInfo]:
         def walk(node, idxs, labels, sigmas, costs, prob):
@@ -288,10 +263,7 @@ def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):
     return {
         "cost": rational_json(node.cost),
         "sigma": rational_json(node.sigma),
-        "kappa_next": [
-            {"v": format_rational(v), "p": format_rational(p)}
-            for v, p in node.kappa_next_dist.atoms
-        ],
+        "kappa_next": node.kappa_next.to_json_obj(),
         "branches": [
             {"label": l, "p": format_rational(p), "node": annotated_to_json_obj(c)}
             for l, p, c in node.branches

@@ -180,6 +180,15 @@ def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
     return moves, totals
 
 
+def _evidence_count(edge: EdgeSpec, constraint: str, orientation: Orientation | None) -> int:
+    """How many evidences ``_edge_moves`` reaches on one edge: none seen, each
+    signal of a box the constraint lets open first, and each outcome."""
+    firsts = [] if constraint == "bundled" else [
+        first for first in edge.directions()
+        if constraint == "free" or orientation.direction_of(edge.id) == first]
+    return 1 + sum(len(edge.table(first)) for first in firsts) + len(edge.outcomes)
+
+
 def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                     orientation: Orientation | None = None,
                     state_bound: int = DEFAULT_STATE_BOUND) -> PolicyValue:
@@ -196,10 +205,10 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
             raise ValueError("oriented constraint needs an orientation")
         orientation.require_covers(inst)
 
-    tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
-    states = math.prod(len(m) for m, _ in tables)
+    states = math.prod(_evidence_count(e, constraint, orientation) for e in inst.edges)
     if states > state_bound:
         raise StateBoundError(states, state_bound)
+    tables = [_edge_moves(k, e, constraint, orientation) for k, e in enumerate(inst.edges)]
 
     # A move turns an unseen -1 into a label index, so in sorted order every
     # move goes to a later evidence; a state's index is the mixed-radix

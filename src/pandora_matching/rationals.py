@@ -25,26 +25,30 @@ def parse_rational(obj: Any) -> Fraction:
     and floats (converted via their shortest decimal repr, so only use
     decimals that are exactly what you mean).
     """
+    return obj if type(obj) is Fraction else Fraction(*parse_ratio(obj))
+
+
+def parse_ratio(obj: Any) -> tuple[int, int]:
+    """``parse_rational(obj)`` as (numerator, denominator > 0), not necessarily
+    in lowest terms; a plain "n/d" or integer string builds no Fraction."""
+    x = obj
     if isinstance(obj, str):   # first: JSON documents carry most values as strings
         text = obj.strip()
         num, slash, den = text.partition("/")
         try:
-            # Plain "n/d" and integer strings skip Fraction's regex; ASCII
-            # only, since str.isdigit also accepts digits int() refuses.
-            if text.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den) if slash else 1)
-            return Fraction(text)
+            # Plain "n/d" (d > 0) and integer strings skip Fraction's regex;
+            # ASCII only, since str.isdigit also accepts digits int() refuses.
+            if text.isascii() and num.lstrip("+-").isdigit() and (
+                    den.strip("0").isdigit() or not slash):
+                return int(num), int(den) if slash else 1
+            x = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"not a rational: {obj!r}") from exc
-    if isinstance(obj, Fraction):
-        return obj
-    if isinstance(obj, bool):
+    elif isinstance(obj, float):
+        x = Fraction(repr(obj))
+    elif isinstance(obj, bool) or not isinstance(obj, (int, Fraction)):
         raise RationalParseError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, float):
-        return Fraction(repr(obj))
-    raise RationalParseError(f"not a rational: {obj!r}")
+    return x.numerator, x.denominator
 
 
 def as_fraction(x) -> Fraction:

@@ -236,10 +236,10 @@ def no_dessert_edge(alpha) -> NamedInstance:
         ("opt_oriented_ji",
          lambda: optimal_welfare(inst, "oriented", o_ji).value, a - a * a),
         ("expected_positive_capped_ij",
-         lambda: edge.basket(("i", "j")).basket.kappa1_distribution().expected_positive_part(),
+         lambda: edge.basket(("i", "j")).basket.kappa1_law.expected_positive_part(),
          1 - a),
         ("expected_positive_capped_ji",
-         lambda: edge.basket(("j", "i")).basket.kappa1_distribution().expected_positive_part(),
+         lambda: edge.basket(("j", "i")).basket.kappa1_law.expected_positive_part(),
          a - a * a),
     )
     return NamedInstance("no-dessert-edge", {"alpha": a}, inst, table)

@@ -24,13 +24,14 @@ from pandora_matching.algorithms import (
     sample_realization,
 )
 from pandora_matching.boxes import PandoraBox
-from pandora_matching.distributions import ONE, ZERO, DiscreteDistribution, DistributionError
+from pandora_matching.distributions import ZERO, DiscreteDistribution, DistributionError
 from pandora_matching.instance import EdgeSpec, MatchingInstance, Orientation, random_orientation
 from pandora_matching.nested import OutcomeNode, PathInfo, descending_run
 from pandora_matching.oracle import greedy_matching
 from pandora_matching.rationals import format_rational
 from pandora_matching.rng import SplitMix64
 
+ONE = Fraction(1)
 VERTEX_POOL = ("a", "b", "c", "d", "e", "f")
 # The third counter state of this seed is 2^64 (gamma is splitmix64's
 # increment), so the stream wraps to counter 0 inside a batch of draws.
@@ -276,25 +277,18 @@ def reference_max_weight_matching(weights, zero=Fraction(0)):
     return best[0], best[1]
 
 
-def law_distribution(law) -> DiscreteDistribution:
-    """An integer law (values ascending, int weights, total) as a distribution;
-    a distribution passes through."""
-    if isinstance(law, DiscreteDistribution):
-        return law
-    return DiscreteDistribution.from_weights(*law)
-
-
 def reference_kappa_welfare(laws: dict) -> Fraction:
     """Expected greedy total over the product of independent per-key laws.
 
     Every profile of one atom per key, times its probability, times the
     greedy total on its values: the evaluator that ``kappa_welfare``'s
-    threshold sweep replaced, kept as its reference.  Laws are integer laws
-    or distributions.
+    threshold sweep replaced, kept as its reference.  A law is (values
+    ascending, int weights, total), as a ``DiscreteDistribution``.
     """
     ids = list(laws)
     total = ZERO
-    for combo in itertools.product(*(law_distribution(laws[key]).atoms for key in ids)):
+    for combo in itertools.product(*([(v, Fraction(w, t)) for v, w in zip(values, weights)]
+                                     for values, weights, t in map(laws.get, ids))):
         prob = ONE
         for _, p in combo:
             prob *= p
@@ -309,12 +303,13 @@ def reference_kappa_sweep(laws: dict) -> Fraction:
     key) over {claimed vertices: probability}.  A state claiming neither
     vertex of the key takes the atom with probability p / (the key's mass
     at or below it); a vertex leaves the states after its last pair.  Laws
-    are integer laws or distributions.
+    are read as ``reference_kappa_welfare`` reads them.
     """
     pairs = []
-    for key, law in laws.items():
+    for key, (values, weights, t) in laws.items():
         mass = ZERO   # the key's mass at or below v
-        for v, p in law_distribution(law).atoms:
+        for v, w in zip(values, weights):
+            p = Fraction(w, t)
             mass += p
             if v > 0:
                 pairs.append((v, key, p / mass))
@@ -569,24 +564,16 @@ def exact_atoms(law) -> tuple:
     return law.atoms
 
 
-def capped_law(node) -> DiscreteDistribution:
-    """The law of a node's capped value: its value at a leaf, else
-    min(sigma, next capped value)."""
-    if node.is_leaf:
-        return DiscreteDistribution.point(node.value)
-    return DiscreteDistribution.from_weights(*node.capped(), node.next_total)
-
-
 def assert_matches_reference(node, ref) -> None:
     """Node for node: cost, sigma, branch labels and probabilities, and laws."""
     assert node.is_leaf == ref.is_leaf
-    assert exact_atoms(capped_law(node)) == ref.kappa
+    assert exact_atoms(node.capped()) == ref.kappa
     if ref.is_leaf:
         assert node.value == ref.value and type(node.value) is Fraction
         return
     assert (node.cost, node.sigma) == (ref.cost, ref.sigma)
     assert type(node.sigma) is Fraction
-    assert exact_atoms(node.kappa_next_dist) == ref.kappa_next
+    assert exact_atoms(node.kappa_next) == ref.kappa_next
     assert [(l, p) for l, p, _ in node.branches] == [(l, p) for l, p, _ in ref.branches]
     for (_, _, child), (_, _, ref_child) in zip(node.branches, ref.branches):
         assert_matches_reference(child, ref_child)

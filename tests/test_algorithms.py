@@ -54,7 +54,6 @@ from support import (
     general_batch,
     joint_batch,
     kappa_weights,
-    law_distribution,
     next_below,
     positive_batch,
     rand_graph,
@@ -536,7 +535,7 @@ class TestKappaProfileWelfare:
 def mixture_laws(inst) -> dict:
     """Each edge's half/half mixture of its two directed capped-value laws."""
     return {e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
-                                       for v, p in e.basket(d).basket.kappa1_distribution().atoms)
+                                       for v, p in e.basket(d).basket.kappa1_law.atoms)
             for e in inst.edges}
 
 
@@ -610,7 +609,7 @@ class TestIntegerSweep:
             for e in inst.edges:
                 mixed = algorithms._mixture(*(e.basket(d).basket.kappa1_law
                                               for d in e.directions()))
-                assert law_distribution(mixed) == laws[e.id]
+                assert mixed == laws[e.id]
             bound = 2 ** len(inst.edges) * inst.realization_count()
             assert randomized_matching(inst, enum_bound=bound) == reference_kappa_sweep(laws)
 
@@ -660,7 +659,7 @@ class TestStarIsSelection:
         laws = set(runner.kappa_laws().values())
         assert len(laws) == 1
         assert expected_welfare_exact(inst, runner, enum_bound=2 ** 64) == \
-            star_selection_value(law_distribution(laws.pop()), 64)
+            star_selection_value(laws.pop(), 64)
 
     def test_bundled_star_20_oriented_pinned(self):
         inst = bundled_star(20).instance

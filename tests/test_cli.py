@@ -3,6 +3,7 @@ import io
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from pandora_matching import cli
 from pandora_matching.algorithms import POLICY_NAMES
+from pandora_matching.boxes import PandoraBox
 from pandora_matching.cli import main
 from pandora_matching.repro import (ALL_NAMES, indistinguishable_edge, no_dessert_edge,
                                     no_dessert_star)
@@ -73,6 +75,18 @@ class TestIndexCommands:
         assert code == 0
         assert doc["sigma1"] == "1"
         assert doc["tree"]["sigma"]["exact"] == "1"
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        # A box with negative, repeated and unordered values and unreduced
+        # probabilities, and a 3-stage tree whose capped atoms merge.
+        golden = json.loads((Path(__file__).parent / "data" / "index_outputs.json").read_text())
+        for cmd, doc, key in (("index", "box", "index_stdout"),
+                              ("nested-index", "tree", "nested_index_stdout")):
+            path = tmp_path / f"{doc}.json"
+            path.write_text(json.dumps(golden[doc]))
+            assert run_cli(capsys, cmd, "--instance", str(path)) == (0, golden[key], "")
+        box = PandoraBox.from_json_obj(golden["box"])
+        assert box.to_json_obj() == golden["box_to_json_obj"]
 
 
 class TestRunCommand:
@@ -552,6 +566,20 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert len(lines) == 1 and lines[0].startswith("error: exact enumeration needs ")
         assert lines[0].endswith(f"above the bound of 1; {advice}")
+
+    @pytest.mark.parametrize("command", [
+        ["check"], ["run", "--policy", "bundled"], ["run", "--policy", "oriented-desc"],
+    ], ids=["check", "bundled", "oriented-desc"])
+    def test_over_the_bound_compiles_no_basket(self, edge_file, capsys, monkeypatch, command):
+        from pandora_matching import instance as instance_mod
+
+        def no_compile(*args):
+            raise AssertionError("compiled a basket")
+
+        monkeypatch.setattr(instance_mod, "oriented_basket", no_compile)
+        monkeypatch.setattr(instance_mod, "bundled_basket", no_compile)
+        code, _, err = run_cli(capsys, *command, "--instance", edge_file, "--enum-bound", "1")
+        assert code == 2 and "above the bound of 1" in err
 
     @pytest.mark.parametrize("env, expected", [
         ("-5", "PANDORA_ENUM_BOUND must be at least 1, got -5"),

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pandora_matching.algorithms import _mixture
 from pandora_matching.distributions import ZERO, DiscreteDistribution, DistributionError
-from pandora_matching.nested import AnnotatedStage
+from pandora_matching.nested import AnnotatedStage, annotate
+from pandora_matching.rng import SplitMix64
 
-from support import capped_law, exact_atoms, reference_law
+from support import (exact_atoms, general_batch, joint_batch, positive_batch, rand_tree,
+                     reference_law)
 
 
 def dist(*atoms):
@@ -84,13 +87,44 @@ class TestConstruction:
         d = dist((F(-3, 2), F(1, 3)), (9, F(2, 3)))
         assert DiscreteDistribution.from_json_obj(d.to_json_obj()) == d
 
-    @given(distributions())
-    def test_weights_are_the_probabilities_in_lowest_terms(self, d):
-        assert math.gcd(d.total, *d.weights) == 1
-        assert [F(w, d.total) for w in d.weights] == [p for _, p in d.atoms]
-        again = DiscreteDistribution.from_weights([v for v, _ in d.atoms],
-                                                  [3 * w for w in d.weights], 3 * d.total)
-        assert (again, again.weights, again.total) == (d, d.weights, d.total)
+    def test_weights_are_the_probabilities_in_lowest_terms(self):
+        # Every law built on the seeded batches and random trees is canonical:
+        # values strictly ascending, positive int weights summing to the
+        # total, gcd 1, and ``of`` on a multiple of it gives it back.
+        rng = SplitMix64(26)
+        laws = [law for inst in general_batch(200) + positive_batch(100) + joint_batch(50)
+                for law in built_laws(inst)]
+        laws += [law for _ in range(30) for law in stage_laws(annotate(rand_tree(rng)).root)]
+        for law in laws:
+            values, weights, total = law
+            assert type(law) is DiscreteDistribution
+            assert all(a < b for a, b in zip(values, values[1:]))
+            assert all(type(w) is int and w > 0 for w in weights)
+            assert sum(weights) == total and math.gcd(total, *weights) == 1
+            assert DiscreteDistribution.of(values, tuple([3 * w for w in weights]),
+                                           3 * total) == law
+
+
+def stage_laws(node):
+    """The capped law of ``node`` and of each stage below, and each stage's kappa_next."""
+    yield node.capped()
+    if not node.is_leaf:
+        yield node.kappa_next
+        for _, _, child in node.branches:
+            yield from stage_laws(child)
+
+
+def built_laws(inst):
+    """Every law the package builds for an instance's edges."""
+    for e in inst.edges:
+        if e.is_independent:
+            yield from (e.box_ij.dist, e.box_ji.dist)
+        yield e.bundled_box().dist
+        yield _mixture(*(e.basket(d).basket.kappa1_law for d in e.directions()))
+        for key in (None, *e.directions()):
+            basket = e.basket(key).basket
+            yield basket.kappa1_law
+            yield from stage_laws(basket.root)
 
 
 # Values that collide across types (1, F(2, 2), F(4, 4)) and large coprime
@@ -145,9 +179,5 @@ class TestConstructorMatchesReference:
     @given(distributions(), st.fractions(min_value=-6, max_value=7, max_denominator=4))
     def test_clips_match_pushforward(self, d, t):
         t = min(t, d.atoms[-1][0])   # an index never exceeds the top value
-        total = math.lcm(*(p.denominator for _, p in d.atoms))
-        stage = AnnotatedStage(ZERO, t, (), tuple(v for v, _ in d.atoms),
-                               tuple(p.numerator * (total // p.denominator) for _, p in d.atoms),
-                               total)
-        assert exact_atoms(stage.kappa_next_dist) == d.atoms
-        assert exact_atoms(capped_law(stage)) == reference_law((min(v, t), p) for v, p in d.atoms)
+        stage = AnnotatedStage(ZERO, t, (), d)
+        assert exact_atoms(stage.capped()) == reference_law((min(v, t), p) for v, p in d.atoms)

@@ -109,19 +109,19 @@ class TestAnnotate:
 class TestKappa1Distribution:
     def test_forward_orientation(self):
         basket = annotate(edge_tree(F(1, 2)))
-        k1 = basket.kappa1_distribution()
+        k1 = basket.kappa1_law
         assert k1 == dist((1, F(1, 2)), (-2, F(1, 8)), (-6, F(3, 8)))
         assert k1.expected_positive_part() == F(1, 2)  # 1 - alpha
 
     def test_reverse_orientation(self):
         basket = annotate(edge_tree(F(1, 2), "ji"))
-        k1 = basket.kappa1_distribution()
+        k1 = basket.kappa1_law
         assert dict(k1.atoms)[2] == F(1, 8)  # alpha^3
         assert k1.expected_positive_part() == F(1, 4)  # alpha - alpha^2
 
     def test_free_point_box(self):
         tree = OutcomeNode.stage(0, [("v", 1, OutcomeNode.leaf(F(5, 2)))])
-        assert annotate(tree).kappa1_distribution() == dist((F(5, 2), 1))
+        assert annotate(tree).kappa1_law == dist((F(5, 2), 1))
 
 
 class TestIndexSequences:
@@ -307,7 +307,7 @@ class TestRaggedDepth:
         ])
         basket = annotate(tree)
         assert {p.depth for p in basket.paths} == {1, 2}
-        assert basket.kappa1_distribution() == DiscreteDistribution(
+        assert basket.kappa1_law == DiscreteDistribution(
             (p.kappa1, p.prob) for p in basket.paths)
         got = reference_expected_select_welfare({"b": basket})
         expected = ZERO
@@ -409,9 +409,9 @@ class TestAnnotationInvariants:
                 if node.is_leaf:
                     return
                 if node.cost > 0:
-                    assert node.kappa_next_dist.surplus(node.sigma) == node.cost
+                    assert node.kappa_next.surplus(node.sigma) == node.cost
                 else:
-                    assert node.sigma == node.kappa_next_dist.atoms[-1][0]
+                    assert node.sigma == node.kappa_next.atoms[-1][0]
                 for _, _, child in node.branches:
                     walk(child)
 
@@ -429,7 +429,7 @@ class TestAnnotationInvariants:
                 assert seq == sorted(seq)  # capped values weakly increase
                 assert p.kappa1 == seq[0]
             assert total_prob == 1
-            assert basket.kappa1_distribution() == DiscreteDistribution(
+            assert basket.kappa1_law == DiscreteDistribution(
                 (p.kappa1, p.prob) for p in basket.paths)
 
     def test_gamma_equality_on_every_step(self):

@@ -234,6 +234,19 @@ class TestStateBound:
             assert exc.value.estimate == states
             assert f"has {states} states" in str(exc.value)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bound_is_checked_before_any_move_table(self, variant, monkeypatch):
+        from pandora_matching import oracle
+
+        def no_moves(*args):
+            raise AssertionError("built a move table")
+
+        inst = bundled_star(8).instance
+        constraint, o = variant_args(inst, variant)
+        monkeypatch.setattr(oracle, "_edge_moves", no_moves)
+        with pytest.raises(StateBoundError):
+            optimal_welfare(inst, constraint, o, state_bound=100)
+
 
 class TestActionTreeGolden:
     GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_action_trees.json").read_text())
