@@ -68,13 +68,10 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "values weights to
 
     @classmethod
     def merged(cls, pairs, total: int) -> "DiscreteDistribution":
-        """``of`` the (Fraction value, int weight) pairs over ``total``, equal
-        values merged by adding their weights, sorted by value.
-
-        Values merge under their (numerator, denominator) key, cheaper to hash
-        than the Fraction and unique in lowest terms, and sort on integer
-        numerators over their common denominator.
-        """
+        """``of`` the (Fraction value, int weight) pairs over ``total``, equal values
+        merged by adding their weights, sorted by value.  Values merge under their
+        (numerator, denominator) key, cheaper to hash than the Fraction and unique in
+        lowest terms, and sort on integer numerators over their common denominator."""
         merged: dict[tuple[int, int], list] = {}
         for value, weight in pairs:
             key = (value.numerator, value.denominator)

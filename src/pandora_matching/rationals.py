@@ -19,19 +19,22 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(obj: Any) -> Fraction:
-    """Read a rational from a JSON-decoded value.
-
-    Accepts Fraction (passed through), int, "num/den" or decimal strings,
-    and floats (converted via their shortest decimal repr, so only use
-    decimals that are exactly what you mean).
-    """
-    return obj if type(obj) is Fraction else Fraction(*parse_ratio(obj))
+    """Read a rational from a JSON-decoded value: a Fraction (passed through), an
+    int, a "num/den" or decimal string, or a float (read via its shortest decimal
+    repr, so only use decimals that are exactly what you mean)."""
+    x = _parse(obj)
+    return Fraction(*x) if type(x) is tuple else x
 
 
 def parse_ratio(obj: Any) -> tuple[int, int]:
-    """``parse_rational(obj)`` as (numerator, denominator > 0), not necessarily
-    in lowest terms; a plain "n/d" or integer string builds no Fraction."""
-    x = obj
+    """``parse_rational(obj)`` as (numerator, denominator > 0), maybe not in lowest terms."""
+    x = _parse(obj)
+    return x if type(x) is tuple else (x.numerator, x.denominator)
+
+
+def _parse(obj: Any) -> Fraction | tuple[int, int]:
+    """``parse_ratio(obj)`` for an int or plain "n/d" string (building no Fraction),
+    else the one Fraction ``parse_rational(obj)`` returns."""
     if isinstance(obj, str):   # first: JSON documents carry most values as strings
         text = obj.strip()
         num, slash, den = text.partition("/")
@@ -41,14 +44,14 @@ def parse_ratio(obj: Any) -> tuple[int, int]:
             if text.isascii() and num.lstrip("+-").isdigit() and (
                     den.strip("0").isdigit() or not slash):
                 return int(num), int(den) if slash else 1
-            x = Fraction(text)
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"not a rational: {obj!r}") from exc
-    elif isinstance(obj, float):
-        x = Fraction(repr(obj))
-    elif isinstance(obj, bool) or not isinstance(obj, (int, Fraction)):
+    if isinstance(obj, float):
+        return Fraction(repr(obj))
+    if isinstance(obj, bool) or not isinstance(obj, (int, Fraction)):
         raise RationalParseError(f"not a rational: {obj!r}")
-    return x.numerator, x.denominator
+    return obj if isinstance(obj, Fraction) else (obj, 1)
 
 
 def as_fraction(x) -> Fraction:

@@ -29,6 +29,20 @@ def distributions(draw, min_v=-5, max_v=6):
     return DiscreteDistribution((v, F(w, total)) for v, w in zip(values, weights))
 
 
+@st.composite
+def unreduced_documents(draw):
+    """A distribution's JSON document whose probabilities are not in lowest
+    terms ("2/4") and whose values repeat, also in other spellings ("1/2",
+    "2/4", "0.5"), so atoms merge."""
+    k = draw(st.integers(1, 5))
+    values = draw(st.lists(st.sampled_from(["-3", "-6/4", "-1.5", "0", "1/2", "2/4", "0.5", "2"]),
+                           min_size=k, max_size=k))
+    weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    scale = draw(st.integers(1, 4))
+    total = scale * sum(weights)
+    return [{"v": v, "p": f"{scale * w}/{total}"} for v, w in zip(values, weights)]
+
+
 class TestExpectation:
     def test_point_mass(self):
         assert dist((2, 1)).expectation() == 2
@@ -87,22 +101,30 @@ class TestConstruction:
         d = dist((F(-3, 2), F(1, 3)), (9, F(2, 3)))
         assert DiscreteDistribution.from_json_obj(d.to_json_obj()) == d
 
-    def test_weights_are_the_probabilities_in_lowest_terms(self):
-        # Every law built on the seeded batches and random trees is canonical:
-        # values strictly ascending, positive int weights summing to the
-        # total, gcd 1, and ``of`` on a multiple of it gives it back.
+    @given(st.one_of(distributions(),
+                     unreduced_documents().map(DiscreteDistribution.from_json_obj)))
+    def test_weights_are_the_probabilities_in_lowest_terms(self, d):
+        assert_canonical(d)
+
+    def test_every_built_law_is_in_lowest_terms(self):
+        # Every law built on the seeded batches and random trees is canonical.
         rng = SplitMix64(26)
         laws = [law for inst in general_batch(200) + positive_batch(100) + joint_batch(50)
                 for law in built_laws(inst)]
         laws += [law for _ in range(30) for law in stage_laws(annotate(rand_tree(rng)).root)]
         for law in laws:
-            values, weights, total = law
-            assert type(law) is DiscreteDistribution
-            assert all(a < b for a, b in zip(values, values[1:]))
-            assert all(type(w) is int and w > 0 for w in weights)
-            assert sum(weights) == total and math.gcd(total, *weights) == 1
-            assert DiscreteDistribution.of(values, tuple([3 * w for w in weights]),
-                                           3 * total) == law
+            assert_canonical(law)
+
+
+def assert_canonical(law):
+    """Values strictly ascending, positive int weights summing to the total,
+    gcd 1, and ``of`` on a multiple of the law gives it back."""
+    values, weights, total = law
+    assert type(law) is DiscreteDistribution
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert all(type(w) is int and w > 0 for w in weights)
+    assert sum(weights) == total and math.gcd(total, *weights) == 1
+    assert DiscreteDistribution.of(values, tuple([3 * w for w in weights]), 3 * total) == law
 
 
 def stage_laws(node):
@@ -153,6 +175,11 @@ class TestConstructorMatchesReference:
         atoms = [(v, F(1, p)) for v, p in heads]
         atoms.append((last_value, 1 - sum(p for _, p in atoms)))
         assert exact_atoms(DiscreteDistribution(atoms)) == reference_law(atoms)
+
+    @given(unreduced_documents())
+    def test_unreduced_documents(self, doc):
+        law = DiscreteDistribution.from_json_obj(doc)
+        assert exact_atoms(law) == reference_law((atom["v"], atom["p"]) for atom in doc)
 
     def test_int_and_fraction_of_equal_value_merge(self):
         atoms = [(1, F(1, 4)), (F(2, 2), F(1, 4)), (F(4, 4), F(1, 2))]
