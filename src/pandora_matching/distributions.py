@@ -74,12 +74,7 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "values weights to
         lowest terms, and sort on integer numerators over their common denominator."""
         merged: dict[tuple[int, int], list] = {}
         for value, weight in pairs:
-            key = (value.numerator, value.denominator)
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [value, weight]
-            else:
-                slot[1] += weight
+            merged.setdefault((value.numerator, value.denominator), [value, 0])[1] += weight
         scale = math.lcm(*[d for _, d in merged])
         values, weights = zip(*[slot for _, slot in sorted([(n * (scale // d), slot)
                                                             for (n, d), slot in merged.items()])])

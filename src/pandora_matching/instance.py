@@ -74,10 +74,16 @@ class EdgeBasket:
                 for k, o in enumerate(self.outcomes)}
 
 
+# Box probabilities repeat across edges and instances: one Fraction serves each.
+_ratio = functools.lru_cache(maxsize=1024)(Fraction)
+# An outcome's (first, second) branch labels, forward and backward.
+_PATH_LABELS = attrgetter("label_i", "label_j"), attrgetter("label_j", "label_i")
+
+
 def _label_rows(box: PandoraBox) -> tuple[tuple[str, Fraction, Fraction, int], ...]:
     """A box's atoms as (label, value, probability, weight), sorted by label."""
     values, weights, total = box.dist
-    return tuple(sorted([(format_rational(v), v, Fraction(w, total), w)
+    return tuple(sorted([(format_rational(v), v, _ratio(w, total), w)
                          for v, w in zip(values, weights)]))
 
 
@@ -122,6 +128,11 @@ class EdgeSpec:
     @property
     def is_independent(self) -> bool:
         return self.box_ij is not None
+
+    @functools.cached_property
+    def _leaves(self) -> list[AnnotatedLeaf]:
+        """A leaf per outcome, shared by the baskets of both directions."""
+        return [AnnotatedLeaf(o.total) for o in self.outcomes]
 
     @functools.cached_property
     def _sides(self) -> tuple[tuple, tuple]:
@@ -274,7 +285,7 @@ def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
     for an independent edge, by grouping the outcomes for a joint one.
     """
     forward = direction == (edge.i, edge.j)
-    labels = attrgetter("label_i", "label_j") if forward else attrgetter("label_j", "label_i")
+    labels = _PATH_LABELS[0 if forward else 1]
     second_cost = edge.cost((direction[1], direction[0]))
     stages = _shifted_stages if edge.is_independent else _grouped_stages
     branches, pairs = stages(edge, direction, second_cost)
@@ -288,13 +299,13 @@ def _grouped_stages(edge: EdgeSpec, direction: DirectedPair,
                     cost: Fraction) -> tuple[list, list]:
     """The first stage's branches, and (capped value, weight over weight_total)
     pairs of its next capped value, from the outcomes grouped by first signal."""
-    outcomes = edge.outcomes
+    leaves = edge._leaves
     branches, pairs = [], []
     for label, mass, second in edge.table(direction):
         stage = weighted_stage(
-            cost, [(s, Fraction(w, mass), AnnotatedLeaf(outcomes[k].total)) for s, w, k in second],
-            DiscreteDistribution.merged([(outcomes[k].total, w) for _, w, k in second], mass))
-        branches.append((label, Fraction(mass, edge.weight_total), stage))
+            cost, [(s, _ratio(w, mass), leaves[k]) for s, w, k in second],
+            DiscreteDistribution.merged([(leaves[k].value, w) for _, w, k in second], mass))
+        branches.append((label, _ratio(mass, edge.weight_total), stage))
         # A capped atom of weight w / its total has weight w * factor / weight_total.
         values, weights, total = stage.capped()
         factor = mass // total
@@ -319,14 +330,14 @@ def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
     sigma = index_of_weights(*law, cost)
     below = bisect_left(law.values, sigma)
     capped = law.weights[:below] + (sum(law.weights[below:]),)
-    outcomes = edge.outcomes
+    leaves = edge._leaves
     branches, pairs = [], []
     for x, (label, a, prob, wa) in enumerate(first):
         # the leaves' values are the outcome totals a + b, already summed
-        totals = [outcomes[x * step_x + y * step_y].total for y in range(len(second))]
-        values = tuple(sorted(totals))   # a + the second box's values
-        leaves = tuple([(lb, pb, AnnotatedLeaf(t)) for (lb, _, pb, _), t in zip(second, totals)])
-        stage = AnnotatedStage(cost, a + sigma, leaves,
+        row = [leaves[x * step_x + y * step_y] for y in range(len(second))]
+        values = tuple(sorted([leaf.value for leaf in row]))   # a + the second box's values
+        stage = AnnotatedStage(cost, a + sigma,
+                               tuple([(lb, pb, leaf) for (lb, _, pb, _), leaf in zip(second, row)]),
                                DiscreteDistribution.of(values, law.weights, law.total))
         branches.append((label, prob, stage))
         pairs.extend(zip(values[:below] + (stage.sigma,), [wa * w for w in capped]))
@@ -343,10 +354,9 @@ def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
 
 
 def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
-    """Single-stage basket over the edge total (both costs paid at once):
-    ``bundled_box`` as a one-stage basket."""
+    """``bundled_box`` (both costs paid at once) as a one-stage basket."""
     law, cost = edge.bundled_box()
-    branches = [(format_rational(v), Fraction(w, law.total), AnnotatedLeaf(v))
+    branches = [(format_rational(v), _ratio(w, law.total), AnnotatedLeaf(v))
                 for v, w in zip(law.values, law.weights)]
     root = weighted_stage(cost, branches, law)
     return EdgeBasket(AnnotatedBasket(root), ((), edge.directions()),

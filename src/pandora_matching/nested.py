@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
@@ -149,9 +150,7 @@ class AnnotatedStage(NamedTuple):
     def capped(self) -> DiscreteDistribution:
         """The law of min(sigma, next capped value)."""
         (values, weights, total), sigma = self.kappa_next, self.sigma
-        k = len(values)
-        while k and values[k - 1] >= sigma:
-            k -= 1
+        k = bisect_left(values, sigma)
         return DiscreteDistribution.of(values[:k] + (sigma,),
                                        weights[:k] + (sum(weights[k:]),), total)
 
@@ -163,8 +162,7 @@ def weighted_stage(cost: Fraction, branches, law: DiscreteDistribution) -> Annot
 
 def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
     """Backward induction below ``node``, each law in int weights over one total."""
-    branches = []
-    laws = []   # (branch probability, child's capped law)
+    branches, laws = [], []   # laws: (branch probability, child's capped law)
     for label, prob, child in node.branches:
         annotated = AnnotatedLeaf(child.value) if child.is_leaf else _annotate_stage(child)
         branches.append((label, prob, annotated))

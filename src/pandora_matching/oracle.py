@@ -181,8 +181,7 @@ def _edge_moves(k: int, edge: EdgeSpec, constraint: str,
 
 
 def _evidence_count(edge: EdgeSpec, constraint: str, orientation: Orientation | None) -> int:
-    """How many evidences ``_edge_moves`` reaches on one edge: none seen, each
-    signal of a box the constraint lets open first, and each outcome."""
+    """Evidences ``_edge_moves`` reaches on one edge: none, each first signal, each outcome."""
     firsts = [] if constraint == "bundled" else [
         first for first in edge.directions()
         if constraint == "free" or orientation.direction_of(edge.id) == first]

@@ -33,8 +33,7 @@ def parse_ratio(obj: Any) -> tuple[int, int]:
 
 
 def _parse(obj: Any) -> Fraction | tuple[int, int]:
-    """``parse_ratio(obj)`` for an int or plain "n/d" string (building no Fraction),
-    else the one Fraction ``parse_rational(obj)`` returns."""
+    """``parse_ratio(obj)`` for an int or plain "n/d" string, else the one Fraction built."""
     if isinstance(obj, str):   # first: JSON documents carry most values as strings
         text = obj.strip()
         num, slash, den = text.partition("/")
