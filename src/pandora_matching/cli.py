@@ -35,6 +35,7 @@ from .algorithms import (
     make_runner,
     outcome_cuts,
     randomized_matching,
+    require_within_bound,
     resolve_enum_bound,
     sample_realization,
 )
@@ -199,6 +200,8 @@ def cmd_run(args) -> int:
             orientation = _resolve_orientation(args.orientation, inst)
             orientation_desc = _orientation_string(orientation)
             doc["orientation"] = orientation.to_json_obj()
+        if args.mode == "exact":   # before edge-based compiles both directions of every edge
+            require_within_bound(inst.realization_count(), bound)
         runner = make_runner(inst, args.policy, orientation)
         if args.policy == "edge-based":
             orientation_desc = _orientation_string(runner.orientation)

@@ -14,14 +14,17 @@ The DP runs bottom-up over that product.  Each edge's evidences are ordered
 so that every move goes to a later one, and a state is the mixed-radix index
 of its edges' positions.  A move raises one edge's position, so visiting
 each edge's positions last to first, nested in any order, sees every child
-first: the loop runs over prefixes (every edge but the one with the most
-evidences) and within each over that inner edge's positions, so a prefix's
-index, scale, terminal index and options are found once.  Values are
-integers in a per-state scale (the common denominator of totals and costs,
-times each edge's probability denominator raised to the moves left on that
-edge), so options compare, and ties break, exactly as in Fractions; only the
-root value becomes a Fraction.  Terminal values are read from one table over
-per-edge weight classes, filled by the matching recurrence.
+first.  The inner block is the shortest run of trailing edges with at least
+BLOCK_STATES states (every edge on a smaller instance); its index offsets,
+scales, terminal offsets and options are tabulated once per call.  The loop
+runs over prefixes of the leading edges and within each over that block, so
+a prefix's index, scale, terminal index and options are found once per
+block, and options stay in edge order.  Values are integers in a per-state
+scale (the common denominator of totals and costs, times each edge's
+probability denominator raised to the moves left on that edge), so options
+compare, and ties break, exactly as in Fractions; only the root value
+becomes a Fraction.  Terminal values are read from one table over per-edge
+weight classes, filled by the matching recurrence.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .instance import EdgeId, EdgeSpec, MatchingInstance, Orientation
 from .rationals import format_count, scaled
 
 DEFAULT_STATE_BOUND = 500_000
+# States the DP's inner block spans at least (unless the instance has fewer).
+BLOCK_STATES = 32
 
 
 class StateBoundError(RuntimeError):
@@ -218,7 +223,8 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
     # A state's value is stored times q * prod_k d_k ** r_k, where q clears
     # every total and cost, d_k clears edge k's probabilities, and r_k counts
     # the moves left on edge k; every option at a state is an integer in
-    # that one scale.
+    # that one scale.  An option is (move, its cost negated, (coefficient,
+    # index delta) per branch).
     q = math.lcm(*(x.denominator for m, t in tables
                    for x in [*t.values(), *(mv.cost for mvs in m.values() for mv in mvs)]))
     powers, options, classes, ranked = [], [], [], []
@@ -231,7 +237,7 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                            for c, _, _ in mv.branches), default=0)
         powers.append([d ** r for r in left])
         options.append([tuple(
-            (mv, scaled(mv.cost, q), tuple(
+            (mv, -scaled(mv.cost, q), tuple(
                 (scaled(p, d ** (left[x] - left[position[c]])), (position[c] - x) * stride)
                 for c, p, _ in mv.branches))
             for mv in moves[e]) for x, e in enumerate(evs)])
@@ -244,19 +250,19 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
     val, act = [0] * states, [STOP] * states
     rows = [[(x * stride, pw[x], cl[x] * tstride, op[x]) for x in reversed(range(len(op)))]
             for stride, pw, cl, tstride, op in zip(strides, powers, classes, tstrides, options)]
-    m = max(reversed(range(len(rows))), key=lambda k: len(rows[k]), default=-1)
-    inner = rows.pop(m) if rows else [(0, 1, 0, ())]
-    for pre in itertools.product(*rows):
-        offsets, scales, tclasses, opts = zip((0, 1, 0, ()), *pre)  # neutral row first
-        base, pscale, tbase = sum(offsets), math.prod(scales), sum(tclasses)
-        before, after = sum(opts[:m + 1], ()), sum(opts[m + 1:], ())
-        for offset, power, tclass, own in inner:
+    b, size = len(rows), 1   # the inner block is rows[b:]
+    while b and size < BLOCK_STATES:
+        b -= 1
+        size *= len(rows[b])
+    block = _combined(rows[b:])
+    for base, pscale, tbase, before in _combined(rows[:b]):
+        for offset, power, tclass, own in block:
             index = base + offset
             scale = pscale * power
             best = terminal[tbase + tclass] * scale
             chosen = STOP
-            for move, cost, branches in before + own + after:
-                ev = -cost * scale
+            for move, cost, branches in before + own:
+                ev = cost * scale
                 for coef, delta in branches:
                     ev += coef * val[index + delta]
                 if ev > best:
@@ -266,6 +272,15 @@ def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
 
     table = StateTable(positions, strides, q, powers, val, act)
     return PolicyValue(table.value(tuple(evs[0] for evs in evidences)), table)
+
+
+def _combined(rows: list[list[tuple]]) -> list[tuple]:
+    """The product of ``rows`` in order, each cell's offsets summed, scales
+    multiplied and options concatenated."""
+    cells = [(0, 1, 0, ())]
+    for row in rows:
+        cells = [(o + x, s * p, t + c, op + own) for o, s, t, op in cells for x, p, c, own in row]
+    return cells
 
 
 def _matching_table(ids: list[EdgeId], weights: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -282,9 +297,10 @@ def _matching_table(ids: list[EdgeId], weights: list[list[int]]) -> tuple[list[i
     table = [0] * math.prod(sizes)
     for k in reversed(range(len(sizes))):
         # every class vector of the edges after k, with k's neighbours left out
+        ends = set(ids[k])
+        steps = [0 if ends.intersection(ids[j]) else strides[j] for j in range(k + 1, len(sizes))]
         free = [sum(t) for t in itertools.product(*(
-            [0 if set(ids[j]) & set(ids[k]) else x * strides[j] for x in range(sizes[j])]
-            for j in range(k + 1, len(sizes))))]
+            [x * step for x in range(size)] for size, step in zip(sizes[k + 1:], steps)))]
         for r, w in enumerate(weights[k], 1):
             table[r * strides[k]:(r + 1) * strides[k]] = [
                 max(t, w + table[f]) for t, f in zip(table[:strides[k]], free)]

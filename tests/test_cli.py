@@ -569,7 +569,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", [
         ["check"], ["run", "--policy", "bundled"], ["run", "--policy", "oriented-desc"],
-    ], ids=["check", "bundled", "oriented-desc"])
+        ["run", "--policy", "edge-based"],
+    ], ids=["check", "bundled", "oriented-desc", "edge-based"])
     def test_over_the_bound_compiles_no_basket(self, edge_file, capsys, monkeypatch, command):
         from pandora_matching import instance as instance_mod
 

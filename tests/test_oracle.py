@@ -21,9 +21,11 @@ from pandora_matching.instance import (
     oriented_basket,
 )
 from pandora_matching.oracle import (
+    BLOCK_STATES,
     STOP,
     StateBoundError,
     _edge_moves,
+    _evidence_count,
     _matching_table,
     greedy_matching,
     optimal_action_tree,
@@ -357,7 +359,7 @@ def point_edge(u, v, value, cost):
 
 
 class TestLoopEdgeCases:
-    """Instances at the edges of the prefix x inner-edge state loop."""
+    """Instances at the edges of the prefix x inner-block state loop."""
 
     @pytest.mark.parametrize("variant", ["free", "oriented", "bundled"])
     def test_no_edges(self, variant):
@@ -391,6 +393,52 @@ class TestLoopEdgeCases:
         path.write_text(json.dumps({"vertices": ["a"], "edges": []}))
         assert main(["check", "--instance", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+
+def block_start(inst, variant) -> int:
+    """Index of the first edge of the DP's inner block: the shortest run of
+    trailing edges with BLOCK_STATES states or more."""
+    constraint, o = variant_args(inst, variant)
+    b, size = len(inst.edges), 1
+    while b and size < BLOCK_STATES:
+        b -= 1
+        size *= _evidence_count(inst.edges[b], constraint, o)
+    return b
+
+
+class TestInnerBlock:
+    """Instances whose DP runs a nonempty prefix loop over an inner block."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_distinct_leaf_star(self, variant):
+        rng = SplitMix64(2718)
+        leaves = [f"l{k}" for k in range(1, 6)]
+        edges = [EdgeSpec.independent("h", leaf, rand_box(rng, k=3), rand_box(rng, k=1))
+                 for leaf in leaves]
+        inst = MatchingInstance(["h", *leaves], edges)
+        assert len({(e.box_ij, e.box_ji) for e in edges}) == 5
+        assert 0 < block_start(inst, variant) < len(edges) - 1
+        assert_matches_reference(inst, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_five_edge_cycle(self, variant):
+        rng = SplitMix64(31)
+        pool = "abcde"
+        inst = MatchingInstance(pool, [
+            EdgeSpec.independent(u, v, rand_box(rng, k=2), rand_box(rng, k=1))
+            for u, v in zip(pool, pool[1:] + pool[:1])])
+        assert 0 < block_start(inst, variant) < len(inst.edges) - 1
+        assert_matches_reference(inst, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_last_edge_alone_fills_the_block(self, variant):
+        rng = SplitMix64(59)
+        edges = [EdgeSpec.independent(u, v, rand_box(rng, k=2), rand_box(rng, k=1))
+                 for u, v in (("a", "b"), ("b", "c"))]
+        edges.append(EdgeSpec.independent("c", "d", rand_box(rng, k=6), rand_box(rng, k=6)))
+        inst = MatchingInstance("abcd", edges)
+        assert block_start(inst, variant) == len(edges) - 1
+        assert_matches_reference(inst, variant)
 
 
 class TestPastSixteenEdges:
