@@ -4,13 +4,14 @@ from .algorithms import (
     DecisionRunner,
     DescendingRunner,
     EnumerationBoundError,
+    RandomizedRunner,
     RunTrace,
     UnsupportedModelError,
     VertexBasedDescendingRunner,
     best_of_two,
     edge_based_orientation,
     expected_welfare,
-    randomized_matching,
+    make_runner,
 )
 from .boxes import PandoraBox, weitzman_index
 from .distributions import DiscreteDistribution

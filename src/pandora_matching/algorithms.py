@@ -1,12 +1,12 @@
-"""Matching policies: run on one realization or evaluate exactly.
+"""Matching policies as runners, and the one evaluator ``expected_welfare``.
 
-Every policy is a runner object with ``run(realization) -> RunTrace`` and
-``exact_welfare()``; a realization assigns each edge one row of its joint
-outcome table.  Descending runners sweep the per-edge capped-value laws
-for the expected greedy total; ``DecisionRunner`` subclasses (vertex-based
-descending and the single-box policies of ``repro``) expand their own
-decision tree over the endpoint-box laws.  Monte Carlo draws seeded samples
-from the splitmix64 stream, tallies them, and runs each distinct sample once.
+A runner has ``exact_welfare()``, and for Monte Carlo ``draws`` (coin flips
+per trial) and ``row_welfare(row)``; per-realization runners also have
+``run(realization) -> RunTrace``, a realization giving each edge one row of
+its joint outcome table.  Descending runners sweep the per-edge capped-value
+laws; ``DecisionRunner`` subclasses (vertex-based descending and the policies
+of ``repro``) expand their decision tree over the endpoint-box laws.  Monte
+Carlo tallies seeded splitmix64 samples and computes each distinct one once.
 """
 
 from __future__ import annotations
@@ -146,10 +146,13 @@ class DescendingRunner:
     read; ``run`` reads their paths times Q and the instance's conflict sets.
     """
 
+    draws = 0
+
     def __init__(self, inst: MatchingInstance, orientation: Orientation | None = None):
         if orientation is not None:
             orientation.require_covers(inst)
         self.inst = inst
+        self.ids = inst.edge_ids
         self.orientation = orientation
 
     @functools.cached_property
@@ -191,6 +194,12 @@ class DescendingRunner:
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
                         res.claimed_value, res.welfare, q, res.steps, res.traces)
 
+    def row_welfare(self, row: tuple) -> tuple[int, int]:
+        """(w, q): welfare w / q of the run on ``row``, one outcome index per edge."""
+        q, paths = self.scaled
+        return descending_run({eid: paths[eid][k] for eid, k in zip(self.ids, row)},
+                              self.conflicts).welfare, q
+
 
 class DecisionRunner:
     """A policy that decides each step from the revealed endpoint values.
@@ -207,11 +216,13 @@ class DecisionRunner:
     """
 
     policy = "single-box decision policy"
+    draws = 0
 
     def __init__(self, inst: MatchingInstance):
         if not inst.all_independent():
             raise UnsupportedModelError(f"{self.policy} needs independent endpoint boxes")
         self.inst = inst
+        self.ids = inst.edge_ids
         self.cost = {}
         self.dist = {}
         for e in inst.edges:
@@ -258,6 +269,11 @@ class DecisionRunner:
                     steps.append((time, "match", eid, key))
             time += 1
         return RunTrace(set(opened), frozenset(matched), costs, value, value - costs, q, steps)
+
+    def row_welfare(self, row: tuple) -> tuple[int, int]:
+        """(w, q): welfare w / q of the run on ``row``, one outcome index per edge."""
+        trace = self.run(dict(zip(self.ids, row)))
+        return trace.welfare, trace.scale
 
     def exact_welfare(self) -> Fraction:
         """Exact expected welfare by expanding the policy's decision tree.
@@ -407,12 +423,6 @@ def kappa_welfare(laws: dict) -> Fraction:
     return Fraction(total, den * vden)
 
 
-def expected_welfare_exact(inst: MatchingInstance, runner, enum_bound=None) -> Fraction:
-    """Exact expected welfare; the bound counts realizations for every runner."""
-    require_within_bound(inst.realization_count(), enum_bound)
-    return runner.exact_welfare()
-
-
 # Distinct samples the Monte Carlo welfare cache keeps across batches.
 MC_CHUNK = 1 << 12
 # Words of the SplitMix64 stream Monte Carlo draws at a time (whole trials,
@@ -421,13 +431,13 @@ MC_BATCH_WORDS = 1 << 13
 
 
 def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
-                welfare_of) -> tuple[float, float]:
+                row_welfare) -> tuple[float, float]:
     """(mean, standard error) of the welfare over seeded trials.
 
     A trial reads ``bits + |E|`` words of one stream: ``bits`` orientation
     bits (a word's top bit each), then each edge's outcome in edge order
     (``choose_weighted`` on its cuts).  Its ``row`` is those bits then the
-    outcome indices, and its welfare is w / q for ``(w, q) = welfare_of(row)``,
+    outcome indices, and its welfare is w / q for ``(w, q) = row_welfare(row)``,
     one q for all.  Each batch draws its words at once, reads one strided
     column per word position and tallies the rows; a distinct row is looked
     up in a bounded cache, computed only on a miss.  The integer sums of
@@ -439,7 +449,7 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
     cuts = [c for _, c in outcome_cuts(inst)]
     width = bits + len(cuts)
     per_batch = max(1, MC_BATCH_WORDS // max(1, width))
-    welfare = functools.lru_cache(maxsize=MC_CHUNK)(welfare_of)
+    welfare = functools.lru_cache(maxsize=MC_CHUNK)(row_welfare)
     acc = acc_sq = 0
     for start in range(0, trials, per_batch):
         n = min(per_batch, trials - start)
@@ -462,37 +472,20 @@ def _montecarlo(inst: MatchingInstance, seed: int, trials: int, bits: int,
     return as_float(mean), stderr
 
 
-def expected_welfare_montecarlo(inst: MatchingInstance, runner, seed: int,
-                                trials: int) -> tuple[float, float]:
-    """(mean, standard error) of the welfare over seeded sampled runs.
+def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact", seed: int | None = None,
+                     trials: int = 100_000, enum_bound=None):
+    """A runner's exact expected welfare, or a seeded (mean, stderr) estimate.
 
-    A descending runner's welfare comes straight from ``descending_run`` on
-    its scaled paths; any other runner's from its ``run`` trace.
+    Exact mode first refuses more than the bound of weighted outcomes: the
+    realizations times 2^``runner.draws``, whatever way the runner computes.
     """
-    ids = inst.edge_ids
-    if isinstance(runner, DescendingRunner):
-        q, paths = runner.scaled
-
-        def welfare_of(row):
-            return descending_run({eid: paths[eid][k] for eid, k in zip(ids, row)},
-                                  runner.conflicts).welfare, q
-    else:
-        def welfare_of(row):
-            trace = runner.run(dict(zip(ids, row)))
-            return trace.welfare, trace.scale
-    return _montecarlo(inst, seed, trials, 0, welfare_of)
-
-
-def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
-                     seed: int | None = None, trials: int = 100_000,
-                     enum_bound=None):
-    """Exact rational expectation, or a seeded (mean, stderr) estimate."""
     if mode == "exact":
-        return expected_welfare_exact(inst, runner, enum_bound)
+        require_within_bound(2 ** runner.draws * inst.realization_count(), enum_bound)
+        return runner.exact_welfare()
     if mode == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo mode requires a seed")
-        return expected_welfare_montecarlo(inst, runner, seed, trials)
+        return _montecarlo(inst, seed, trials, runner.draws, runner.row_welfare)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -500,40 +493,36 @@ def expected_welfare(inst: MatchingInstance, runner, mode: str = "exact",
 # Policies built on top of the oriented descending procedure
 # ---------------------------------------------------------------------------
 
-def randomized_matching(inst: MatchingInstance, mode: str = "exact",
-                        seed: int | None = None, enum_bound=None, trials: int = 100_000):
+class RandomizedRunner:
     """Uniform-random orientation, then oriented descending.
 
-    Exact mode is the average over all 2^|E| orientations.  Each edge's
-    direction is an independent fair coin, so that average is the expected
-    greedy total on the half/half mixture of each edge's two directed
-    capped-value laws; the bound still counts 2^|E| times the realizations.
-    Monte Carlo mode returns a seeded (mean, stderr) estimate: each trial
-    draws a fresh orientation (one bit per edge in edge order, as
-    ``random_orientation``) and then a realization, and runs descending on
-    each edge's realized path through the basket its bit selects.
+    Each edge's direction is a fair coin, so the exact welfare (the average
+    over all 2^|E| orientations) is the expected greedy total on the half/half
+    mixtures of each edge's two directed capped-value laws.  A Monte Carlo row
+    is one bit per edge in edge order (as ``random_orientation``), then the
+    realization; each edge runs its path through the basket its bit selects.
     """
-    if mode == "exact":
-        require_within_bound((2 ** len(inst.edges)) * inst.realization_count(), enum_bound)
+
+    def __init__(self, inst: MatchingInstance):
+        self.inst = inst
+        self.ids = inst.edge_ids
+        self.draws = len(self.ids)
+
+    def exact_welfare(self) -> Fraction:
         return kappa_welfare({e.id: _mixture(*(e.basket(d).basket.kappa1_law
                                                for d in e.directions()))
-                              for e in inst.edges})
-    if mode == "montecarlo":
-        if seed is None:
-            raise ValueError("montecarlo mode requires a seed")
+                              for e in self.inst.edges})
 
-        q, tables = scaled_paths(inst, {(e.id, bit): e.basket(d) for e in inst.edges
+    @functools.cached_property
+    def scaled(self) -> tuple[int, dict]:
+        """``scaled_paths`` keyed by (edge id, orientation bit), built on the first row."""
+        return scaled_paths(self.inst, {(e.id, bit): e.basket(d) for e in self.inst.edges
                                         for bit, d in enumerate(e.directions())})
 
-        ids = inst.edge_ids
-        m = len(ids)
-
-        def welfare_of(row):
-            paths = {eid: tables[eid, bit][k] for eid, bit, k in zip(ids, row, row[m:])}
-            return descending_run(paths, inst.conflicts).welfare, q
-
-        return _montecarlo(inst, seed, trials, m, welfare_of)
-    raise ValueError(f"unknown mode {mode!r}")
+    def row_welfare(self, row: tuple) -> tuple[int, int]:
+        q, tables = self.scaled
+        paths = {eid: tables[eid, bit][k] for eid, bit, k in zip(self.ids, row, row[self.draws:])}
+        return descending_run(paths, self.inst.conflicts).welfare, q
 
 
 def _mixture(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
@@ -544,30 +533,37 @@ def _mixture(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistri
                                         for v, w in zip(values, weights)], 2 * lcm)
 
 
-def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, Fraction]:
-    """Compare the canonical orientation against its reverse, keep the better.
+class BestOfTwoRunner(DescendingRunner):
+    """Oriented descending on the canonical orientation or its reverse, whichever
+    has the larger exact welfare (ties to the canonical); both sweep once, on first use."""
 
-    Ties go to the canonical orientation.
-    """
-    o = canonical_orientation(inst)
-    o_rev = o.reverse()
-    w = expected_welfare_exact(inst, DescendingRunner(inst, o), enum_bound)
-    w_rev = expected_welfare_exact(inst, DescendingRunner(inst, o_rev), enum_bound)
-    if w_rev > w:
-        return o_rev, w_rev
-    return o, w
+    def __init__(self, inst: MatchingInstance):
+        self.inst, self.ids = inst, inst.edge_ids
+
+    @functools.cached_property
+    def _choice(self) -> tuple[Orientation, Fraction]:
+        o = canonical_orientation(self.inst)
+        w, w_rev = (DescendingRunner(self.inst, x).exact_welfare() for x in (o, o.reverse()))
+        return (o.reverse(), w_rev) if w_rev > w else (o, w)
+
+    orientation = property(lambda self: self._choice[0])
+
+    def exact_welfare(self) -> Fraction:
+        return self._choice[1]
+
+
+def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, Fraction]:
+    """(orientation, exact welfare) of the best-of-two policy."""
+    runner = BestOfTwoRunner(inst)
+    welfare = expected_welfare(inst, runner, enum_bound=enum_bound)
+    return runner.orientation, welfare
 
 
 def edge_based_orientation(inst: MatchingInstance) -> Orientation:
     """Orient each edge in the direction whose two-stage basket has the
     larger initial index, ties to the canonical direction."""
-    pairs = []
-    for e in inst.edges:
-        d1, d2 = e.directions()
-        s1 = e.basket(d1).basket.sigma1
-        s2 = e.basket(d2).basket.sigma1
-        pairs.append(d1 if s1 >= s2 else d2)
-    return Orientation(pairs)
+    return Orientation(max(e.directions(), key=lambda d: e.basket(d).basket.sigma1)
+                       for e in inst.edges)
 
 
 POLICY_NAMES = ("oriented-desc", "randomized", "best-of-two", "bundled",
@@ -575,15 +571,14 @@ POLICY_NAMES = ("oriented-desc", "randomized", "best-of-two", "bundled",
 
 
 def make_runner(inst: MatchingInstance, policy: str, orientation: Orientation | None = None):
-    """Runner factory for the per-realization policies."""
+    """The runner of one of ``POLICY_NAMES``; ``orientation`` is oriented-desc's,
+    canonical by default."""
     if policy == "oriented-desc":
-        if orientation is None:
-            orientation = canonical_orientation(inst)
-        return DescendingRunner(inst, orientation)
-    if policy == "bundled":
-        return DescendingRunner(inst)
-    if policy == "vertex-based":
-        return VertexBasedDescendingRunner(inst)
+        return DescendingRunner(inst, orientation or canonical_orientation(inst))
     if policy == "edge-based":
         return DescendingRunner(inst, edge_based_orientation(inst))
-    raise ValueError(f"{policy!r} is not a per-realization policy")
+    runners = {"randomized": RandomizedRunner, "best-of-two": BestOfTwoRunner,
+               "bundled": DescendingRunner, "vertex-based": VertexBasedDescendingRunner}
+    if policy not in runners:
+        raise ValueError(f"unknown policy {policy!r}")
+    return runners[policy](inst)

@@ -29,12 +29,10 @@ from .algorithms import (
     ENUM_BOUND_ENV,
     POLICY_NAMES,
     EnumerationBoundError,
-    best_of_two,
     edge_based_orientation,
     expected_welfare,
     make_runner,
     outcome_cuts,
-    randomized_matching,
     require_within_bound,
     resolve_enum_bound,
     sample_realization,
@@ -48,7 +46,7 @@ from .instance import (
     random_orientation,
 )
 from .nested import OutcomeNode, annotate, annotated_to_json_obj
-from .oracle import StateBoundError, optimal_action_tree, optimal_welfare
+from .oracle import StateBoundError, optimal_action_tree, optimal_welfare, require_orientable
 from .rationals import (
     as_float,
     format_rational,
@@ -177,42 +175,25 @@ def cmd_run(args) -> int:
                 raise CliError(f"{flag} applies only to --mode montecarlo")
     bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
-    orientation_desc = stderr = ""
+    # --orientation edge-based is the edge-based runner, compiled after the bound
+    policy = "edge-based" if args.orientation == "edge-based" else args.policy
+    orientation = None
+    if policy == "oriented-desc":
+        orientation = _resolve_orientation(args.orientation, inst)
+    exact = args.mode == "exact"
+    if exact:   # the bound expected_welfare checks, before a basket compiles
+        draws = len(inst.edges) if policy == "randomized" else 0   # a fair coin per edge
+        require_within_bound(2 ** draws * inst.realization_count(), bound)
+    runner = make_runner(inst, policy, orientation)
+    result = expected_welfare(inst, runner, args.mode, args.seed, args.trials, bound)
+    value, stderr = (result, "") if exact else result
     doc: dict = {"instance": args.instance, "policy": args.policy, "mode": args.mode}
-
-    if args.policy == "randomized":
-        if args.mode == "exact":
-            value = randomized_matching(inst, "exact", enum_bound=bound)
-            doc["welfare"] = rational_json(value)
-        else:
-            value, stderr = randomized_matching(inst, "montecarlo", seed=args.seed,
-                                                trials=args.trials)
-            doc["welfare"] = _estimate_doc(args, value, stderr)
-    elif args.policy == "best-of-two":
-        orientation, value = best_of_two(inst, bound)
-        runner = make_runner(inst, "oriented-desc", orientation)
-        orientation_desc = _orientation_string(orientation)
+    orientation_desc = ""
+    if (orientation := getattr(runner, "orientation", None)) is not None:
+        orientation_desc = ";".join(f"{u}>{v}" for u, v in orientation.sorted_pairs())
         doc["orientation"] = orientation.to_json_obj()
-        doc["welfare"] = rational_json(value)
-    else:
-        orientation = None
-        if args.policy == "oriented-desc":
-            orientation = _resolve_orientation(args.orientation, inst)
-            orientation_desc = _orientation_string(orientation)
-            doc["orientation"] = orientation.to_json_obj()
-        if args.mode == "exact":   # before edge-based compiles both directions of every edge
-            require_within_bound(inst.realization_count(), bound)
-        runner = make_runner(inst, args.policy, orientation)
-        if args.policy == "edge-based":
-            orientation_desc = _orientation_string(runner.orientation)
-            doc["orientation"] = runner.orientation.to_json_obj()
-        if args.mode == "exact":
-            value = expected_welfare(inst, runner, "exact", enum_bound=bound)
-            doc["welfare"] = rational_json(value)
-        else:
-            value, stderr = expected_welfare(inst, runner, "montecarlo",
-                                             seed=args.seed, trials=args.trials)
-            doc["welfare"] = _estimate_doc(args, value, stderr)
+    doc["welfare"] = rational_json(value) if exact else {
+        "float": value, "stderr": stderr, "trials": args.trials, "seed": args.seed}
     if args.trace_seed is not None:
         realization = sample_realization(outcome_cuts(inst), SplitMix64(args.trace_seed))
         trace = runner.run(realization)
@@ -222,7 +203,7 @@ def cmd_run(args) -> int:
     if args.with_opt:
         opt = optimal_welfare(inst).value
         doc["opt_free"] = rational_json(opt)
-        if opt != 0 and args.mode == "exact":
+        if opt != 0 and exact:
             ratio_val = Fraction(value) / opt
             doc["ratio_to_opt"] = rational_json(ratio_val)
             ratio = format_rational(ratio_val)
@@ -234,14 +215,6 @@ def cmd_run(args) -> int:
           csv_header=["instance", "policy", "orientation", "mode",
                       "value_exact", "value_float", "ratio_to_opt", "stderr"])
     return 0
-
-
-def _orientation_string(o: Orientation) -> str:
-    return ";".join(f"{u}>{v}" for u, v in o.sorted_pairs())
-
-
-def _estimate_doc(args, mean: float, stderr: float) -> dict:
-    return {"float": mean, "stderr": stderr, "trials": args.trials, "seed": args.seed}
 
 
 def _trace_doc(inst, realization, trace) -> dict:
@@ -261,6 +234,8 @@ def cmd_oracle(args) -> int:
     inst = _load_instance(args.instance)
     orientation = None
     if args.constraint == "oriented":
+        if args.orientation == "edge-based":   # refuse before it compiles every edge both ways
+            require_orientable(inst)
         orientation = _resolve_orientation(args.orientation, inst)
     pv = optimal_welfare(inst, args.constraint, orientation)
     doc = {"constraint": args.constraint, "value": format_rational(pv.value),
@@ -298,8 +273,10 @@ def cmd_repro(args) -> int:
 def cmd_check(args) -> int:
     bound = resolve_enum_bound(args.enum_bound)
     inst = _load_instance(args.instance)
-    orientation = _resolve_orientation(args.orientation, inst)
-    results = run_all_checks(inst, orientation, bound)
+    spec = args.orientation
+    orientation = None if spec == "edge-based" else _resolve_orientation(spec, inst)
+    require_within_bound(inst.realization_count(), bound)   # before edge-based compiles
+    results = run_all_checks(inst, orientation or edge_based_orientation(inst), bound)
     doc = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                       for r in results],
            "all_passed": all(r.passed for r in results)}

@@ -193,6 +193,15 @@ def _evidence_count(edge: EdgeSpec, constraint: str, orientation: Orientation | 
     return 1 + sum(len(edge.table(first)) for first in firsts) + len(edge.outcomes)
 
 
+def require_orientable(inst: MatchingInstance, state_bound: int = DEFAULT_STATE_BOUND) -> None:
+    """Refuse an instance whose oriented state space exceeds the bound under every
+    orientation: the product over edges of the fewer of each edge's two evidence counts."""
+    states = math.prod(min(_evidence_count(e, "oriented", Orientation([d]))
+                           for d in e.directions()) for e in inst.edges)
+    if states > state_bound:
+        raise StateBoundError(states, state_bound)
+
+
 def optimal_welfare(inst: MatchingInstance, constraint: str = "free",
                     orientation: Orientation | None = None,
                     state_bound: int = DEFAULT_STATE_BOUND) -> PolicyValue:

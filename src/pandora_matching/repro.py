@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algorithms import (
     DecisionRunner,
     DescendingRunner,
-    expected_welfare_exact,
+    expected_welfare,
     require_within_bound,
 )
 from .boxes import PandoraBox, weitzman_index
@@ -177,7 +177,7 @@ def bundled_star(n: int) -> NamedInstance:
         ("bundled_index", lambda: weitzman_index(inst.edges[0].bundled_box()),
          bundled_index_expected),
         ("inspect_all_centers_welfare",
-         lambda: expected_welfare_exact(inst, policy), policy_expected),
+         lambda: expected_welfare(inst, policy), policy_expected),
     )
     return NamedInstance("bundled-star", {"n": n}, inst, table)
 
@@ -193,11 +193,11 @@ def indistinguishable_edge() -> NamedInstance:
         ("sigma_ji", lambda: weitzman_index(box_ji), Fraction(1)),
         ("opt_free", lambda: optimal_welfare(inst).value, Fraction(1, 4)),
         ("inspect_i_first_welfare",
-         lambda: expected_welfare_exact(inst, InspectIFirstStrategy(inst)), Fraction(1, 4)),
+         lambda: expected_welfare(inst, InspectIFirstStrategy(inst)), Fraction(1, 4)),
         ("inspect_j_then_i_welfare",
-         lambda: expected_welfare_exact(inst, InspectJThenIStrategy(inst)), Fraction(-5, 8)),
+         lambda: expected_welfare(inst, InspectJThenIStrategy(inst)), Fraction(-5, 8)),
         ("inspect_j_only_welfare",
-         lambda: expected_welfare_exact(inst, InspectJOnlyStrategy(inst)), Fraction(-1)),
+         lambda: expected_welfare(inst, InspectJOnlyStrategy(inst)), Fraction(-1)),
     )
     return NamedInstance("indistinguishable-edge", {}, inst, table)
 
@@ -224,7 +224,7 @@ def no_dessert_edge(alpha) -> NamedInstance:
     edge = inst.edges[0]
 
     def desc(o: Orientation) -> Fraction:
-        return expected_welfare_exact(inst, DescendingRunner(inst, o))
+        return expected_welfare(inst, DescendingRunner(inst, o))
 
     table = (
         ("sigma1_ij", lambda: edge.basket(("i", "j")).basket.sigma1, 1 / a - 1),
@@ -271,11 +271,11 @@ def no_dessert_star(alpha, m: int = 2) -> NamedInstance:
     def single_copy_gain() -> Fraction:
         star1 = no_dessert_star(a, 1).instance
         pol = IterateCopiesStrategy(star1, "i", "k", a ** -3)
-        return expected_welfare_exact(star1, pol) - 1 / a
+        return expected_welfare(star1, pol) - 1 / a
 
     def iterate_welfare() -> Fraction:
         pol = IterateCopiesStrategy(inst, "i", "k", a ** -3)
-        return expected_welfare_exact(inst, pol)
+        return expected_welfare(inst, pol)
 
     def desc_all(reverse_copies: bool) -> Fraction:
         pairs = []
@@ -285,7 +285,7 @@ def no_dessert_star(alpha, m: int = 2) -> NamedInstance:
             else:
                 pairs.append((e.j, e.i))
         o = Orientation(pairs)
-        return expected_welfare_exact(inst, DescendingRunner(inst, o))
+        return expected_welfare(inst, DescendingRunner(inst, o))
 
     table = (
         ("per_copy_gain", single_copy_gain, gain),

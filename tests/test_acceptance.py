@@ -15,12 +15,11 @@ import pytest
 
 from pandora_matching.algorithms import (
     DescendingRunner,
+    RandomizedRunner,
     VertexBasedDescendingRunner,
     best_of_two,
     edge_based_orientation,
     expected_welfare,
-    expected_welfare_exact,
-    randomized_matching,
 )
 from pandora_matching.checks import summarize
 from pandora_matching.distributions import ZERO
@@ -67,7 +66,7 @@ def general_results():
             "opt_free": optimal_welfare(inst).value,
             "opt_fwd": optimal_welfare(inst, "oriented", o).value,
             "opt_rev": optimal_welfare(inst, "oriented", o.reverse()).value,
-            "randomized": randomized_matching(inst, "exact"),
+            "randomized": expected_welfare(inst, RandomizedRunner(inst)),
             "best_of_two": best_of_two(inst)[1],
         })
     return out
@@ -82,9 +81,9 @@ def test_criterion_1_indistinguishable_edge():
             assert got == expected
         assert rows["sigma_ij"][0] == 1 and rows["sigma_ji"][0] == 1
         assert optimal_welfare(inst).value == F(1, 4)
-        assert expected_welfare_exact(inst, InspectIFirstStrategy(inst)) == F(1, 4)
-        assert expected_welfare_exact(inst, InspectJThenIStrategy(inst)) == F(-5, 8)
-        assert expected_welfare_exact(inst, InspectJOnlyStrategy(inst)) == F(-1)
+        assert expected_welfare(inst, InspectIFirstStrategy(inst)) == F(1, 4)
+        assert expected_welfare(inst, InspectJThenIStrategy(inst)) == F(-5, 8)
+        assert expected_welfare(inst, InspectJOnlyStrategy(inst)) == F(-1)
 
 
 def test_criterion_2_bundled_star_separation():
@@ -115,9 +114,9 @@ def test_criterion_3_no_dessert_family():
             # alpha-fraction of the better orientation's welfare
             chosen = edge_based_orientation(inst)
             assert chosen == Orientation([("j", "i")])
-            w_chosen = expected_welfare_exact(
+            w_chosen = expected_welfare(
                 inst, DescendingRunner(inst, chosen))
-            w_best = expected_welfare_exact(
+            w_best = expected_welfare(
                 inst, DescendingRunner(inst, chosen.reverse()))
             assert w_chosen == alpha * w_best
 
@@ -127,9 +126,9 @@ def test_criterion_3_no_dessert_family():
             assert gain == gain_expected == alpha - 2 * alpha * alpha
             chosen_o, welfare = best_of_two(star.instance)
             all_ji = canonical_orientation(star.instance).reverse()
-            w_all_ji = expected_welfare_exact(
+            w_all_ji = expected_welfare(
                 star.instance, DescendingRunner(star.instance, all_ji))
-            w_all_ij = expected_welfare_exact(
+            w_all_ij = expected_welfare(
                 star.instance,
                 DescendingRunner(star.instance, canonical_orientation(star.instance)))
             if alpha < F(1, 2):
@@ -151,7 +150,7 @@ def test_criterion_4_amortization(general_results):
         for res in general_results:
             inst, o = res["inst"], res["o"]
             runner = DescendingRunner(inst, o)
-            welfare = expected_welfare_exact(inst, OpenAllFirstStagesStrategy(inst, o))
+            welfare = expected_welfare(inst, OpenAllFirstStagesStrategy(inst, o))
             exposed = False
             for eid, compiled in runner.baskets.items():
                 for path in compiled.basket.paths:
@@ -166,7 +165,7 @@ def test_criterion_4_amortization(general_results):
 
         inst = no_dessert_edge(F(1, 2)).instance
         o = canonical_orientation(inst)
-        assert expected_welfare_exact(inst, OpenAllFirstStagesStrategy(inst, o)) == -1 < 0
+        assert expected_welfare(inst, OpenAllFirstStagesStrategy(inst, o)) == -1 < 0
 
 
 def test_criterion_5_non_exposure(general_results):
@@ -218,7 +217,7 @@ def test_criterion_9_correlated_within_edges():
             opt_free = optimal_welfare(inst).value
             assert 2 * fwd.welfare >= optimal_welfare(inst, "oriented", o).value
             assert 2 * rev.welfare >= optimal_welfare(inst, "oriented", o.reverse()).value
-            assert 4 * randomized_matching(inst, "exact") >= opt_free
+            assert 4 * expected_welfare(inst, RandomizedRunner(inst)) >= opt_free
             assert 4 * best_of_two(inst)[1] >= opt_free
             assert opt_free <= 2 * fwd.welfare + 2 * rev.welfare
 
@@ -229,7 +228,7 @@ def test_criterion_10_monte_carlo_consistency():
 
         inst = no_dessert_edge(F(1, 4)).instance
         runner = DescendingRunner(inst, canonical_orientation(inst))
-        exact = expected_welfare_exact(inst, runner)
+        exact = expected_welfare(inst, runner)
         assert exact == F(3, 4)
         mean, stderr = expected_welfare(inst, runner, "montecarlo",
                                         seed=20240809, trials=trials)
@@ -238,7 +237,7 @@ def test_criterion_10_monte_carlo_consistency():
 
         ind = indistinguishable_edge().instance
         vb = VertexBasedDescendingRunner(ind)
-        exact_vb = expected_welfare_exact(ind, vb)
+        exact_vb = expected_welfare(ind, vb)
         mean, stderr = expected_welfare(ind, vb, "montecarlo",
                                         seed=1729, trials=trials)
         assert stderr > 0

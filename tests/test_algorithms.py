@@ -14,18 +14,16 @@ from pandora_matching.algorithms import (
     DescendingRunner,
     EnumerationBoundError,
     POLICY_NAMES,
+    RandomizedRunner,
     UnsupportedModelError,
     VertexBasedDescendingRunner,
     assert_valid_trace,
     best_of_two,
     edge_based_orientation,
     expected_welfare,
-    expected_welfare_exact,
-    expected_welfare_montecarlo,
     kappa_welfare,
     make_runner,
     outcome_cuts,
-    randomized_matching,
     sample_realization,
 )
 from pandora_matching.boxes import PandoraBox
@@ -75,26 +73,26 @@ class TestOrientedDescending:
     def test_forward_welfare(self, alpha):
         inst = no_dessert_edge(alpha).instance
         runner = DescendingRunner(inst, Orientation([("i", "j")]))
-        assert expected_welfare_exact(inst, runner) == 1 - alpha
+        assert expected_welfare(inst, runner) == 1 - alpha
 
     @pytest.mark.parametrize("alpha", [F(1, 2), F(1, 4)])
     def test_reverse_welfare(self, alpha):
         inst = no_dessert_edge(alpha).instance
         runner = DescendingRunner(inst, Orientation([("j", "i")]))
-        assert expected_welfare_exact(inst, runner) == alpha - alpha ** 2
+        assert expected_welfare(inst, runner) == alpha - alpha ** 2
 
     def test_empty_graph(self):
         inst = MatchingInstance("ab", [])
         runner = DescendingRunner(inst, Orientation([]))
         trace = runner.run({})
         assert trace.welfare == 0 and not trace.matched and not trace.inspected
-        assert expected_welfare_exact(inst, runner) == 0
+        assert expected_welfare(inst, runner) == 0
 
     def test_hub_instance_matches_selection_value(self):
         inst = no_dessert_star(F(1, 2), 2).instance
         pairs = [(e.j, e.i) for e in inst.edges]
         runner = DescendingRunner(inst, Orientation(pairs))
-        welfare = expected_welfare_exact(inst, runner)
+        welfare = expected_welfare(inst, runner)
         # all edges share the hub, so the claimed capped value is the best one
         expected = ZERO
         for realization, prob, _ in enumerate_runs(inst, runner):
@@ -181,12 +179,17 @@ class TestExpectedWelfare:
     @pytest.mark.parametrize("trials", [0, -5])
     def test_montecarlo_rejects_trials_below_one_before_running(self, trials):
         class NeverRun:
+            draws = 0
+
             def run(self, realization, record_steps=False):
+                raise AssertionError("ran a trial")
+
+            def row_welfare(self, row):
                 raise AssertionError("ran a trial")
 
         inst = no_dessert_edge(F(1, 2)).instance
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            expected_welfare_montecarlo(inst, NeverRun(), seed=1, trials=trials)
+            expected_welfare(inst, NeverRun(), "montecarlo", seed=1, trials=trials)
 
     def test_montecarlo_is_deterministic_given_seed(self):
         inst = no_dessert_edge(F(1, 2)).instance
@@ -201,41 +204,49 @@ class TestExpectedWelfare:
         runs = []
 
         class Counting:
+            draws = 0
+
             def run(self, realization, record_steps=False):
                 runs.append(dict(realization))
                 return runner.run(realization, record_steps)
 
-        estimate = expected_welfare_montecarlo(inst, Counting(), seed=11, trials=10_000)
+            def row_welfare(self, row):
+                trace = self.run(dict(zip(inst.edge_ids, row)))
+                return trace.welfare, trace.scale
+
+        estimate = expected_welfare(inst, Counting(), "montecarlo", seed=11, trials=10_000)
         assert len(runs) <= inst.realization_count()
         assert len({tuple(r.items()) for r in runs}) == len(runs)
-        assert estimate == expected_welfare_montecarlo(inst, runner, seed=11, trials=10_000)
+        assert estimate == expected_welfare(inst, runner, "montecarlo", seed=11, trials=10_000)
 
     def test_montecarlo_chunks_leave_estimates_unchanged(self, monkeypatch):
         inst = bundled_star(3).instance
         runner = DescendingRunner(inst)
-        whole = expected_welfare_montecarlo(inst, runner, seed=5, trials=2000)
-        rand = randomized_matching(inst, "montecarlo", seed=5, trials=2000)
+        whole = expected_welfare(inst, runner, "montecarlo", seed=5, trials=2000)
+        rand = expected_welfare(inst, RandomizedRunner(inst), "montecarlo", seed=5, trials=2000)
         monkeypatch.setattr(algorithms, "MC_CHUNK", 7)
         monkeypatch.setattr(algorithms, "MC_BATCH_WORDS", 5)
-        assert expected_welfare_montecarlo(inst, runner, seed=5, trials=2000) == whole
-        assert randomized_matching(inst, "montecarlo", seed=5, trials=2000) == rand
+        assert expected_welfare(inst, runner, "montecarlo", seed=5, trials=2000) == whole
+        assert expected_welfare(inst, RandomizedRunner(inst), "montecarlo",
+                                seed=5, trials=2000) == rand
 
 
 class TestRandomizedMatching:
     def test_single_edge_average_of_both_orientations(self):
         inst = no_dessert_edge(F(1, 2)).instance
-        assert randomized_matching(inst) == F(3, 8)  # ((1-a) + (a-a^2)) / 2
+        assert expected_welfare(inst, RandomizedRunner(inst)) == F(3, 8)  # ((1-a) + (a-a^2)) / 2
 
     def test_empty_graph(self):
-        assert randomized_matching(MatchingInstance("ab", [])) == 0
+        inst = MatchingInstance("ab", [])
+        assert expected_welfare(inst, RandomizedRunner(inst)) == 0
 
     def test_indistinguishable_edge_average(self):
         inst = indistinguishable_edge().instance
         values = []
         for pairs in ([("i", "j")], [("j", "i")]):
             runner = DescendingRunner(inst, Orientation(pairs))
-            values.append(expected_welfare_exact(inst, runner))
-        assert randomized_matching(inst) == sum(values) / 2
+            values.append(expected_welfare(inst, runner))
+        assert expected_welfare(inst, RandomizedRunner(inst)) == sum(values) / 2
 
     def test_compiles_each_edge_direction_once(self, monkeypatch):
         from pandora_matching import instance as instance_mod
@@ -246,7 +257,7 @@ class TestRandomizedMatching:
                             lambda edge, d: calls.append(d) or compile_basket(edge, d))
         inst = no_dessert_star(F(1, 2), 2).instance
         assert len(inst.edges) == 3
-        randomized_matching(inst, "exact")
+        expected_welfare(inst, RandomizedRunner(inst))
         assert len(calls) == 2 * len(inst.edges)
 
     def test_montecarlo_draws_orientation_then_realization(self):
@@ -256,13 +267,15 @@ class TestRandomizedMatching:
             o = random_orientation(inst, rng)
             trace = DescendingRunner(inst, o).run(sample_realization(outcome_cuts(inst), rng))
             w = F(trace.welfare, trace.scale)
-            assert randomized_matching(inst, "montecarlo", seed=seed, trials=1) == (float(w), 0.0)
+            assert expected_welfare(inst, RandomizedRunner(inst), "montecarlo",
+                                    seed=seed, trials=1) == (float(w), 0.0)
 
     def test_montecarlo_within_four_standard_errors(self):
         inst = bundled_star(3).instance
-        exact = randomized_matching(inst, "exact")
+        exact = expected_welfare(inst, RandomizedRunner(inst))
         assert exact == F(65, 54)
-        mean, stderr = randomized_matching(inst, "montecarlo", seed=20240809, trials=20_000)
+        mean, stderr = expected_welfare(inst, RandomizedRunner(inst), "montecarlo",
+                                        seed=20240809, trials=20_000)
         assert stderr > 0
         assert abs(mean - float(exact)) <= 4 * stderr
 
@@ -271,8 +284,9 @@ class TestRandomizedMatching:
         ({"seed": 1, "trials": 0}, "trials must be at least 1"),
     ], ids=["no-seed", "zero-trials"])
     def test_montecarlo_rejects_bad_arguments(self, kwargs, message):
+        inst = no_dessert_edge(F(1, 2)).instance
         with pytest.raises(ValueError, match=message):
-            randomized_matching(no_dessert_edge(F(1, 2)).instance, "montecarlo", **kwargs)
+            expected_welfare(inst, RandomizedRunner(inst), "montecarlo", **kwargs)
 
 
 class TestBestOfTwo:
@@ -296,7 +310,7 @@ class TestBestOfTwo:
 class TestBundledDescending:
     def test_star_welfare_at_most_one(self):
         inst = bundled_star(4).instance
-        welfare = expected_welfare_exact(inst, DescendingRunner(inst))
+        welfare = expected_welfare(inst, DescendingRunner(inst))
         assert welfare <= 1
 
     def test_negative_bundle_never_inspected(self):
@@ -360,7 +374,7 @@ class TestVertexBasedDescending:
             if e.id in trace.matched:
                 capped += prob * (min(o.v_i, runner.sigma[("i", "j")]) +
                                   min(o.v_j, runner.sigma[("j", "i")]))
-        assert expected_welfare_exact(inst, runner) == capped == F(-3, 2)
+        assert expected_welfare(inst, runner) == capped == F(-3, 2)
 
     def test_stops_when_nothing_positive(self):
         e = EdgeSpec.independent("a", "b",
@@ -380,7 +394,7 @@ class TestVertexBasedDescending:
             boxes = (first, sure if first is skewed else skewed)
             inst = MatchingInstance(labels, [EdgeSpec.independent(*labels, *boxes)])
             runner = VertexBasedDescendingRunner(inst)
-            welfare[first is skewed] = expected_welfare_exact(inst, runner)
+            welfare[first is skewed] = expected_welfare(inst, runner)
         assert welfare[True] == welfare[False] == F(-3, 2)
 
 
@@ -398,8 +412,8 @@ class TestEdgeBasedOrientation:
         alpha = F(1, 4)
         inst = no_dessert_edge(alpha).instance
         chosen = edge_based_orientation(inst)
-        w_chosen = expected_welfare_exact(inst, DescendingRunner(inst, chosen))
-        w_other = expected_welfare_exact(
+        w_chosen = expected_welfare(inst, DescendingRunner(inst, chosen))
+        w_other = expected_welfare(
             inst, DescendingRunner(inst, chosen.reverse()))
         assert w_chosen / w_other == alpha
 
@@ -407,6 +421,10 @@ class TestEdgeBasedOrientation:
         inst = no_dessert_edge(F(1, 4)).instance
         runner = make_runner(inst, "edge-based")
         assert runner.orientation == Orientation([("j", "i")])
+
+    def test_make_runner_refuses_an_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy 'nope'"):
+            make_runner(no_dessert_edge(F(1, 4)).instance, "nope")
 
     def test_works_on_joint_edges(self):
         # one signal is cheap and uninformative, so its basket index is lower
@@ -470,16 +488,16 @@ class TestPathTablesAreLazy:
                                        indistinguishable_edge()], ids=lambda n: n.name)
     def test_exact_policies_build_no_path_table(self, named):
         inst = named.instance
-        randomized_matching(inst)
+        expected_welfare(inst, RandomizedRunner(inst))
         best_of_two(inst)
         for policy in ("bundled", "edge-based"):
-            expected_welfare_exact(inst, make_runner(inst, policy))
+            expected_welfare(inst, make_runner(inst, policy))
         assert self.built_tables(inst) == []
         for runner in (DescendingRunner(inst), DescendingRunner(inst, canonical_orientation(inst)),
                        DescendingRunner(inst, canonical_orientation(inst).reverse())):
             s = summarize(inst, runner)
             assert s.traces_valid and s.non_exposed and s.greedy_equal
-            assert s.welfare == expected_welfare_exact(inst, runner)
+            assert s.welfare == expected_welfare(inst, runner)
         assert len(self.built_tables(inst)) == 3 * len(inst.edges)
 
 
@@ -490,14 +508,14 @@ class TestKappaProfileWelfare:
     def test_fast_path_equals_simulation(self, profile_inputs, variant):
         for inst in profile_inputs:
             runner = DESCENDING_RUNNERS[variant](inst)
-            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner)
+            assert expected_welfare(inst, runner) == simulated_welfare(inst, runner)
 
     def test_randomized_equals_mean_over_all_orientations(self, profile_inputs):
         for inst in profile_inputs:
             orientations = list(itertools.product(*(e.directions() for e in inst.edges)))
             total = sum((simulated_welfare(inst, DescendingRunner(inst, Orientation(pairs)))
                          for pairs in orientations), ZERO)
-            assert randomized_matching(inst) == total / len(orientations)
+            assert expected_welfare(inst, RandomizedRunner(inst)) == total / len(orientations)
 
     @pytest.mark.parametrize("vertex_order", ["abcd", "cabd"])
     def test_tied_edges_follow_the_descending_tie_rule(self, vertex_order):
@@ -510,25 +528,26 @@ class TestKappaProfileWelfare:
             runner = make(inst)
             laws = runner.kappa_laws()
             assert all(laws[eid] == laws[inst.edge_ids[0]] for eid in inst.edge_ids)
-            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner), variant
+            assert expected_welfare(inst, runner) == simulated_welfare(inst, runner), variant
 
     def test_empty_instance(self):
         inst = MatchingInstance("ab", [])
         for make in DESCENDING_RUNNERS.values():
             runner = make(inst)
-            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner) == 0
-        assert randomized_matching(inst) == 0
+            assert expected_welfare(inst, runner) == simulated_welfare(inst, runner) == 0
+        assert expected_welfare(inst, RandomizedRunner(inst)) == 0
 
     def test_bound_counts_realizations(self):
         inst = no_dessert_star(F(1, 2), 2).instance
         size = inst.realization_count()
         runner = DescendingRunner(inst, canonical_orientation(inst))
-        assert expected_welfare_exact(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
+        assert expected_welfare(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
         with pytest.raises(EnumerationBoundError) as exc:
-            expected_welfare_exact(inst, runner, enum_bound=size - 1)
+            expected_welfare(inst, runner, enum_bound=size - 1)
         assert exc.value.size == size
         with pytest.raises(EnumerationBoundError) as exc:
-            randomized_matching(inst, enum_bound=2 ** len(inst.edges) * size - 1)
+            expected_welfare(inst, RandomizedRunner(inst),
+                             enum_bound=2 ** len(inst.edges) * size - 1)
         assert exc.value.size == 2 ** len(inst.edges) * size
 
 
@@ -557,7 +576,8 @@ class TestSweepMatchesProduct:
 
     def test_randomized_mixture_laws(self, sweep_inputs):
         for inst in sweep_inputs:
-            assert randomized_matching(inst) == reference_kappa_welfare(mixture_laws(inst))
+            assert expected_welfare(inst, RandomizedRunner(inst)) == \
+                reference_kappa_welfare(mixture_laws(inst))
 
 
 @pytest.fixture(scope="module")
@@ -611,7 +631,8 @@ class TestIntegerSweep:
                                               for d in e.directions()))
                 assert mixed == laws[e.id]
             bound = 2 ** len(inst.edges) * inst.realization_count()
-            assert randomized_matching(inst, enum_bound=bound) == reference_kappa_sweep(laws)
+            assert expected_welfare(inst, RandomizedRunner(inst), enum_bound=bound) == \
+                reference_kappa_sweep(laws)
 
     @settings(max_examples=300, deadline=None)
     @given(integer_laws())
@@ -658,12 +679,12 @@ class TestStarIsSelection:
         runner = make_runner(inst, policy)
         laws = set(runner.kappa_laws().values())
         assert len(laws) == 1
-        assert expected_welfare_exact(inst, runner, enum_bound=2 ** 64) == \
+        assert expected_welfare(inst, runner, enum_bound=2 ** 64) == \
             star_selection_value(laws.pop(), 64)
 
     def test_bundled_star_20_oriented_pinned(self):
         inst = bundled_star(20).instance
-        assert expected_welfare_exact(inst, make_runner(inst, "oriented-desc")) == \
+        assert expected_welfare(inst, make_runner(inst, "oriented-desc")) == \
             F("1278084904306626794326243581/104857600000000000000000000")
 
 
@@ -705,7 +726,7 @@ class TestVertexBasedExact:
     def assert_expansion_equals_runs(instances):
         for inst in instances:
             runner = VertexBasedDescendingRunner(inst)
-            assert expected_welfare_exact(inst, runner) == simulated_welfare(inst, runner)
+            assert expected_welfare(inst, runner) == simulated_welfare(inst, runner)
 
     def test_seeded_batches(self):
         self.assert_expansion_equals_runs(
@@ -744,9 +765,9 @@ class TestVertexBasedExact:
         inst = no_dessert_star(F(1, 2), 2).instance
         size = inst.realization_count()
         runner = VertexBasedDescendingRunner(inst)
-        assert expected_welfare_exact(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
+        assert expected_welfare(inst, runner, enum_bound=size) == simulated_welfare(inst, runner)
         with pytest.raises(EnumerationBoundError) as exc:
-            expected_welfare_exact(inst, runner, enum_bound=size - 1)
+            expected_welfare(inst, runner, enum_bound=size - 1)
         assert exc.value.size == size
 
     def test_long_path_needs_no_recursion(self):
@@ -758,7 +779,7 @@ class TestVertexBasedExact:
         runner = VertexBasedDescendingRunner(inst)
         trace = runner.run({eid: 0 for eid in inst.edge_ids})
         assert len(trace.matched) == 250
-        assert expected_welfare_exact(inst, runner) == F(trace.welfare, trace.scale) == 250 * F(3, 2)
+        assert expected_welfare(inst, runner) == F(trace.welfare, trace.scale) == 250 * F(3, 2)
 
 
 class TestExactWelfareGolden:
@@ -776,11 +797,10 @@ class TestExactWelfareGolden:
         orientation, value = best_of_two(inst)
         assert str(value) == golden["best-of-two"]
         assert orientation.to_json_obj() == golden["best-of-two orientation"]
-        assert str(randomized_matching(inst)) == golden["randomized"]
+        assert str(expected_welfare(inst, RandomizedRunner(inst))) == golden["randomized"]
         for policy in POLICY_NAMES:
-            if policy not in ("randomized", "best-of-two"):
-                runner = make_runner(inst, policy)
-                assert str(expected_welfare_exact(inst, runner)) == golden[policy], policy
+            runner = make_runner(inst, policy)
+            assert str(expected_welfare(inst, runner)) == golden[policy], policy
 
 
 MC_POLICIES = ("oriented-desc", "bundled", "vertex-based", "edge-based")
@@ -802,10 +822,11 @@ def montecarlo_estimates(inst) -> dict:
         if policy == "vertex-based" and not inst.all_independent():
             continue
         runner = make_runner(inst, policy)
-        out[policy] = {f"{trials}@{seed}": [repr(x) for x in expected_welfare_montecarlo(
-            inst, runner, seed=seed, trials=trials)] for trials, seed in MC_RUNS}
-    out["randomized"] = {f"{trials}@{seed}": [repr(x) for x in randomized_matching(
-        inst, "montecarlo", seed=seed, trials=trials)] for trials, seed in MC_RUNS}
+        out[policy] = {f"{trials}@{seed}": [repr(x) for x in expected_welfare(
+            inst, runner, "montecarlo", seed=seed, trials=trials)] for trials, seed in MC_RUNS}
+    out["randomized"] = {f"{trials}@{seed}": [repr(x) for x in expected_welfare(
+        inst, RandomizedRunner(inst), "montecarlo", seed=seed, trials=trials)]
+        for trials, seed in MC_RUNS}
     return out
 
 
@@ -851,11 +872,12 @@ class TestBatchedMonteCarlo:
         trials = 5_000
         assert trials > algorithms.MC_CHUNK
         if policy == "randomized":
-            batched = randomized_matching(inst, "montecarlo", seed=seed, trials=trials)
+            batched = expected_welfare(inst, RandomizedRunner(inst), "montecarlo",
+                                       seed=seed, trials=trials)
             runner = None
         else:
             runner = make_runner(inst, policy)
-            batched = expected_welfare_montecarlo(inst, runner, seed=seed, trials=trials)
+            batched = expected_welfare(inst, runner, "montecarlo", seed=seed, trials=trials)
         assert batched == reference_montecarlo(inst, seed, trials, runner)
 
     def test_memory_stays_capped(self, monkeypatch):
@@ -867,12 +889,13 @@ class TestBatchedMonteCarlo:
         batches with no word cap at 12.96 MB, and the capped batches at 3.49 MB.
         """
         inst = rand_graph(SplitMix64(12), 12, 30)
-        randomized_matching(inst, "montecarlo", seed=1, trials=1)   # compile outside
+        runner = RandomizedRunner(inst)
+        expected_welfare(inst, runner, "montecarlo", seed=1, trials=1)   # compile outside
         monkeypatch.setattr(algorithms, "descending_run",
                             lambda paths, conflicts: SimpleNamespace(welfare=0))
         tracemalloc.start()
         try:
-            randomized_matching(inst, "montecarlo", seed=7, trials=5_000)
+            expected_welfare(inst, runner, "montecarlo", seed=7, trials=5_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -13,8 +13,11 @@ from pandora_matching import cli
 from pandora_matching.algorithms import POLICY_NAMES
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.cli import main
-from pandora_matching.repro import (ALL_NAMES, indistinguishable_edge, no_dessert_edge,
-                                    no_dessert_star)
+from pandora_matching.repro import (ALL_NAMES, bundled_star, indistinguishable_edge,
+                                    no_dessert_edge, no_dessert_star)
+from pandora_matching.rng import SplitMix64
+
+from support import rand_graph
 
 
 @pytest.fixture
@@ -198,7 +201,7 @@ class TestRunCommand:
         assert code == 0 and json.loads(out)["welfare"]["trials"] == 100_000
 
     def test_randomized_montecarlo_estimates_the_policy(self, edge_file, capsys):
-        from pandora_matching.algorithms import randomized_matching
+        from pandora_matching.algorithms import RandomizedRunner, expected_welfare
 
         code, out, _ = run_cli(capsys, "run", "--instance", edge_file, "--policy", "randomized",
                                "--mode", "montecarlo", "--seed", "3", "--trials", "4000")
@@ -207,12 +210,12 @@ class TestRunCommand:
         assert welfare == {"float": welfare["float"], "stderr": welfare["stderr"],
                            "trials": 4000, "seed": 3}
         inst = no_dessert_edge(F(1, 2)).instance
-        assert (welfare["float"], welfare["stderr"]) == randomized_matching(
-            inst, "montecarlo", seed=3, trials=4000)
+        assert (welfare["float"], welfare["stderr"]) == expected_welfare(
+            inst, RandomizedRunner(inst), "montecarlo", seed=3, trials=4000)
         assert 0 < welfare["stderr"] and abs(welfare["float"] - 3 / 8) <= 4 * welfare["stderr"]
 
     def test_random_orientation_gives_one_seeded_orientation(self, edge_file, capsys):
-        from pandora_matching.algorithms import DescendingRunner, expected_welfare_exact
+        from pandora_matching.algorithms import DescendingRunner, expected_welfare
         from pandora_matching.instance import random_orientation
         from pandora_matching.rng import SplitMix64
 
@@ -221,7 +224,7 @@ class TestRunCommand:
         doc = json.loads(out)
         inst = no_dessert_edge(F(1, 2)).instance
         o = random_orientation(inst, SplitMix64(3))
-        value = expected_welfare_exact(inst, DescendingRunner(inst, o))
+        value = expected_welfare(inst, DescendingRunner(inst, o))
         assert doc["orientation"] == o.to_json_obj()
         assert doc["welfare"]["exact"] == str(value)
 
@@ -287,6 +290,57 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--instance", edge_file,
                                "--policy", "oriented-desc", "--orientation", "bogus")
         assert code == 2 and "orientation" in err
+
+
+def run_golden_instances() -> dict:
+    """The instances of ``run_outputs.json``, by file name."""
+    return {"indistinguishable-edge.json": indistinguishable_edge().instance,
+            "no-dessert-edge-quarter.json": no_dessert_edge(F(1, 4)).instance,
+            "bundled-star-3.json": bundled_star(3).instance,
+            "graph-7.json": rand_graph(SplitMix64(7), 5, 4)}
+
+
+def run_golden_argvs() -> list:
+    """``pandora run`` arguments after ``--instance``: every policy exact (JSON,
+    and CSV with --with-opt), every Monte Carlo policy at two seeds, and a
+    sample trace of every per-realization policy."""
+    argvs = [argv for policy in POLICY_NAMES for argv in (
+        ["--policy", policy], ["--policy", policy, "--format", "csv", "--with-opt"])]
+    for policy in POLICY_NAMES:
+        if policy != "best-of-two":
+            argvs += [["--policy", policy, "--mode", "montecarlo", "--seed", seed,
+                       "--trials", "300"] for seed in ("3", "1729")]
+        if policy != "randomized":
+            argvs.append(["--policy", policy, "--trace-seed", "5"])
+    return argvs
+
+
+def run_outputs(name: str) -> dict:
+    """Arguments joined by spaces -> stdout of ``pandora run`` on the golden
+    instance ``name``, written to the working directory."""
+    Path(name).write_text(json.dumps(run_golden_instances()[name].to_json_obj()))
+    out = {}
+    for argv in run_golden_argvs():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["run", "--instance", name, *argv]) == 0, argv
+        out[" ".join(argv)] = stdout.getvalue()
+    return out
+
+
+class TestRunGolden:
+    """The bytes ``pandora run`` prints, captured before every policy became a runner."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "run_outputs.json").read_text())
+
+    def test_covers_every_instance_and_argv(self):
+        assert sorted(self.GOLDEN) == sorted(run_golden_instances())
+        keys = [" ".join(argv) for argv in run_golden_argvs()]
+        assert all(list(outputs) == keys for outputs in self.GOLDEN.values())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_matches_golden(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert run_outputs(name) == self.GOLDEN[name]
 
 
 class TestOracleCommand:
@@ -569,9 +623,15 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", [
         ["check"], ["run", "--policy", "bundled"], ["run", "--policy", "oriented-desc"],
-        ["run", "--policy", "edge-based"],
-    ], ids=["check", "bundled", "oriented-desc", "edge-based"])
-    def test_over_the_bound_compiles_no_basket(self, edge_file, capsys, monkeypatch, command):
+        ["run", "--policy", "edge-based"], ["check", "--orientation", "edge-based"],
+        ["run", "--policy", "oriented-desc", "--orientation", "edge-based"],
+        ["oracle", "--constraint", "oriented", "--orientation", "edge-based"],
+        ["run", "--policy", "randomized"], ["run", "--policy", "best-of-two"],
+    ], ids=["check", "bundled", "oriented-desc", "edge-based", "check-edge-based-orientation",
+            "oriented-desc-edge-based-orientation", "oracle-edge-based-orientation",
+            "randomized", "best-of-two"])
+    def test_over_the_bound_compiles_no_basket(self, edge_file, tmp_path, capsys, monkeypatch,
+                                               command):
         from pandora_matching import instance as instance_mod
 
         def no_compile(*args):
@@ -579,8 +639,17 @@ class TestInputErrors:
 
         monkeypatch.setattr(instance_mod, "oriented_basket", no_compile)
         monkeypatch.setattr(instance_mod, "bundled_basket", no_compile)
-        code, _, err = run_cli(capsys, *command, "--instance", edge_file, "--enum-bound", "1")
-        assert code == 2 and "above the bound of 1" in err
+        if command[0] == "oracle":
+            # 7^8 oriented states whichever way each edge points, above 500,000
+            coin = {"dist": [{"v": "0", "p": "1/2"}, {"v": "2", "p": "1/2"}], "cost": "0"}
+            path = tmp_path / "star.json"
+            path.write_text(json.dumps({"edges": [{"i": "h", "j": f"l{k}", "box_ij": coin,
+                                                   "box_ji": coin} for k in range(8)]}))
+            argv, bound = [*command, "--instance", str(path)], "500000"
+        else:
+            argv, bound = [*command, "--instance", edge_file, "--enum-bound", "1"], "1"
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and f"above the bound of {bound}" in err
 
     @pytest.mark.parametrize("env, expected", [
         ("-5", "PANDORA_ENUM_BOUND must be at least 1, got -5"),

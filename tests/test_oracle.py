@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pandora_matching.algorithms import DescendingRunner, expected_welfare_exact
+from pandora_matching.algorithms import DescendingRunner, expected_welfare
 from pandora_matching.boxes import PandoraBox
 from pandora_matching.cli import main
 from pandora_matching.distributions import DiscreteDistribution
@@ -149,7 +149,7 @@ class TestOptimalWelfare:
             o = canonical_orientation(inst)
             free = optimal_welfare(inst).value
             oriented = optimal_welfare(inst, "oriented", o).value
-            desc = expected_welfare_exact(inst, DescendingRunner(inst, o))
+            desc = expected_welfare(inst, DescendingRunner(inst, o))
             assert free >= oriented >= desc
             assert free >= 0
 
@@ -165,7 +165,7 @@ class TestOptimalWelfare:
                        for e in inst.edges}
             assert optimal_welfare(inst, "oriented", o).value == \
                 reference_expected_select_welfare(baskets) == \
-                expected_welfare_exact(inst, DescendingRunner(inst, o))
+                expected_welfare(inst, DescendingRunner(inst, o))
 
     def test_state_bound_error(self):
         inst = bundled_star(8).instance
@@ -451,7 +451,7 @@ class TestPastSixteenEdges:
             point_edge("h", leaf, F(k, 3), F(k % 5, 4)) for k, leaf in enumerate(leaves, 1)])
         pv = optimal_welfare(inst, "bundled")
         assert len(pv.best_action) == 2 ** 17
-        assert pv.value == expected_welfare_exact(inst, DescendingRunner(inst)) == F(17, 3) - 2 * F(1, 4)
+        assert pv.value == expected_welfare(inst, DescendingRunner(inst)) == F(17, 3) - 2 * F(1, 4)
 
     def test_bundled_path_of_point_masses(self):
         rng = SplitMix64(17)
