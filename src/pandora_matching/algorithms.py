@@ -142,8 +142,9 @@ class DescendingRunner:
 
     With an orientation each edge is its oriented two-stage basket; without
     one, each edge is its bundled one-stage basket (both boxes at once).
-    The runner picks each edge's cached ``EdgeSpec.basket`` entry on first
-    read; ``run`` reads their paths times Q and the instance's conflict sets.
+    The runner picks each edge's cached ``EdgeSpec.basket`` on first read;
+    ``run`` reads their ``EdgeSpec.paths`` times Q and the instance's
+    conflict sets, which exact evaluation never builds.
     """
 
     draws = 0
@@ -156,41 +157,43 @@ class DescendingRunner:
         self.orientation = orientation
 
     @functools.cached_property
-    def baskets(self) -> dict:
+    def directions(self) -> dict:
+        """Edge id -> the direction of its basket, None when bundled."""
         o = self.orientation
-        return {e.id: e.basket(None if o is None else o.direction_of(e.id))
-                for e in self.inst.edges}
+        return {eid: None if o is None else o.direction_of(eid) for eid in self.ids}
 
     @functools.cached_property
-    def conflicts(self) -> dict:
-        """The instance's conflict sets, built on the first run: exact
-        evaluation never reads them."""
-        return self.inst.conflicts
+    def baskets(self) -> dict:
+        return {e.id: e.basket(self.directions[e.id]) for e in self.inst.edges}
 
     @functools.cached_property
     def scaled(self) -> tuple[int, dict]:
         """``scaled_paths`` of the baskets, built on the first run."""
-        return scaled_paths(self.inst, self.baskets)
+        return scaled_paths(self.inst, {e.id: e.paths(self.directions[e.id])
+                                        for e in self.inst.edges})
 
     def kappa_laws(self) -> dict:
         """Each edge's ``kappa1_law``, the law of kappa^(1)."""
-        return {eid: c.basket.kappa1_law for eid, c in self.baskets.items()}
+        return {eid: b.kappa1_law for eid, b in self.baskets.items()}
 
     def exact_welfare(self) -> Fraction:
         """The expected greedy total on the baskets' capped-value laws."""
         return kappa_welfare(self.kappa_laws())
 
     def non_exposed(self, realization: Realization, trace: RunTrace) -> bool:
-        return all(check_non_exposure(nt, self.baskets[eid].basket)
+        return all(check_non_exposure(nt, self.baskets[eid])
                    for eid, nt in trace.nested_traces.items())
 
     def run(self, realization: Realization, record_steps: bool = False) -> RunTrace:
         q, paths = self.scaled
         res = descending_run({eid: paths[eid][k] for eid, k in realization.items()},
-                             self.conflicts, record_steps)
-        inspected = set()
+                             self.inst.conflicts, record_steps)
+        inspected = set()   # an edge's first box once stage 1 is open, both after the last
         for eid, tr in res.traces.items():
-            inspected.update(self.baskets[eid].opened[tr.stages_opened])
+            if tr.stages_opened == tr.path.depth:
+                inspected.update((eid, eid[::-1]))
+            elif tr.stages_opened:
+                inspected.add(self.directions[eid])
         return RunTrace(inspected, frozenset(res.claimed_ids), res.total_costs,
                         res.claimed_value, res.welfare, q, res.steps, res.traces)
 
@@ -198,7 +201,7 @@ class DescendingRunner:
         """(w, q): welfare w / q of the run on ``row``, one outcome index per edge."""
         q, paths = self.scaled
         return descending_run({eid: paths[eid][k] for eid, k in zip(self.ids, row)},
-                              self.conflicts).welfare, q
+                              self.inst.conflicts).welfare, q
 
 
 class DecisionRunner:
@@ -509,14 +512,14 @@ class RandomizedRunner:
         self.draws = len(self.ids)
 
     def exact_welfare(self) -> Fraction:
-        return kappa_welfare({e.id: _mixture(*(e.basket(d).basket.kappa1_law
+        return kappa_welfare({e.id: _mixture(*(e.basket(d).kappa1_law
                                                for d in e.directions()))
                               for e in self.inst.edges})
 
     @functools.cached_property
     def scaled(self) -> tuple[int, dict]:
         """``scaled_paths`` keyed by (edge id, orientation bit), built on the first row."""
-        return scaled_paths(self.inst, {(e.id, bit): e.basket(d) for e in self.inst.edges
+        return scaled_paths(self.inst, {(e.id, bit): e.paths(d) for e in self.inst.edges
                                         for bit, d in enumerate(e.directions())})
 
     def row_welfare(self, row: tuple) -> tuple[int, int]:
@@ -562,7 +565,7 @@ def best_of_two(inst: MatchingInstance, enum_bound=None) -> tuple[Orientation, F
 def edge_based_orientation(inst: MatchingInstance) -> Orientation:
     """Orient each edge in the direction whose two-stage basket has the
     larger initial index, ties to the canonical direction."""
-    return Orientation(max(e.directions(), key=lambda d: e.basket(d).basket.sigma1)
+    return Orientation(max(e.directions(), key=lambda d: e.basket(d).sigma1)
                        for e in inst.edges)
 
 

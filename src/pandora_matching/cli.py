@@ -118,9 +118,22 @@ def _resolve_orientation(spec: str | None, inst: MatchingInstance) -> Orientatio
     return o
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` without its indenting encoder's closures,
+    a reference cycle that only the collector frees, once per call."""
+    if not (obj and isinstance(obj, (dict, list, tuple))):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        parts = [f"{json.encoder.encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in obj.items()]
+        return "{" + inner + f",{inner}".join(parts) + pad + "}"
+    return "[" + inner + f",{inner}".join([_dumps(v, inner) for v in obj]) + pad + "]"
+
+
 def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
         return
     out = io.StringIO()
     writer = csv.writer(out)
@@ -145,7 +158,7 @@ def cmd_nested_index(args) -> int:
         "kappa1": basket.kappa1_law.to_json_obj(),
         "tree": annotated_to_json_obj(basket.root),
     }
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
     return 0
 
 
@@ -244,7 +257,7 @@ def cmd_oracle(args) -> int:
         doc["orientation"] = orientation.to_json_obj()
     if args.trace:
         doc["optimal_action_trace"] = optimal_action_tree(inst, pv)
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
     return 0
 
 
@@ -259,7 +272,7 @@ def cmd_repro(args) -> int:
             "expected": format_rational(r.expected),
             "match": r.match} for r in rows],
             "mismatches": len(mismatches)}
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         _emit({}, "csv",
               csv_rows=[[r.instance, r.quantity, format_rational(r.computed),
@@ -280,7 +293,7 @@ def cmd_check(args) -> int:
     doc = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                       for r in results],
            "all_passed": all(r.passed for r in results)}
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
     return 0 if doc["all_passed"] else 1
 
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .boxes import PandoraBox, index_of_weights
 from .distributions import DiscreteDistribution
-from .nested import AnnotatedBasket, AnnotatedLeaf, AnnotatedStage, PathInfo, weighted_stage
+from .nested import AnnotatedBasket, AnnotatedStage, PathInfo, weighted_stage
 from .rationals import (
     as_fraction,
     format_rational,
@@ -54,30 +53,8 @@ class JointOutcome(NamedTuple):
     v_j: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class EdgeBasket:
-    """An edge compiled for one direction (or bundled), as runners read it.
-
-    opened: the directed pairs inspected, indexed by the stages opened.
-    path_of (built on first use): outcome index -> realized path through
-    the basket; ``path_labels`` gives each outcome's branch labels.
-    """
-
-    basket: AnnotatedBasket
-    opened: tuple[tuple[DirectedPair, ...], ...]
-    path_labels: Callable[[JointOutcome], tuple[str, ...]]
-    outcomes: tuple[JointOutcome, ...]
-
-    @functools.cached_property
-    def path_of(self) -> dict[int, PathInfo]:
-        return {k: self.basket.by_labels[self.path_labels(o)]
-                for k, o in enumerate(self.outcomes)}
-
-
 # Box probabilities repeat across edges and instances: one Fraction serves each.
 _ratio = functools.lru_cache(maxsize=1024)(Fraction)
-# An outcome's (first, second) branch labels, forward and backward.
-_PATH_LABELS = attrgetter("label_i", "label_j"), attrgetter("label_j", "label_i")
 
 
 def _label_rows(box: PandoraBox) -> tuple[tuple[str, Fraction, Fraction, int], ...]:
@@ -120,6 +97,7 @@ class EdgeSpec:
         self.weight_total = weight_total
         self._tables: dict[DirectedPair, tuple] = {}
         self._baskets: dict = {}
+        self._paths: dict = {}
 
     @property
     def id(self) -> EdgeId:
@@ -128,11 +106,6 @@ class EdgeSpec:
     @property
     def is_independent(self) -> bool:
         return self.box_ij is not None
-
-    @functools.cached_property
-    def _leaves(self) -> list[AnnotatedLeaf]:
-        """A leaf per outcome, shared by the baskets of both directions."""
-        return [AnnotatedLeaf(o.total) for o in self.outcomes]
 
     @functools.cached_property
     def _sides(self) -> tuple[tuple, tuple]:
@@ -232,17 +205,30 @@ class EdgeSpec:
                 for label in sorted(groups)])
         return self._tables[direction]
 
-    def basket(self, direction: DirectedPair | None = None) -> EdgeBasket:
+    def basket(self, direction: DirectedPair | None = None) -> AnnotatedBasket:
         """The edge compiled for a direction, built once per direction.
 
         A direction gives the oriented two-stage basket, None the bundled
-        one-stage basket.  Every caller gets the same objects; none may
-        mutate them.
+        one-stage basket; a leaf is its outcome's total.  Every caller gets
+        the same objects; none may mutate them.
         """
         if direction not in self._baskets:
             self._baskets[direction] = (bundled_basket(self) if direction is None
                                         else oriented_basket(self, direction))
         return self._baskets[direction]
+
+    def paths(self, direction: DirectedPair | None = None) -> list[PathInfo]:
+        """Each outcome's realized path through ``basket(direction)``, built on first use."""
+        if direction not in self._paths:
+            by_labels = self.basket(direction).by_labels
+            if direction is None:
+                labels = [(format_rational(o.total),) for o in self.outcomes]
+            elif direction == self.id:
+                labels = [(o.label_i, o.label_j) for o in self.outcomes]
+            else:
+                labels = [(o.label_j, o.label_i) for o in self.outcomes]
+            self._paths[direction] = [by_labels[key] for key in labels]
+        return self._paths[direction]
 
     def bundled_box(self) -> PandoraBox:
         """Both inspections merged into one box over the edge total."""
@@ -276,7 +262,7 @@ class EdgeSpec:
                                PandoraBox.from_json_obj(obj["box_ji"]))
 
 
-def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
+def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> AnnotatedBasket:
     """Two-stage basket for a direction: first endpoint, then both.
 
     Stage 1 costs cost(direction) and reveals the first endpoint's signal;
@@ -284,27 +270,24 @@ def oriented_basket(edge: EdgeSpec, direction: DirectedPair) -> EdgeBasket:
     are annotated straight from the edge's weights: by the shift identity
     for an independent edge, by grouping the outcomes for a joint one.
     """
-    forward = direction == (edge.i, edge.j)
-    labels = _PATH_LABELS[0 if forward else 1]
     second_cost = edge.cost((direction[1], direction[0]))
     stages = _shifted_stages if edge.is_independent else _grouped_stages
     branches, pairs = stages(edge, direction, second_cost)
     root = weighted_stage(edge.cost(direction), branches,
                           DiscreteDistribution.merged(pairs, edge.weight_total))
-    return EdgeBasket(AnnotatedBasket(root), ((), (direction,), edge.directions()), labels,
-                      edge.outcomes)
+    return AnnotatedBasket(root)
 
 
 def _grouped_stages(edge: EdgeSpec, direction: DirectedPair,
                     cost: Fraction) -> tuple[list, list]:
     """The first stage's branches, and (capped value, weight over weight_total)
     pairs of its next capped value, from the outcomes grouped by first signal."""
-    leaves = edge._leaves
+    outcomes = edge.outcomes
     branches, pairs = [], []
     for label, mass, second in edge.table(direction):
         stage = weighted_stage(
-            cost, [(s, _ratio(w, mass), leaves[k]) for s, w, k in second],
-            DiscreteDistribution.merged([(leaves[k].value, w) for _, w, k in second], mass))
+            cost, [(s, _ratio(w, mass), outcomes[k].total) for s, w, k in second],
+            DiscreteDistribution.merged([(outcomes[k].total, w) for _, w, k in second], mass))
         branches.append((label, _ratio(mass, edge.weight_total), stage))
         # A capped atom of weight w / its total has weight w * factor / weight_total.
         values, weights, total = stage.capped()
@@ -330,37 +313,35 @@ def _shifted_stages(edge: EdgeSpec, direction: DirectedPair,
     sigma = index_of_weights(*law, cost)
     below = bisect_left(law.values, sigma)
     capped = law.weights[:below] + (sum(law.weights[below:]),)
-    leaves = edge._leaves
+    outcomes = edge.outcomes
     branches, pairs = [], []
     for x, (label, a, prob, wa) in enumerate(first):
-        # the leaves' values are the outcome totals a + b, already summed
-        row = [leaves[x * step_x + y * step_y] for y in range(len(second))]
-        values = tuple(sorted([leaf.value for leaf in row]))   # a + the second box's values
+        # the leaves are the outcome totals a + b, already summed
+        row = [outcomes[x * step_x + y * step_y].total for y in range(len(second))]
+        values = tuple(sorted(row))   # a + the second box's values
         stage = AnnotatedStage(cost, a + sigma,
-                               tuple([(lb, pb, leaf) for (lb, _, pb, _), leaf in zip(second, row)]),
+                               tuple([(lb, pb, t) for (lb, _, pb, _), t in zip(second, row)]),
                                DiscreteDistribution.of(values, law.weights, law.total))
         branches.append((label, prob, stage))
         pairs.extend(zip(values[:below] + (stage.sigma,), [wa * w for w in capped]))
     return branches, pairs
 
 
-def scaled_paths(inst: MatchingInstance, baskets: dict) -> tuple[int, dict]:
-    """(Q, key -> each outcome's realized path times Q): with Q the lcm of every
-    denominator a run or its checks read, all their numbers are ints times Q."""
-    tables = {key: c.path_of.values() for key, c in baskets.items()}
+def scaled_paths(inst: MatchingInstance, tables: dict) -> tuple[int, dict]:
+    """(Q, key -> the paths of ``tables[key]`` times Q), each table an
+    ``EdgeSpec.paths`` list: with Q the lcm of every denominator a run or its
+    checks read, all their numbers are ints times Q."""
     q = math.lcm(inst.denominator, *(s.denominator for paths in tables.values()
                                      for p in paths for s in p.sigmas))
     return q, {key: [p.scaled(q) for p in paths] for key, paths in tables.items()}
 
 
-def bundled_basket(edge: EdgeSpec) -> EdgeBasket:
+def bundled_basket(edge: EdgeSpec) -> AnnotatedBasket:
     """``bundled_box`` (both costs paid at once) as a one-stage basket."""
     law, cost = edge.bundled_box()
-    branches = [(format_rational(v), _ratio(w, law.total), AnnotatedLeaf(v))
+    branches = [(format_rational(v), _ratio(w, law.total), v)
                 for v, w in zip(law.values, law.weights)]
-    root = weighted_stage(cost, branches, law)
-    return EdgeBasket(AnnotatedBasket(root), ((), edge.directions()),
-                      lambda o: (format_rational(o.total),), edge.outcomes)
+    return AnnotatedBasket(weighted_stage(cost, branches, law))
 
 
 class MatchingInstance:

@@ -122,30 +122,15 @@ class OutcomeNode(NamedTuple):
 # Annotation (backward induction)
 # ---------------------------------------------------------------------------
 
-class AnnotatedLeaf(NamedTuple):
-    value: Fraction
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
-
-    def capped(self) -> DiscreteDistribution:
-        """The law of the leaf's capped value: its value, surely."""
-        return DiscreteDistribution.point(self.value)
-
-
 class AnnotatedStage(NamedTuple):
     """Internal node with its stage index and ``kappa_next``, the law of the
-    next capped value; sigma solves surplus(kappa_next, sigma) == cost."""
+    next capped value; sigma solves surplus(kappa_next, sigma) == cost.  A
+    branch child is the next stage, or the leaf's value itself."""
 
     cost: Fraction
     sigma: Fraction
-    branches: tuple[tuple[str, Fraction, Union["AnnotatedStage", AnnotatedLeaf]], ...]
+    branches: tuple[tuple[str, Fraction, Union["AnnotatedStage", Fraction]], ...]
     kappa_next: DiscreteDistribution
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def capped(self) -> DiscreteDistribution:
         """The law of min(sigma, next capped value)."""
@@ -164,9 +149,9 @@ def _annotate_stage(node: OutcomeNode) -> AnnotatedStage:
     """Backward induction below ``node``, each law in int weights over one total."""
     branches, laws = [], []   # laws: (branch probability, child's capped law)
     for label, prob, child in node.branches:
-        annotated = AnnotatedLeaf(child.value) if child.is_leaf else _annotate_stage(child)
-        branches.append((label, prob, annotated))
-        laws.append((prob, annotated.capped()))
+        sub = child.value if child.is_leaf else _annotate_stage(child)
+        branches.append((label, prob, sub))
+        laws.append((prob, DiscreteDistribution.point(sub) if child.is_leaf else sub.capped()))
     # The mixture's total is the lcm of (probability denominator * child total).
     total = math.lcm(*[p.denominator * law.total for p, law in laws])
     pairs = []
@@ -199,6 +184,17 @@ class PathInfo(NamedTuple):
                         scaled(self.value, q), self.prob, scaled(self.kappa1, q))
 
 
+def _walk_paths(node, idxs, labels, sigmas, costs, prob) -> Iterator[PathInfo]:
+    """Each root-to-leaf path below ``node``, after the given prefixes.  A
+    module-level generator: a nested recursive one would be a reference cycle."""
+    if type(node) is not AnnotatedStage:   # a leaf: its value
+        yield PathInfo(idxs, labels, sigmas, costs, node, prob, min(min(sigmas), node))
+        return
+    for bi, (label, p, child) in enumerate(node.branches):
+        yield from _walk_paths(child, idxs + (bi,), labels + (label,), sigmas + (node.sigma,),
+                               costs + (node.cost,), prob * p)
+
+
 class AnnotatedBasket:
     """An annotated outcome tree, plus its path table, enumerated on first
     use.  ``annotate`` builds one from a validated tree; an edge's baskets
@@ -210,7 +206,7 @@ class AnnotatedBasket:
 
     @functools.cached_property
     def paths(self) -> tuple[PathInfo, ...]:
-        return tuple(self._enumerate_paths())
+        return tuple(_walk_paths(self.root, (), (), (), (), Fraction(1)))
 
     @functools.cached_property
     def by_labels(self) -> dict[tuple[str, ...], PathInfo]:
@@ -225,27 +221,6 @@ class AnnotatedBasket:
         """The law of kappa^(1), built once."""
         return self.root.capped()
 
-    def _enumerate_paths(self) -> Iterator[PathInfo]:
-        def walk(node, idxs, labels, sigmas, costs, prob):
-            if node.is_leaf:
-                kappa1 = min(min(sigmas), node.value)
-                yield PathInfo(
-                    tuple(idxs), tuple(labels), tuple(sigmas), tuple(costs),
-                    node.value, prob, kappa1,
-                )
-                return
-            for bi, (label, p, child) in enumerate(node.branches):
-                yield from walk(
-                    child,
-                    idxs + [bi],
-                    labels + [label],
-                    sigmas + [node.sigma],
-                    costs + [node.cost],
-                    prob * p,
-                )
-
-        yield from walk(self.root, [], [], [], [], Fraction(1))
-
 
 def annotate(root: OutcomeNode) -> AnnotatedBasket:
     """Validate a tree and run the backward induction."""
@@ -255,9 +230,9 @@ def annotate(root: OutcomeNode) -> AnnotatedBasket:
     return AnnotatedBasket(_annotate_stage(root))
 
 
-def annotated_to_json_obj(node: AnnotatedStage | AnnotatedLeaf):
-    if node.is_leaf:
-        return {"value": rational_json(node.value)}
+def annotated_to_json_obj(node: AnnotatedStage | Fraction):
+    if type(node) is not AnnotatedStage:
+        return {"value": rational_json(node)}
     return {
         "cost": rational_json(node.cost),
         "sigma": rational_json(node.sigma),

@@ -318,20 +318,22 @@ def _matching_table(ids: list[EdgeId], weights: list[list[int]]) -> tuple[list[i
 
 def optimal_action_tree(inst: MatchingInstance, pv: PolicyValue, max_nodes: int = 2000):
     """Expand the stored best moves into a JSON-able decision tree."""
-    count = 0
+    return _expand(pv.best_action, tuple((-1, -1) for _ in inst.edges), [max_nodes])
 
-    def expand(state):
-        nonlocal count
-        count += 1
-        if count > max_nodes:
-            return {"truncated": True}
-        move = pv.best_action[state]
-        if move is STOP:
-            return {"action": "stop"}
-        kind, target = move.action
-        k = move.edge
-        return {"action": kind, "box" if kind == "open" else "edge": list(target),
-                "outcomes": [dict(labels, then=expand(state[:k] + (evidence,) + state[k + 1:]))
-                             for evidence, _, labels in move.branches]}
 
-    return expand(tuple((-1, -1) for _ in inst.edges))
+def _expand(best_action: dict, state: tuple, budget: list) -> dict:
+    """The tree below ``state``; ``budget`` holds the nodes still allowed.  A
+    module-level function: a nested recursive one would be a reference cycle
+    keeping the whole ``PolicyValue`` alive until the collector runs."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        return {"truncated": True}
+    move = best_action[state]
+    if move is STOP:
+        return {"action": "stop"}
+    kind, target = move.action
+    k = move.edge
+    return {"action": kind, "box" if kind == "open" else "edge": list(target),
+            "outcomes": [dict(labels, then=_expand(best_action, state[:k] + (evidence,)
+                                                   + state[k + 1:], budget))
+                         for evidence, _, labels in move.branches]}

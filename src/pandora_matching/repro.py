@@ -227,8 +227,8 @@ def no_dessert_edge(alpha) -> NamedInstance:
         return expected_welfare(inst, DescendingRunner(inst, o))
 
     table = (
-        ("sigma1_ij", lambda: edge.basket(("i", "j")).basket.sigma1, 1 / a - 1),
-        ("sigma1_ji", lambda: edge.basket(("j", "i")).basket.sigma1, a ** -2 - 1 / a),
+        ("sigma1_ij", lambda: edge.basket(("i", "j")).sigma1, 1 / a - 1),
+        ("sigma1_ji", lambda: edge.basket(("j", "i")).sigma1, a ** -2 - 1 / a),
         ("welfare_desc_ij", lambda: desc(o_ij), 1 - a),
         ("welfare_desc_ji", lambda: desc(o_ji), a - a * a),
         ("opt_oriented_ij",
@@ -236,10 +236,10 @@ def no_dessert_edge(alpha) -> NamedInstance:
         ("opt_oriented_ji",
          lambda: optimal_welfare(inst, "oriented", o_ji).value, a - a * a),
         ("expected_positive_capped_ij",
-         lambda: edge.basket(("i", "j")).basket.kappa1_law.expected_positive_part(),
+         lambda: edge.basket(("i", "j")).kappa1_law.expected_positive_part(),
          1 - a),
         ("expected_positive_capped_ji",
-         lambda: edge.basket(("j", "i")).basket.kappa1_law.expected_positive_part(),
+         lambda: edge.basket(("j", "i")).kappa1_law.expected_positive_part(),
          a - a * a),
     )
     return NamedInstance("no-dessert-edge", {"alpha": a}, inst, table)

@@ -191,7 +191,8 @@ def enumerate_runs(inst: MatchingInstance, runner, enum_bound=None,
 
 def kappa_weights(runner, realization) -> dict:
     """A descending runner's realized terminal capped value per edge (the greedy weights)."""
-    return {eid: runner.baskets[eid].path_of[k].kappa1 for eid, k in realization.items()}
+    return {eid: runner.inst.edge(eid).paths(runner.directions[eid])[k].kappa1
+            for eid, k in realization.items()}
 
 
 def reference_montecarlo(inst: MatchingInstance, seed: int, trials: int,
@@ -523,8 +524,8 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
     """An edge compiled for a direction (None: bundled) from its outcome rows.
 
     Groups the rows by first signal with Fraction sums, annotates with
-    ``reference_annotate`` and returns ``root``, ``paths``, ``path_of`` and
-    ``opened`` as ``EdgeSpec.basket`` would.
+    ``reference_annotate`` and returns the basket's ``root`` and ``paths``,
+    and ``path_of``, outcome index -> its path, as ``EdgeSpec.paths`` gives.
     """
     if direction is None:
         law = reference_law((o.total, Fraction(w, edge.weight_total))
@@ -535,7 +536,6 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
         paths = reference_paths(root)
         by_label = {p.labels[0]: p for p in paths}
         path_of = {k: by_label[format_rational(o.total)] for k, o in enumerate(edge.outcomes)}
-        opened = ((), edge.directions())
     else:
         forward = direction == (edge.i, edge.j)
         groups: dict = {}
@@ -554,8 +554,7 @@ def reference_edge_basket(edge: EdgeSpec, direction=None) -> SimpleNamespace:
         root = reference_annotate(OutcomeNode.stage(edge.cost(direction), branches))
         paths = reference_paths(root)
         path_of = dict(zip(order, paths))
-        opened = ((), (direction,), edge.directions())
-    return SimpleNamespace(root=root, paths=paths, path_of=path_of, opened=opened)
+    return SimpleNamespace(root=root, paths=paths, path_of=path_of)
 
 
 def exact_atoms(law) -> tuple:
@@ -565,12 +564,12 @@ def exact_atoms(law) -> tuple:
 
 
 def assert_matches_reference(node, ref) -> None:
-    """Node for node: cost, sigma, branch labels and probabilities, and laws."""
-    assert node.is_leaf == ref.is_leaf
-    assert exact_atoms(node.capped()) == ref.kappa
+    """Node for node: cost, sigma, branch labels and probabilities, and laws;
+    a leaf is its exact value."""
     if ref.is_leaf:
-        assert node.value == ref.value and type(node.value) is Fraction
+        assert type(node) is Fraction and node == ref.value
         return
+    assert exact_atoms(node.capped()) == ref.kappa
     assert (node.cost, node.sigma) == (ref.cost, ref.sigma)
     assert type(node.sigma) is Fraction
     assert exact_atoms(node.kappa_next) == ref.kappa_next

@@ -153,9 +153,9 @@ def test_criterion_4_amortization(general_results):
             welfare = expected_welfare(inst, OpenAllFirstStagesStrategy(inst, o))
             exposed = False
             for eid, compiled in runner.baskets.items():
-                for path in compiled.basket.paths:
+                for path in compiled.paths:
                     trace = make_trace(eid, path, 1, False)
-                    if not check_non_exposure(trace, compiled.basket):
+                    if not check_non_exposure(trace, compiled):
                         exposed = True
             bound = ZERO  # nothing is ever claimed
             assert welfare <= bound

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -113,11 +114,15 @@ class TestOrientedDescending:
         o = canonical_orientation(inst)
         for orientation in (o, o.reverse(), None):
             first, second = (DescendingRunner(inst, orientation) for _ in range(2))
-            assert first.conflicts is second.conflicts is inst.conflicts
+            conflicts = inst.conflicts
+            for runner in (first, second):
+                runner.run({eid: 0 for eid in inst.edge_ids})
+                assert inst.conflicts is conflicts
             for e in inst.edges:
                 d = None if orientation is None else orientation.direction_of(e.id)
                 assert first.baskets[e.id] is second.baskets[e.id] is e.basket(d)
-                assert first.kappa_laws()[e.id] is e.basket(d).basket.kappa1_law
+                assert first.kappa_laws()[e.id] is e.basket(d).kappa1_law
+                assert e.paths(d) is e.paths(d)
 
     def test_exact_evaluation_builds_no_conflict_sets(self):
         inst = no_dessert_star(F(1, 2), 2).instance
@@ -433,8 +438,8 @@ class TestEdgeBasedOrientation:
                             ("y", "u", F(8), F(1, 4)), ("y", "v", F(0), F(1, 4))])
         inst = MatchingInstance("ab", [e])
         chosen = edge_based_orientation(inst)
-        fwd = DescendingRunner(inst, Orientation([("a", "b")])).baskets[e.id].basket.sigma1
-        rev = DescendingRunner(inst, Orientation([("b", "a")])).baskets[e.id].basket.sigma1
+        fwd = DescendingRunner(inst, Orientation([("a", "b")])).baskets[e.id].sigma1
+        rev = DescendingRunner(inst, Orientation([("b", "a")])).baskets[e.id].sigma1
         assert rev > fwd
         assert chosen == Orientation([("b", "a")])
 
@@ -468,6 +473,32 @@ DESCENDING_RUNNERS = {
 }
 
 
+class TestInspectedBoxes:
+    """A descending run inspects an edge's first box once stage 1 of its
+    oriented basket is open, and both boxes once the last stage is."""
+
+    @pytest.mark.parametrize("variant", ["canonical", "reverse", "bundled"])
+    def test_inspected_follows_the_stages_opened(self, variant):
+        seen = set()
+        for inst in general_batch(200) + joint_batch(50):
+            runner = DESCENDING_RUNNERS[variant](inst)
+            for _, _, trace in enumerate_runs(inst, runner, record_steps=True):
+                opens = Counter(s.basket_id for s in trace.steps if s.action == "open")
+                expected = set()
+                for e in inst.edges:
+                    d = runner.directions[e.id]
+                    depth = 1 if d is None else 2
+                    nested = trace.nested_traces[e.id]
+                    assert (nested.path.depth, nested.stages_opened) == (depth, opens[e.id])
+                    if opens[e.id] == depth:
+                        expected.update(e.directions())
+                    elif opens[e.id]:
+                        expected.add(d)
+                    seen.add((depth, opens[e.id]))
+                assert trace.inspected == expected
+        assert seen == ({(1, 0), (1, 1)} if variant == "bundled" else {(2, 0), (2, 1), (2, 2)})
+
+
 def tied_path(vertex_order: str) -> MatchingInstance:
     """Three identical edges along a path; all three tie whenever their values do."""
     box = PandoraBox(dist((0, F(1, 2)), (3, F(1, 2))), F(1, 2))
@@ -481,8 +512,8 @@ class TestPathTablesAreLazy:
 
     @staticmethod
     def built_tables(inst):
-        baskets = [e.basket(d) for e in inst.edges for d in (*e.directions(), None)]
-        return [c for c in baskets if "path_of" in vars(c) or "paths" in vars(c.basket)]
+        keys = [(e, d) for e in inst.edges for d in (*e.directions(), None)]
+        return [(e.id, d) for e, d in keys if d in e._paths or "paths" in vars(e.basket(d))]
 
     @pytest.mark.parametrize("named", [bundled_star(4), no_dessert_star(F(1, 4), 2),
                                        indistinguishable_edge()], ids=lambda n: n.name)
@@ -554,7 +585,7 @@ class TestKappaProfileWelfare:
 def mixture_laws(inst) -> dict:
     """Each edge's half/half mixture of its two directed capped-value laws."""
     return {e.id: DiscreteDistribution((v, p / 2) for d in e.directions()
-                                       for v, p in e.basket(d).basket.kappa1_law.atoms)
+                                       for v, p in e.basket(d).kappa1_law.atoms)
             for e in inst.edges}
 
 
@@ -627,7 +658,7 @@ class TestIntegerSweep:
         for inst in integer_sweep_inputs:
             laws = mixture_laws(inst)
             for e in inst.edges:
-                mixed = algorithms._mixture(*(e.basket(d).basket.kappa1_law
+                mixed = algorithms._mixture(*(e.basket(d).kappa1_law
                                               for d in e.directions()))
                 assert mixed == laws[e.id]
             bound = 2 ** len(inst.edges) * inst.realization_count()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -759,3 +760,36 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", no_parser)
         after = [run_cli(capsys, *argv) for argv in calls]
         assert after == before and all(code == 0 for code, _, _ in after)
+
+
+class TestNoReferenceCycles:
+    """A call leaves nothing that only the cyclic collector frees, so calls
+    in one long-lived process do not run the collector for each other."""
+
+    def test_json_text_matches_json_dumps(self):
+        docs = [{}, [], 0, None, "\u00e9\"\n", [[]], {"a": {}, "b": [1, 2.5, float("inf"), True, None],
+                                           "c": {"d": (1, [{}]), "e": ""}, "\u00fc": "x"}]
+        for doc in docs:
+            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_commands_leave_no_cyclic_garbage(self, edge_file, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(stage("1/4", [("a", "1/2", LEAF), ("b", "1/2", stage(
+            "1", [("x", "1/3", {"value": "6"}), ("y", "2/3", {"value": "-2"})]))])))
+        mc = ["--mode", "montecarlo", "--seed", "1", "--trials", "50"]
+        calls = [["run", "--instance", edge_file, "--policy", p] for p in POLICY_NAMES]
+        calls += [["run", "--instance", edge_file, "--policy", p, *extra]
+                  for p in POLICY_NAMES if p != "best-of-two" for extra in (mc, ["--trace-seed", "3"])
+                  if p != "randomized" or extra is mc]
+        calls += [["check", "--instance", edge_file], ["oracle", "--instance", edge_file, "--trace"],
+                  ["repro", "--only", "bundled-star", "--n", "3"],
+                  ["nested-index", "--instance", str(tree)]]
+        run_cli(capsys, *calls[0])   # builds the shared parser
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in calls:
+                assert run_cli(capsys, *argv)[0] == 0
+                assert gc.collect() == 0, argv
+        finally:
+            gc.enable()

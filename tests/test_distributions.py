@@ -128,11 +128,11 @@ def assert_canonical(law):
 
 
 def stage_laws(node):
-    """The capped law of ``node`` and of each stage below, and each stage's kappa_next."""
+    """The capped law and kappa_next of the stage ``node`` and of each stage below."""
     yield node.capped()
-    if not node.is_leaf:
-        yield node.kappa_next
-        for _, _, child in node.branches:
+    yield node.kappa_next
+    for _, _, child in node.branches:
+        if type(child) is AnnotatedStage:   # else a leaf: its value, no law
             yield from stage_laws(child)
 
 
@@ -142,9 +142,9 @@ def built_laws(inst):
         if e.is_independent:
             yield from (e.box_ij.dist, e.box_ji.dist)
         yield e.bundled_box().dist
-        yield _mixture(*(e.basket(d).basket.kappa1_law for d in e.directions()))
+        yield _mixture(*(e.basket(d).kappa1_law for d in e.directions()))
         for key in (None, *e.directions()):
-            basket = e.basket(key).basket
+            basket = e.basket(key)
             yield basket.kappa1_law
             yield from stage_laws(basket.root)
 

@@ -235,21 +235,17 @@ class TestEdgeToBasket:
 
     def test_oriented_basket_lookup_is_bijective(self):
         e = fig_edge()
-        compiled = oriented_basket(e, ("j", "i"))
-        assert compiled.opened == ((), (("j", "i"),), e.directions())
-        lookup = compiled.path_of
-        assert sorted(lookup) == list(range(len(e.outcomes)))
-        for k, o in enumerate(e.outcomes):
-            assert lookup[k].value == o.total
+        paths = e.paths(("j", "i"))
+        assert sorted(paths) == sorted(oriented_basket(e, ("j", "i")).paths)
+        for p, o in zip(paths, e.outcomes):
+            assert p.labels == (o.label_j, o.label_i) and p.value == o.total
 
     def test_bundled_basket_paths_are_totals(self):
         e = fig_edge()
-        compiled = bundled_basket(e)
-        assert compiled.opened == ((), e.directions())
-        lookup = compiled.path_of
-        for k, o in enumerate(e.outcomes):
-            assert lookup[k].value == o.total
-            assert lookup[k].depth == 1
+        assert len(bundled_basket(e).paths) == len({o.total for o in e.outcomes})
+        for p, o in zip(e.paths(None), e.outcomes):
+            assert p.value == o.total
+            assert p.depth == 1
 
 
 class TestCompileMatchesReference:
@@ -262,10 +258,9 @@ class TestCompileMatchesReference:
                 for direction in (*e.directions(), None):
                     compiled = e.basket(direction)
                     ref = reference_edge_basket(e, direction)
-                    assert_matches_reference(compiled.basket.root, ref.root)
-                    assert list(compiled.basket.paths) == ref.paths
-                    assert compiled.path_of == ref.path_of
-                    assert compiled.opened == ref.opened
+                    assert_matches_reference(compiled.root, ref.root)
+                    assert list(compiled.paths) == ref.paths
+                    assert dict(enumerate(e.paths(direction))) == ref.path_of
 
     def test_general_batch(self):
         self.check(general_batch(200))
@@ -301,9 +296,9 @@ class TestShiftedCompileMatchesGrouped:
                 joint = EdgeSpec.joint(e.i, e.j, e.cost_ij, e.cost_ji, rows)
                 for direction in (*e.directions(), None):
                     shifted, grouped = e.basket(direction), joint.basket(direction)
-                    assert shifted.basket.root == grouped.basket.root
-                    assert shifted.basket.paths == grouped.basket.paths
-                    assert shifted.path_of == grouped.path_of
+                    assert shifted.root == grouped.root
+                    assert shifted.paths == grouped.paths
+                    assert e.paths(direction) == joint.paths(direction)
                     compiled += 1
         assert compiled
 
@@ -312,7 +307,7 @@ class TestShiftedCompileMatchesGrouped:
         bare = EdgeSpec(e.i, e.j, e.cost_ij, e.cost_ji, e.outcomes, e.weights, e.weight_total,
                         e.box_ij, e.box_ji)
         for direction in (*e.directions(), None):
-            assert bare.basket(direction).basket.root == e.basket(direction).basket.root
+            assert bare.basket(direction).root == e.basket(direction).root
 
     def test_general_batch(self):
         self.check(general_batch(200))
@@ -332,11 +327,12 @@ class TestCompiledRecordsAreImmutable:
     def test_records_refuse_assignment_and_hash(self):
         inst = no_dessert_star(F(1, 4), 2).instance
         e = inst.edges[0]
-        basket = e.basket(e.directions()[0]).basket
+        basket = e.basket(e.directions()[0])
         stage = basket.root.branches[0][2]
+        assert type(stage.branches[0][2]) is F   # a leaf is its value, immutable already
         trace = DescendingRunner(inst, canonical_orientation(inst)).run(
             {eid: 0 for eid in inst.edge_ids}, record_steps=True)
-        records = [basket.root, stage, stage.branches[0][2], basket.paths[0], e.outcomes[0],
+        records = [basket.root, stage, basket.paths[0], e.outcomes[0],
                    e.box_ij, edge_to_basket(e, e.directions()[0]), trace.steps[0],
                    *trace.nested_traces.values(),
                    *optimal_welfare(inst).best_action.values()]

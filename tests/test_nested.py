@@ -8,6 +8,7 @@ from pandora_matching.algorithms import kappa_welfare
 from pandora_matching.boxes import PandoraBox, weitzman_index
 from pandora_matching.distributions import DiscreteDistribution, ZERO
 from pandora_matching.nested import (
+    AnnotatedStage,
     BasketError,
     OutcomeNode,
     annotate,
@@ -238,31 +239,32 @@ class TestAmortization:
 
 
 def all_node_choices(basket):
-    """Every adapted policy on one basket: a go/stop bit per tree node."""
+    """Every adapted policy on one basket: a go/stop bit per tree node, each
+    node keyed by the branch indices that reach it (a leaf is a bare value)."""
     import itertools
 
     nodes = []
 
-    def collect(node):
-        nodes.append(node)
-        if not node.is_leaf:
-            for _, _, child in node.branches:
-                collect(child)
+    def collect(node, key):
+        nodes.append(key)
+        if type(node) is AnnotatedStage:
+            for bi, (_, _, child) in enumerate(node.branches):
+                collect(child, key + (bi,))
 
-    collect(basket.root)
+    collect(basket.root, ())
     for bits in itertools.product((False, True), repeat=len(nodes)):
-        yield dict(zip(map(id, nodes), bits))
+        yield dict(zip(nodes, bits))
 
 
 def run_policy(basket, policy, path):
     node = basket.root
     stage = 0
-    while not node.is_leaf:
-        if not policy[id(node)]:
+    while type(node) is AnnotatedStage:
+        if not policy[path.branch_indices[:stage]]:
             return make_trace("b", path, stage, False)
         node = node.branches[path.branch_indices[stage]][2]
         stage += 1
-    return make_trace("b", path, stage, policy[id(node)])
+    return make_trace("b", path, stage, policy[path.branch_indices])
 
 
 class TestAmortizationOverAllPolicies:
@@ -406,7 +408,7 @@ class TestAnnotationInvariants:
             basket = annotate(rand_tree(rng))
 
             def walk(node):
-                if node.is_leaf:
+                if type(node) is not AnnotatedStage:
                     return
                 if node.cost > 0:
                     assert node.kappa_next.surplus(node.sigma) == node.cost

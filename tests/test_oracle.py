@@ -161,7 +161,7 @@ class TestOptimalWelfare:
                      for leaf in ("b", "c")]
             inst = MatchingInstance("abc", edges)
             o = canonical_orientation(inst)
-            baskets = {e.id: oriented_basket(e, o.direction_of(e.id)).basket
+            baskets = {e.id: oriented_basket(e, o.direction_of(e.id))
                        for e in inst.edges}
             assert optimal_welfare(inst, "oriented", o).value == \
                 reference_expected_select_welfare(baskets) == \

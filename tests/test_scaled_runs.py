@@ -54,10 +54,11 @@ def test_descending_run_equals_fraction_reference(instances, variant):
                    for x in (*p.sigmas, *p.costs, p.value, p.kappa1))
         for realization, _ in enumerate_realizations(inst):
             reference = descending_run(
-                {eid: runner.baskets[eid].path_of[k] for eid, k in realization.items()},
-                runner.conflicts, record_steps=True)
+                {eid: inst.edge(eid).paths(runner.directions[eid])[k]
+                 for eid, k in realization.items()},
+                inst.conflicts, record_steps=True)
             res = descending_run({eid: scaled[eid][k] for eid, k in realization.items()},
-                                 runner.conflicts, record_steps=True)
+                                 inst.conflicts, record_steps=True)
             assert unscaled(res, q) == unscaled(reference, 1)
             trace = runner.run(realization, record_steps=True)
             assert trace.scale == q and trace.steps == res.steps
@@ -111,6 +112,6 @@ def test_scale_is_the_lcm_of_the_denominators_read(instances):
         runner = RUNNERS["forward"](inst)
         denominators = [x.denominator for e in inst.edges for o in e.outcomes
                         for x in (e.cost_ij, e.cost_ji, o.total, o.v_i or 0, o.v_j or 0)]
-        denominators += [s.denominator for c in runner.baskets.values()
-                         for p in c.path_of.values() for s in p.sigmas]
+        denominators += [s.denominator for e in inst.edges
+                         for p in e.paths(runner.directions[e.id]) for s in p.sigmas]
         assert runner.scaled[0] == math.lcm(*denominators)
